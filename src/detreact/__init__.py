@@ -13,7 +13,7 @@ from .core import (MSEC, NSEC, SEC, SHUTDOWN, STARTUP, USEC, Action, Builder,
 from .errors import (CausalityCycleError, CompositionError,
                      ContractViolationError, ExecutionError, ShutdownError)
 from .graph import PrecedenceGraph, build_precedence_graph, max_level_width, to_dot
-from .patterns import Bank, Interleaved, bank, connect, present_iter, unfold
+from .patterns import Bank, Interleaved, bank, connect, unfold
 from .sched import ReadyQueue, TerminationReport, run
 from .trace import Trace, TraceRecord, trace_digest, value_digest
 
@@ -24,7 +24,7 @@ __all__ = [
     "ReadyQueue", "SEC", "SHUTDOWN", "STARTUP", "ShutdownError", "Tag",
     "TerminationReport", "Timer", "Trace", "TraceRecord", "USEC", "bank",
     "build_precedence_graph", "build_topology", "connect", "max_level_width",
-    "present_iter", "run", "to_dot", "trace_digest", "unfold", "value_digest",
+    "run", "to_dot", "trace_digest", "unfold", "value_digest",
 ]
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
-
 from ..core import Environment
 from .registry import BenchmarkSpec, BenchmarkValidationError
 
@@ -32,6 +30,24 @@ class MeasurementStats:
         return len(self.warmup_ms) + len(self.samples_ms)
 
 
+def student_t_quantile(p: float, df: int) -> float:
+    """Quantile of Student's t distribution for 1/2 <= p < 1 and integer
+    ``df`` >= 1. Bisects on theta = atan(t / sqrt(df)) with the exact finite
+    series for P(|T| < t), Abramowitz & Stegun 26.7.3 (odd) and 26.7.4 (even)."""
+    odd = df % 2
+    lo, hi = 0.0, math.pi / 2
+    for _ in range(100):
+        theta = (lo + hi) / 2
+        sin, cos = math.sin(theta), math.cos(theta)
+        term, total = 1.0, 0.0
+        for k in range(df // 2):
+            total += term
+            term *= (2 * k + 1 + odd) / (2 * k + 2 + odd) * cos * cos
+        mass = 2 / math.pi * (theta + sin * cos * total) if odd else sin * total
+        lo, hi = (theta, hi) if mass < 2 * p - 1 else (lo, theta)
+    return math.sqrt(df) * math.tan((lo + hi) / 2)
+
+
 def student_t_ci99(samples) -> float:
     """Half-width of the two-sided 99% confidence interval for the mean."""
     n = len(samples)
@@ -39,7 +55,7 @@ def student_t_ci99(samples) -> float:
         return 0.0
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    t_crit = float(_scipy_stats.t.ppf(0.995, n - 1))
+    t_crit = student_t_quantile(0.995, n - 1)
     return t_crit * math.sqrt(var / n)
 
 

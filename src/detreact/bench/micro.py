@@ -361,4 +361,4 @@ register(BenchmarkSpec(
     defaults={"actors": 12, "pings": 200, "seed": 1}, build=_build_big))
 register(BenchmarkSpec(
     name="Chameneos", title="Chameneos", group=GROUP_MICRO,
-    defaults={"chameneos": 10, "meetings": 2000, "seed": 1}, build=_build_chameneos))
+    defaults={"chameneos": 10, "meetings": 2000}, build=_build_chameneos))

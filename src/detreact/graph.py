@@ -27,14 +27,13 @@ from .errors import CausalityCycleError
 class PrecedenceGraph:
     """Immutable result of :func:`build_precedence_graph`.
 
-    ``succ``/``pred`` map reaction ids to tuples of reaction ids; ``level``
+    ``succ`` maps reaction ids to tuples of successor reaction ids; ``level``
     maps reaction id to its longest-path depth.
     """
 
-    def __init__(self, reactions, succ, pred, level):
+    def __init__(self, reactions, succ, level):
         self.reactions = reactions
         self.succ = succ
-        self.pred = pred
         self.level = level
         self.num_levels = max(level) + 1 if level else 0
         for r in reactions:
@@ -114,8 +113,7 @@ def build_precedence_graph(topology) -> PrecedenceGraph:
         raise CausalityCycleError([reactions[i] for i in cycle_ids])
 
     succ = tuple(tuple(sorted(s)) for s in succ_sets)
-    pred = tuple(tuple(sorted(p)) for p in pred_sets)
-    return PrecedenceGraph(reactions, succ, pred, tuple(level))
+    return PrecedenceGraph(reactions, succ, tuple(level))
 
 
 def max_level_width(graph: PrecedenceGraph) -> int:

@@ -148,9 +148,3 @@ def connect(lhs, rhs, broadcast: bool = False) -> list[tuple[PortChannel, PortCh
     for s, d in pairs:
         builder._connect_channels(s, d)
     return pairs
-
-
-def present_iter(ctx, port: Port):
-    """(index, value) for exactly the channels of ``port`` set at the current
-    tag, ascending by index; cost scales with the number of set channels."""
-    return ctx.present(port)

@@ -1,17 +1,18 @@
 """Tag-ordered multi-worker execution.
 
 The runtime processes events strictly in tag order. For each tag it stages
-every triggered reaction into a per-level reaction queue, then drains the
-levels in ascending order: all triggered reactions of one level go into the
-ready queue at once and may execute on any worker in parallel; no reaction
-of level k starts before every triggered reaction below k has completed, and
+every triggered reaction into its level's bucket, then drains the levels in
+ascending order: all triggered reactions of one level go into the ready
+queue at once and may execute on any worker in parallel; no reaction of
+level k starts before every triggered reaction below k has completed, and
 no reaction of a later tag starts before the whole tag is done.
 
-There is no dedicated scheduler thread. The last worker to finish a level
-becomes the coordinator: it publishes the next level, or ends the tag and
-advances logical time. That moment is single-threaded by construction
-(every other worker is parked), which is what makes the bookkeeping below
-safe without locks on the hot path.
+The calling thread is worker 0 and ``workers - 1`` threads join it. The last
+worker to finish a level becomes the coordinator while every other worker is
+parked: it folds the channels the level made present (logged per worker, as
+each channel has one writer per tag) into the per-tag port state, stages the
+reactions they trigger, and publishes the next level, or ends the tag and
+advances logical time. So the hot path takes no lock.
 
 In normal mode, a tag with time value t is not processed before the physical
 clock passes t (logical time chases physical time); fast mode skips the
@@ -79,14 +80,14 @@ class ReactionContext:
     """Per-worker view handed to reaction bodies. Valid only for the
     duration of one invocation."""
 
-    __slots__ = ("_rt", "_worker", "_reaction", "tag", "state", "_fx_log", "_sched_log")
+    __slots__ = ("_rt", "_reaction", "tag", "state", "_set_log", "_fx_log", "_sched_log")
 
-    def __init__(self, rt, worker):
+    def __init__(self, rt):
         self._rt = rt
-        self._worker = worker
         self._reaction = None
         self.tag = None
         self.state = None
+        self._set_log: list[int] = []  # channels made present; folded at the barrier
         self._fx_log = None
         self._sched_log = None
 
@@ -121,7 +122,7 @@ class ReactionContext:
         if port not in self._reaction.effects:
             raise ContractViolationError(
                 f"{self._reaction.label()} sets undeclared effect {port.label()}")
-        self._rt._set_output_channel(port.base + idx, value)
+        self._rt._set_output_channel(port.base + idx, value, self._set_log)
         if self._fx_log is not None:
             self._fx_log.append((PortChannel(port, idx).label(), value_digest(value)))
 
@@ -206,6 +207,7 @@ class _Runtime:
 
         self._chan_value: list = [None] * topo.channel_count
         self._chan_present = bytearray(topo.channel_count)
+        # per-tag port state, written only by the coordinator's fold
         self._port_set_channels: list[list[int]] = [[] for _ in topo.ports]
         self._port_touched = bytearray(len(topo.ports))
         self._touched_ports: list[int] = []
@@ -219,18 +221,14 @@ class _Runtime:
         self._event_heap: list[Tag] = []
         self._event_map: dict[Tag, dict] = {}
 
-        self._stage_lock = threading.Lock()
         self._staged = bytearray(len(topo.reactions))
-        self._staged_list: list[int] = []
-        self._buckets: dict[int, list[int]] = {}
-        self._level_heap: list[int] = []
+        self._levels: list[list[int]] = [[] for _ in range(env.apg.num_levels)]
         self._level_of = env.apg.level
         self._current_level = -1
 
         self._ready = ReadyQueue(max_level_width(env.apg))
         self._pending = itertools.count(-1, -1)
         self._sem = threading.Semaphore(0)
-        self._poison = False
 
         self._current_tag: Tag | None = None
         self._last_time = -1
@@ -246,8 +244,7 @@ class _Runtime:
         self._epoch = 0
 
         self._sink = TraceSink(env.workers) if env.trace_enabled else None
-        self.trace_result = None
-        self._ctx = [ReactionContext(self, w) for w in range(env.workers)]
+        self._ctx = [ReactionContext(self) for _ in range(env.workers)]
         if env.jitter_ms > 0:
             self._jitter_s = env.jitter_ms / 1000.0
             self._jitter_rand = [random.Random(env.jitter_seed * 1000003 + w)
@@ -289,42 +286,44 @@ class _Runtime:
 
     # -- within-tag state -------------------------------------------------
 
-    def _set_output_channel(self, gid: int, value) -> None:
+    def _set_output_channel(self, gid: int, value, set_log: list) -> None:
+        # One writer per channel and tag (an output's reactions never overlap,
+        # an input has one source), so nothing here races.
         self._chan_value[gid] = value
         if not self._chan_present[gid]:
             self._chan_present[gid] = 1
-            self._note_set(gid)
+            set_log.append(gid)
         for dst in self.topo.conn_targets[gid]:
             self._chan_value[dst] = value
             if not self._chan_present[dst]:
                 self._chan_present[dst] = 1
-                self._note_set(dst)
-                rids = self.topo.port_reactions[self.topo.chan_owner[dst][0]]
-                if rids:
-                    with self._stage_lock:
-                        for rid in rids:
-                            self._stage(rid)
+                set_log.append(dst)
 
-    def _note_set(self, gid: int) -> None:
-        pid, local = self.topo.chan_owner[gid]
-        self._port_set_channels[pid].append(local)
-        if not self._port_touched[pid]:
-            self._port_touched[pid] = 1
-            self._touched_ports.append(pid)
+    def _fold_set_logs(self) -> None:
+        """Record the channels the finished level made present and stage
+        the reactions their ports trigger. Coordinator only."""
+        topo = self.topo
+        for ctx in self._ctx:
+            log = ctx._set_log
+            for gid in log:
+                pid, local = topo.chan_owner[gid]
+                self._port_set_channels[pid].append(local)
+                if not self._port_touched[pid]:
+                    self._port_touched[pid] = 1
+                    self._touched_ports.append(pid)
+                    for rid in topo.port_reactions[pid]:
+                        self._stage(rid)
+            log.clear()
 
     def _stage(self, rid: int) -> None:
-        # caller holds _stage_lock
         if self._staged[rid]:
             return
         lvl = self._level_of[rid]
-        assert lvl > self._current_level, "staged reaction at or below the running level"
+        if lvl <= self._current_level:
+            raise RuntimeError(f"{self.topo.reactions[rid].label()} staged at level {lvl}, "
+                               f"at or below the running level {self._current_level}")
         self._staged[rid] = 1
-        self._staged_list.append(rid)
-        bucket = self._buckets.get(lvl)
-        if bucket is None:
-            self._buckets[lvl] = bucket = []
-            heapq.heappush(self._level_heap, lvl)
-        bucket.append(rid)
+        self._levels[lvl].append(rid)
 
     # -- tag lifecycle ------------------------------------------------------
 
@@ -338,9 +337,9 @@ class _Runtime:
         over."""
         topo = self.topo
         with self._evcv:
-            if self._shutdown_fired or self._failure is not None:
-                return False
             while True:
+                if self._shutdown_fired or self._failure is not None:
+                    return False  # re-checked after a wait: a failure ends it
                 if self._stop_requested and self._stop_tag is None:
                     self._stop_tag = self._next_stop_tag()
                 g = self._event_heap[0] if self._event_heap else None
@@ -375,31 +374,26 @@ class _Runtime:
         self._current_level = -1
         if trigmap:
             self._events_processed += len(trigmap)
-            with self._stage_lock:
-                for trigger, value in trigmap.items():
-                    if trigger is STARTUP:
-                        rids = topo.startup_rids
-                    elif isinstance(trigger, Timer):
-                        self._timer_present[trigger.tid] = 1
-                        self._active_triggers.append(trigger)
-                        rids = topo.timer_reactions[trigger]
-                    else:
-                        self._action_value[trigger.aid] = value
-                        self._action_present[trigger.aid] = 1
-                        self._active_triggers.append(trigger)
-                        rids = topo.action_reactions[trigger]
-                    for rid in rids:
-                        self._stage(rid)
-        if shutdown_now:
-            with self._stage_lock:
-                for rid in topo.shutdown_rids:
+            for trigger, value in trigmap.items():
+                if trigger is STARTUP:
+                    rids = topo.startup_rids
+                elif isinstance(trigger, Timer):
+                    self._timer_present[trigger.tid] = 1
+                    self._active_triggers.append(trigger)
+                    rids = topo.timer_reactions[trigger]
+                else:
+                    self._action_value[trigger.aid] = value
+                    self._action_present[trigger.aid] = 1
+                    self._active_triggers.append(trigger)
+                    rids = topo.action_reactions[trigger]
+                for rid in rids:
                     self._stage(rid)
+        if shutdown_now:
+            for rid in topo.shutdown_rids:
+                self._stage(rid)
         return True
 
     def _finish_tag(self) -> None:
-        for rid in self._staged_list:
-            self._staged[rid] = 0
-        self._staged_list.clear()
         ports = self.topo.ports
         for pid in self._touched_ports:
             base = ports[pid].base
@@ -422,23 +416,27 @@ class _Runtime:
 
     # -- worker protocol ----------------------------------------------------
 
-    def _coordinate(self, as_worker: bool) -> bool:
-        """Publish the next non-empty level, or close the tag and advance.
-        Runs on the last worker to finish a level (or the main thread at
-        startup). Returns False once the run has terminated."""
+    def _coordinate(self) -> bool:
+        """Fold the finished level, then publish the next non-empty level, or
+        close the tag and advance. Runs on the last worker to finish a level,
+        and on worker 0 at startup, while every other worker is parked.
+        Publishes nothing once a reaction has failed. Returns False once the
+        run has terminated."""
+        levels = self._levels
         while True:
-            with self._stage_lock:
-                if self._level_heap:
-                    lvl = heapq.heappop(self._level_heap)
-                    bucket = self._buckets.pop(lvl)
-                    self._current_level = lvl
-                else:
-                    bucket = None
-            if bucket is not None:
+            self._fold_set_logs()
+            lvl = self._current_level + 1
+            while lvl < len(levels) and not levels[lvl]:
+                lvl += 1
+            if lvl < len(levels) and self._failure is None:
+                bucket, levels[lvl] = levels[lvl], []
+                for rid in bucket:  # no reaction at or below lvl is staged again
+                    self._staged[rid] = 0
+                self._current_level = lvl
                 count = len(bucket)
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(bucket)
-                wake = min(count, self.workers_n) - (1 if as_worker else 0)
+                wake = min(count, self.workers_n) - 1  # the coordinator drains too
                 if wake > 0:
                     self._sem.release(wake)
                 return True
@@ -447,21 +445,14 @@ class _Runtime:
                 self._terminate()
                 return False
 
-    def _terminate(self) -> None:
+    def _terminate(self, exc: BaseException | None = None) -> None:
+        """End the run and release every parked worker; ``exc`` is a broken
+        invariant or an interrupt."""
         with self._evcv:
-            self._terminated = True
-            self._evcv.notify_all()
-        self._poison = True
-        self._sem.release(self.workers_n)
-
-    def _fail_hard(self, exc: BaseException) -> None:
-        # Protocol-level failure: make sure nothing stays parked.
-        with self._evcv:
-            if self._failure is None:
+            if exc is not None and self._failure is None:
                 self._failure = (None, exc)
             self._terminated = True
             self._evcv.notify_all()
-        self._poison = True
         self._sem.release(self.workers_n)
 
     def _execute(self, rid: int, wid: int) -> None:
@@ -495,19 +486,21 @@ class _Runtime:
                 return True  # level exhausted from this worker's view: park
             self._execute(rid, wid)
             if next(self._pending) == 0:
-                if not self._coordinate(as_worker=True):
+                if not self._coordinate():
                     return False
 
     def _worker_loop(self, wid: int) -> None:
+        """Worker 0 is the calling thread: it publishes the first level and
+        drains it before it first parks. The others start parked."""
         try:
+            if wid == 0 and not (self._coordinate() and self._drain(0)):
+                return
             while True:
                 self._sem.acquire()
-                if self._poison:
+                if self._terminated or not self._drain(wid):
                     return
-                if not self._drain(wid):
-                    return
-        except BaseException as exc:  # scheduler invariant broken: do not hang
-            self._fail_hard(exc)
+        except BaseException as exc:  # broken invariant or interrupt: do not hang;
+            self._terminate(exc)      # run() raises it once every worker is joined
 
     def run(self) -> TerminationReport:
         topo = self.topo
@@ -520,21 +513,17 @@ class _Runtime:
 
         threads = [threading.Thread(target=self._worker_loop, args=(w,),
                                     name=f"detreact-worker-{w}", daemon=True)
-                   for w in range(self.workers_n)]
+                   for w in range(1, self.workers_n)]
         for t in threads:
             t.start()
         self.env.started.set()
 
         t0 = time.perf_counter_ns()
         try:
-            self._coordinate(as_worker=False)
-        except BaseException as exc:  # unblock parked workers before raising
-            self._fail_hard(exc)
+            self._worker_loop(0)
+        finally:
             for t in threads:
                 t.join()
-            raise
-        for t in threads:
-            t.join()
         duration = time.perf_counter_ns() - t0
 
         if self._sink is not None:
@@ -544,6 +533,8 @@ class _Runtime:
             })
         if self._failure is not None:
             reaction, exc = self._failure
+            if not isinstance(exc, Exception):
+                raise exc  # an interrupt or exit is not a reaction failure
             where = reaction.label() if reaction is not None else "scheduler"
             raise ExecutionError(f"reaction {where} failed: {exc!r}") from exc
         return TerminationReport(
@@ -559,7 +550,8 @@ def run(env: Environment) -> TerminationReport:
     Processes startup, then all events in tag order until the queue empties
     or a stop is requested, fires shutdown reactions at the stop tag, and
     returns exact execution counts. Reaction failures abort the run and are
-    re-raised as ExecutionError naming the offending reaction.
+    re-raised as ExecutionError naming the offending reaction, and an
+    interrupt is re-raised as is, once every worker thread has been joined.
     """
     with env._lock:
         if env._consumed:

@@ -17,12 +17,8 @@ platforms and runs.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
-
-try:
-    import numpy as _np
-except ImportError:  # the runtime itself has no numpy dependency
-    _np = None
 
 
 def _encode_value(v, out: bytearray) -> None:
@@ -49,14 +45,16 @@ def _encode_value(v, out: bytearray) -> None:
         out += b"l%d:" % len(v)
         for item in v:
             _encode_value(item, out)
-    elif _np is not None and isinstance(v, _np.bool_):
+    # numpy is looked up, never imported: the runtime does not depend on it,
+    # and a numpy value can only exist once numpy is loaded.
+    elif (np := sys.modules.get("numpy")) is not None and isinstance(v, np.bool_):
         out += b"T;" if v else b"F;"
-    elif _np is not None and isinstance(v, _np.integer):
+    elif np is not None and isinstance(v, np.integer):
         out += b"i%d;" % int(v)
-    elif _np is not None and isinstance(v, _np.floating):
+    elif np is not None and isinstance(v, np.floating):
         out += b"f" + repr(float(v)).encode() + b";"
-    elif _np is not None and isinstance(v, _np.ndarray):
-        arr = _np.ascontiguousarray(v)
+    elif np is not None and isinstance(v, np.ndarray):
+        arr = np.ascontiguousarray(v)
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         out += b"a" + str(arr.dtype).encode() + b"|" + repr(arr.shape).encode() + b"|"
         out += le.tobytes()

@@ -9,6 +9,7 @@ from detreact.bench import (BenchmarkInstance, BenchmarkSpec,
                             BenchmarkValidationError, Lcg64,
                             UnknownBenchmarkError, get_benchmark,
                             list_benchmarks, run_benchmark, run_once)
+from detreact.bench.harness import student_t_quantile
 
 SMALL = {
     "PingPong": {"messages": 60},
@@ -103,6 +104,11 @@ def test_stats_shape_and_ci():
     var = sum((x - mean) ** 2 for x in s) / (len(s) - 1)
     expected = 4.604 * math.sqrt(var / len(s))
     assert stats.ci99_ms == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("df, tabulated", [(1, 63.657), (4, 4.604), (29, 2.756)])
+def test_student_t_quantile_matches_table(df, tabulated):
+    assert student_t_quantile(0.995, df) == pytest.approx(tabulated, rel=1e-3)
 
 
 def test_warmup_must_be_smaller_than_iterations():

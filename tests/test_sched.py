@@ -1,11 +1,17 @@
 """Scheduler behavior: tag ordering, level barriers, workers, ready queue."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from detreact import (MSEC, SEC, Builder, Environment, ReadyQueue, Tag, run)
+from detreact import (MSEC, SEC, STARTUP, Builder, Environment, ExecutionError,
+                      ReadyQueue, Tag, run)
 from programs import proxied_bank, two_user_bank
 
 
@@ -301,6 +307,36 @@ def test_no_lost_work_counts():
         assert len(probe.records) == 8
 
 
+def test_no_channel_lost_under_contention():
+    # Sixteen same-level senders on eight workers, with thread switches
+    # forced every microsecond: each makes one channel of the sink's
+    # multiport present per tag, so a lost or repeated channel in the
+    # barrier fold shows up in ctx.present.
+    width, ticks = 16, 40
+    b = Builder()
+    sink = b.reactor("sink")
+    sink_in = sink.input("in", width=width)
+    sink.state.seen = []
+
+    @sink.reaction(sink_in)
+    def _(ctx):
+        ctx.state.seen.append([i for i, _ in ctx.present(sink_in)])
+
+    for i in range(width):
+        s = b.reactor(f"s{i}")
+        t = s.timer("t", offset=0, period=MSEC)
+        out = s.output("out")
+        s.reaction(t, effects=[out], body=lambda ctx, out=out: ctx.set(out, ctx.tag.time))
+        b.connect(out, sink_in[i])
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        Environment(b.build(), workers=8, fast=True, stop_time=(ticks - 1) * MSEC).run()
+    finally:
+        sys.setswitchinterval(old)
+    assert sink.state.seen == [list(range(width))] * ticks
+
+
 # -- time advancement ---------------------------------------------------------
 
 
@@ -396,3 +432,98 @@ def test_run_function_entry_point():
     report = run(env)
     assert report.reactions == 4
     assert acct.state.balance == 10.0
+
+
+# -- threads, failures and interrupts ------------------------------------------
+
+
+def _worker_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("detreact-worker-")]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_caller_is_worker_zero(workers):
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t")
+    r.state.threads = None
+
+    @r.reaction(t)
+    def _(ctx):
+        ctx.state.threads = _worker_threads()
+
+    Environment(b.build(), workers=workers, fast=True).run()
+    assert len(r.state.threads) == workers - 1
+    assert _worker_threads() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_reaction_stops_before_the_next_level(workers):
+    b = Builder()
+    a = b.reactor("a")
+    out = a.output("out")
+
+    @a.reaction(STARTUP, effects=[out])
+    def _(ctx):
+        ctx.set(out, 1)
+        raise ValueError("boom")
+
+    z = b.reactor("z")
+    z_in = z.input("in")
+    z.state.seen = []
+
+    @z.reaction(z_in)
+    def _(ctx):
+        ctx.state.seen.append(ctx.get(z_in))
+
+    b.connect(out, z_in)
+    with pytest.raises(ExecutionError, match=r"a\.1"):
+        Environment(b.build(), workers=workers, fast=True).run()
+    assert z.state.seen == []
+
+
+# Runs in its own interpreter, so the interrupt cannot reach pytest. The
+# program is real-time with a 5 ms timer fanning out to a width-2 level, and
+# is interrupted about 100 ms into a 3 s run.
+_INTERRUPTED_RUN = """
+import _thread, json, sys, threading, time
+from detreact import MSEC, SEC, Builder, Environment, ExecutionError
+
+b = Builder()
+src = b.reactor("src")
+tick = src.timer("t", offset=0, period=5 * MSEC)
+out = src.output("out")
+src.reaction(tick, effects=[out], body=lambda ctx: ctx.set(out, ctx.tag.time))
+for i in range(2):
+    sink = b.reactor(f"sink{i}")
+    sink_in = sink.input("in")
+    sink.reaction(sink_in, body=lambda ctx: None)
+    b.connect(out, sink_in)
+env = Environment(b.build(), workers=int(sys.argv[1]), stop_time=3 * SEC)
+threading.Timer(0.1, _thread.interrupt_main).start()
+t0 = time.monotonic()
+try:
+    env.run()
+    outcome = "returned"
+except KeyboardInterrupt:
+    outcome = "KeyboardInterrupt"
+except ExecutionError as exc:
+    outcome = "ExecutionError from " + type(exc.__cause__).__name__
+print(json.dumps({"outcome": outcome, "elapsed_s": time.monotonic() - t0,
+                  "threads": [t.name for t in threading.enumerate()
+                              if t.name.startswith("detreact-worker-")]}))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_stops_a_real_time_run(workers):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", _INTERRUPTED_RUN, str(workers)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["outcome"] == "KeyboardInterrupt"
+    assert result["elapsed_s"] < 1.0
+    assert result["threads"] == []

@@ -1,6 +1,10 @@
 """Trace canonicalization, digests, and the text format."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from detreact import (SEC, Builder, Environment, trace_digest,
                       value_digest)
@@ -158,3 +162,14 @@ def test_value_digest_stability_and_types():
     b = np.array([1, 2, 3], dtype=np.int64)
     assert value_digest(a) == value_digest(b)
     assert value_digest(a) != value_digest(np.array([1, 2, 4], dtype=np.int64))
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, detreact; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
