@@ -110,14 +110,15 @@ class Timer:
     """Produces events at (offset, 0) and then every ``period`` thereafter.
     A timer without a period fires exactly once."""
 
-    __slots__ = ("owner", "tid", "name", "offset", "period")
+    __slots__ = ("owner", "name", "offset", "period", "base")
+    width = 1  # one slot
 
-    def __init__(self, owner, tid, name, offset, period):
+    def __init__(self, owner, name, offset, period):
         self.owner = owner
-        self.tid = tid
         self.name = name
         self.offset = offset
         self.period = period
+        self.base = -1  # slot, assigned at build()
 
     def label(self) -> str:
         return f"{self.owner.name}.{self.name}"
@@ -131,14 +132,15 @@ class Action:
     bodies relative to the current tag; physical actions are scheduled from
     arbitrary threads and receive a tag derived from the physical clock."""
 
-    __slots__ = ("owner", "aid", "name", "physical", "min_delay")
+    __slots__ = ("owner", "name", "physical", "min_delay", "base")
+    width = 1  # one slot
 
-    def __init__(self, owner, aid, name, physical, min_delay):
+    def __init__(self, owner, name, physical, min_delay):
         self.owner = owner
-        self.aid = aid
         self.name = name
         self.physical = physical
         self.min_delay = min_delay
+        self.base = -1  # slot, assigned at build()
 
     def label(self) -> str:
         return f"{self.owner.name}.{self.name}"
@@ -173,13 +175,12 @@ class ReactorInstance:
     """One reactor in a topology. Declaration methods return handles used to
     declare reactions and wire connections."""
 
-    __slots__ = ("builder", "name", "rid", "state", "bank_index", "ports", "timers",
+    __slots__ = ("builder", "name", "state", "bank_index", "ports", "timers",
                  "actions", "reactions", "_names")
 
-    def __init__(self, builder: "Builder", name: str, rid: int):
+    def __init__(self, builder: "Builder", name: str):
         self.builder = builder
         self.name = name
-        self.rid = rid
         self.state = SimpleNamespace()
         self.bank_index: int | None = None
         self.ports: list[Port] = []
@@ -217,7 +218,7 @@ class ReactorInstance:
             raise CompositionError(
                 f"timer {self.name}.{name}: period must be positive (omit it for a one-shot timer)")
         checked_time_add(offset, period or 0)
-        timer = Timer(self, len(self.timers), name, offset, period)
+        timer = Timer(self, name, offset, period)
         self.timers.append(timer)
         return timer
 
@@ -233,7 +234,7 @@ class ReactorInstance:
         self._claim_name(name)
         if min_delay < 0:
             raise CompositionError(f"action {self.name}.{name}: negative min_delay")
-        action = Action(self, len(self.actions), name, physical, min_delay)
+        action = Action(self, name, physical, min_delay)
         self.actions.append(action)
         return action
 
@@ -298,12 +299,9 @@ class ReactorTopology:
         self.ports: tuple[Port, ...] = tuple(p for inst in instances for p in inst.ports)
         self.timers: tuple[Timer, ...] = tuple(t for inst in instances for t in inst.timers)
         self.actions: tuple[Action, ...] = tuple(a for inst in instances for a in inst.actions)
-        for gi, t in enumerate(self.timers):
-            t.tid = gi
-        for gi, a in enumerate(self.actions):
-            a.aid = gi
 
-        # Flatten ports into a dense global channel space.
+        # One dense slot space: every port channel, then one slot for each
+        # timer and each action.
         base = 0
         chan_owner = []
         for gpid, p in enumerate(self.ports):
@@ -313,41 +311,28 @@ class ReactorTopology:
             base += p.width
         self.channel_count = base
         self.chan_owner: tuple[tuple[int, int], ...] = tuple(chan_owner)
+        for slot, t in enumerate(self.timers + self.actions, start=base):
+            t.base = slot
+        self.slot_count = base + len(self.timers) + len(self.actions)
 
-        conn_source: list[int | None] = [None] * base
-        conn_targets: list[list[int]] = [[] for _ in range(base)]
+        conn_targets: list[list[int]] = [[] for _ in range(self.channel_count)]
         for src, dst in connections:
-            s = src.port.base + src.index
-            d = dst.port.base + dst.index
-            conn_source[d] = s
-            conn_targets[s].append(d)
-        self.conn_source = tuple(conn_source)
+            conn_targets[src.port.base + src.index].append(dst.port.base + dst.index)
         self.conn_targets = tuple(tuple(t) for t in conn_targets)
         self.connections = tuple(connections)
 
-        # Trigger fan-out tables.
+        # Trigger fan-out: port id -> reaction ids, and STARTUP, SHUTDOWN,
+        # each timer and each action -> reaction ids.
         port_reactions: list[list[int]] = [[] for _ in self.ports]
-        action_reactions: dict[Action, list[int]] = {a: [] for a in self.actions}
-        timer_reactions: dict[Timer, list[int]] = {t: [] for t in self.timers}
-        startup_rids: list[int] = []
-        shutdown_rids: list[int] = []
+        trigger_reactions: dict = {t: [] for t in (STARTUP, SHUTDOWN, *self.timers, *self.actions)}
         for r in self.reactions:
             for t in r.triggers:
-                if t is STARTUP:
-                    startup_rids.append(r.rid)
-                elif t is SHUTDOWN:
-                    shutdown_rids.append(r.rid)
-                elif isinstance(t, Port):
+                if isinstance(t, Port):
                     port_reactions[t.pid].append(r.rid)
-                elif isinstance(t, Action):
-                    action_reactions[t].append(r.rid)
-                elif isinstance(t, Timer):
-                    timer_reactions[t].append(r.rid)
+                else:
+                    trigger_reactions[t].append(r.rid)
         self.port_reactions = tuple(tuple(x) for x in port_reactions)
-        self.action_reactions = {a: tuple(x) for a, x in action_reactions.items()}
-        self.timer_reactions = {t: tuple(x) for t, x in timer_reactions.items()}
-        self.startup_rids = tuple(startup_rids)
-        self.shutdown_rids = tuple(shutdown_rids)
+        self.trigger_reactions = {t: tuple(x) for t, x in trigger_reactions.items()}
 
     def stats(self) -> dict:
         return {
@@ -379,7 +364,7 @@ class Builder:
         if name in self._instance_names:
             raise CompositionError(f"duplicate reactor name {name!r}")
         self._instance_names.add(name)
-        inst = ReactorInstance(self, name, len(self._instances))
+        inst = ReactorInstance(self, name)
         self._instances.append(inst)
         return inst
 

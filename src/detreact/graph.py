@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .core import Port
 from .errors import CausalityCycleError
 
 
@@ -50,7 +51,7 @@ def _derive_edges(topology):
     succ = [set() for _ in range(n)]
     for r in topology.reactions:
         for eff in r.effects:
-            if not hasattr(eff, "base"):
+            if not isinstance(eff, Port):
                 continue  # actions do not add edges
             for local in range(eff.width):
                 for dst_gid in topology.conn_targets[eff.base + local]:

@@ -7,12 +7,16 @@ queue at once and may execute on any worker in parallel; no reaction of
 level k starts before every triggered reaction below k has completed, and
 no reaction of a later tag starts before the whole tag is done.
 
+Every port channel, timer and action owns one slot of a dense value and
+presence array, which is all a reaction reads or writes within a tag.
+
 The calling thread is worker 0 and ``workers - 1`` threads join it. The last
 worker to finish a level becomes the coordinator while every other worker is
 parked: it folds the channels the level made present (logged per worker, as
 each channel has one writer per tag) into the per-tag port state, stages the
-reactions they trigger, and publishes the next level, or ends the tag and
-advances logical time. So the hot path takes no lock.
+reactions they trigger, enqueues the level's logical schedules (also logged
+per worker), and publishes the next level, or ends the tag and advances
+logical time. So the hot path takes no lock, ``ctx.schedule`` included.
 
 In normal mode, a tag with time value t is not processed before the physical
 clock passes t (logical time chases physical time); fast mode skips the
@@ -28,8 +32,8 @@ import threading
 import time
 from typing import NamedTuple
 
-from .core import (STARTUP, Action, Environment, Port, PortChannel, Tag, Timer,
-                   checked_time_add)
+from .core import (SHUTDOWN, STARTUP, Action, Environment, Port, PortChannel, Tag,
+                   Timer, checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import max_level_width
 from .trace import TraceRecord, TraceSink, value_digest
@@ -87,9 +91,11 @@ class ReactionContext:
         self._reaction = None
         self.tag = None
         self.state = None
-        self._set_log: list[int] = []  # channels made present; folded at the barrier
+        # channels made present and (tag, action, value) schedules, both
+        # folded at the barrier
+        self._set_log: list[int] = []
+        self._sched_log: list[tuple] = []
         self._fx_log = None
-        self._sched_log = None
 
     def _begin(self, reaction, tag):
         self._reaction = reaction
@@ -97,58 +103,47 @@ class ReactionContext:
         self.state = reaction.owner.state
         if self._rt._sink is not None:
             self._fx_log = []
-            self._sched_log = []
 
-    def _resolve(self, target, index):
+    def _slot(self, target, index, declared, misuse: str) -> int:
+        """Slot of one channel of a port, or of a timer or an action (one
+        slot each), that is in ``declared``."""
         if isinstance(target, PortChannel):
-            return target.port, target.index
-        if isinstance(target, Port):
-            if index is None:
-                if target.width != 1:
-                    raise ContractViolationError(
-                        f"{self._reaction.label()}: {target.label()} is a multiport, "
-                        "pass an index or a channel")
-                return target, 0
-            if not 0 <= index < target.width:
+            target, index = target.port, target.index
+        elif not isinstance(target, (Port, Timer, Action)):
+            raise ContractViolationError(
+                f"{self._reaction.label()}: {target!r} is not a port, timer or action")
+        if target not in declared:
+            raise ContractViolationError(f"{self._reaction.label()} {misuse} {target.label()}")
+        if index is None:
+            if target.width != 1:
                 raise ContractViolationError(
-                    f"{self._reaction.label()}: index {index} out of range for {target.label()}")
-            return target, index
-        raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
+                    f"{self._reaction.label()}: {target.label()} is a multiport, "
+                    "pass an index or a channel")
+            return target.base
+        if not 0 <= index < target.width:
+            raise ContractViolationError(
+                f"{self._reaction.label()}: index {index} out of range for {target.label()}")
+        return target.base + index
 
     def set(self, target, value, index: int | None = None) -> None:
         """Make a declared output port present with ``value`` for the rest of
         the current tag. Within one body, the last write to a channel wins."""
-        port, idx = self._resolve(target, index)
-        if port not in self._reaction.effects:
-            raise ContractViolationError(
-                f"{self._reaction.label()} sets undeclared effect {port.label()}")
-        self._rt._set_output_channel(port.base + idx, value, self._set_log)
+        slot = self._slot(target, index, self._reaction.effects, "sets undeclared effect")
+        rt = self._rt
+        if slot >= rt.topo.channel_count:
+            raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
+        rt._set_output_channel(slot, value, self._set_log)
         if self._fx_log is not None:
-            self._fx_log.append((PortChannel(port, idx).label(), value_digest(value)))
+            self._fx_log.append((rt._labels[slot], value_digest(value)))
 
     def get(self, target, index: int | None = None):
         """Value of a declared trigger at the current tag, or None if absent."""
-        if isinstance(target, Action):
-            self._check_trigger(target)
-            return self._rt._action_value[target.aid] if self._rt._action_present[target.aid] else None
-        if isinstance(target, Timer):
-            self._check_trigger(target)
-            return None
-        port, idx = self._resolve(target, index)
-        self._check_trigger(port)
-        gid = port.base + idx
-        return self._rt._chan_value[gid] if self._rt._chan_present[gid] else None
+        slot = self._slot(target, index, self._reaction.triggers, "reads undeclared trigger")
+        return self._rt._value[slot]
 
     def is_present(self, target, index: int | None = None) -> bool:
-        if isinstance(target, Action):
-            self._check_trigger(target)
-            return bool(self._rt._action_present[target.aid])
-        if isinstance(target, Timer):
-            self._check_trigger(target)
-            return bool(self._rt._timer_present[target.tid])
-        port, idx = self._resolve(target, index)
-        self._check_trigger(port)
-        return bool(self._rt._chan_present[port.base + idx])
+        slot = self._slot(target, index, self._reaction.triggers, "reads undeclared trigger")
+        return bool(self._rt._present[slot])
 
     def present(self, port: Port):
         """Iterate (index, value) over the channels of a declared multiport
@@ -156,22 +151,16 @@ class ReactionContext:
         is proportional to the number of present channels, not the width."""
         if not isinstance(port, Port):
             raise ContractViolationError(f"{self._reaction.label()}: {port!r} is not a port")
-        self._check_trigger(port)
+        base = self._slot(port, 0, self._reaction.triggers, "reads undeclared trigger")
         rt = self._rt
-        base = port.base
         for local in sorted(rt._port_set_channels[port.pid]):
-            yield local, rt._chan_value[base + local]
-
-    def _check_trigger(self, t):
-        if t not in self._reaction.triggers:
-            raise ContractViolationError(
-                f"{self._reaction.label()} reads undeclared trigger "
-                f"{t.label() if hasattr(t, 'label') else t!r}")
+            yield local, rt._value[base + local]
 
     def schedule(self, action: Action, value=None, delay: int = 0) -> Tag:
         """Enqueue an event on a declared logical action at a strictly later
         tag: (now + delay, 0) for a positive total delay, otherwise the next
-        microstep. Returns the assigned tag."""
+        microstep. Returns the assigned tag. The event reaches the queue at
+        the end of the level, and the later of two calls for one tag wins."""
         if not isinstance(action, Action) or action not in self._reaction.effects:
             label = action.label() if isinstance(action, Action) else repr(action)
             raise ContractViolationError(
@@ -184,9 +173,7 @@ class ReactionContext:
             g = Tag(checked_time_add(cur.time, total), 0)
         else:
             g = Tag(cur.time, cur.microstep + 1)
-        self._rt._enqueue_locked(g, action, value)
-        if self._sched_log is not None:
-            self._sched_log.append((action.label(), (g.time, g.microstep)))
+        self._sched_log.append((g, action, value))
         return g
 
     def request_stop(self) -> None:
@@ -205,16 +192,14 @@ class _Runtime:
         self.fast = env.fast
         self.workers_n = env.workers
 
-        self._chan_value: list = [None] * topo.channel_count
-        self._chan_present = bytearray(topo.channel_count)
-        # per-tag port state, written only by the coordinator's fold
+        # Per-tag state of every slot (port channels, then timers and
+        # actions); a value is None wherever its presence byte is 0.
+        self._value: list = [None] * topo.slot_count
+        self._present = bytearray(topo.slot_count)
+        # written only at the coordinator moment: the present slots, and each
+        # port's present channels (empty while the port is untouched)
+        self._live: list[int] = []
         self._port_set_channels: list[list[int]] = [[] for _ in topo.ports]
-        self._port_touched = bytearray(len(topo.ports))
-        self._touched_ports: list[int] = []
-        self._action_value: list = [None] * len(topo.actions)
-        self._action_present = bytearray(len(topo.actions))
-        self._timer_present = bytearray(len(topo.timers))
-        self._active_triggers: list = []
 
         self._evlock = threading.Lock()
         self._evcv = threading.Condition(self._evlock)
@@ -244,6 +229,8 @@ class _Runtime:
         self._epoch = 0
 
         self._sink = TraceSink(env.workers) if env.trace_enabled else None
+        if self._sink is not None:  # trace label of each channel
+            self._labels = [PortChannel(p, i).label() for p in topo.ports for i in range(p.width)]
         self._ctx = [ReactionContext(self) for _ in range(env.workers)]
         if env.jitter_ms > 0:
             self._jitter_s = env.jitter_ms / 1000.0
@@ -263,10 +250,6 @@ class _Runtime:
             self._event_map[tag] = m = {}
             heapq.heappush(self._event_heap, tag)
         m[trigger] = value  # same (trigger, tag): the later call wins
-
-    def _enqueue_locked(self, tag, trigger, value) -> None:
-        with self._evlock:
-            self._enqueue(tag, trigger, value)
 
     def schedule_physical(self, action: Action, value) -> Tag:
         with self._evcv:
@@ -289,31 +272,43 @@ class _Runtime:
     def _set_output_channel(self, gid: int, value, set_log: list) -> None:
         # One writer per channel and tag (an output's reactions never overlap,
         # an input has one source), so nothing here races.
-        self._chan_value[gid] = value
-        if not self._chan_present[gid]:
-            self._chan_present[gid] = 1
+        self._value[gid] = value
+        if not self._present[gid]:
+            self._present[gid] = 1
             set_log.append(gid)
         for dst in self.topo.conn_targets[gid]:
-            self._chan_value[dst] = value
-            if not self._chan_present[dst]:
-                self._chan_present[dst] = 1
+            self._value[dst] = value
+            if not self._present[dst]:
+                self._present[dst] = 1
                 set_log.append(dst)
 
-    def _fold_set_logs(self) -> None:
-        """Record the channels the finished level made present and stage
-        the reactions their ports trigger. Coordinator only."""
+    def _fold_logs(self) -> None:
+        """Record the channels the finished level made present, stage the
+        reactions their ports trigger, and enqueue the level's logical
+        schedules. Coordinator only. Worker order cannot matter: a level
+        holds at most one reaction per reactor, so no two logs schedule the
+        same action."""
         topo = self.topo
+        scheduled = False
         for ctx in self._ctx:
             log = ctx._set_log
             for gid in log:
                 pid, local = topo.chan_owner[gid]
-                self._port_set_channels[pid].append(local)
-                if not self._port_touched[pid]:
-                    self._port_touched[pid] = 1
-                    self._touched_ports.append(pid)
+                chans = self._port_set_channels[pid]
+                if not chans:
                     for rid in topo.port_reactions[pid]:
                         self._stage(rid)
+                chans.append(local)
+            self._live += log
             log.clear()
+            if ctx._sched_log:
+                scheduled = True
+        if scheduled:
+            with self._evlock:
+                for ctx in self._ctx:
+                    for tag, action, value in ctx._sched_log:
+                        self._enqueue(tag, action, value)
+                    ctx._sched_log.clear()
 
     def _stage(self, rid: int) -> None:
         if self._staged[rid]:
@@ -375,42 +370,26 @@ class _Runtime:
         if trigmap:
             self._events_processed += len(trigmap)
             for trigger, value in trigmap.items():
-                if trigger is STARTUP:
-                    rids = topo.startup_rids
-                elif isinstance(trigger, Timer):
-                    self._timer_present[trigger.tid] = 1
-                    self._active_triggers.append(trigger)
-                    rids = topo.timer_reactions[trigger]
-                else:
-                    self._action_value[trigger.aid] = value
-                    self._action_present[trigger.aid] = 1
-                    self._active_triggers.append(trigger)
-                    rids = topo.action_reactions[trigger]
-                for rid in rids:
+                if trigger is not STARTUP:
+                    slot = trigger.base
+                    self._value[slot] = value
+                    self._present[slot] = 1
+                    self._live.append(slot)
+                for rid in topo.trigger_reactions[trigger]:
                     self._stage(rid)
         if shutdown_now:
-            for rid in topo.shutdown_rids:
+            for rid in topo.trigger_reactions[SHUTDOWN]:
                 self._stage(rid)
         return True
 
     def _finish_tag(self) -> None:
-        ports = self.topo.ports
-        for pid in self._touched_ports:
-            base = ports[pid].base
-            chans = self._port_set_channels[pid]
-            for local in chans:
-                self._chan_present[base + local] = 0
-                self._chan_value[base + local] = None
-            chans.clear()
-            self._port_touched[pid] = 0
-        self._touched_ports.clear()
-        for trigger in self._active_triggers:
-            if isinstance(trigger, Timer):
-                self._timer_present[trigger.tid] = 0
-            else:
-                self._action_value[trigger.aid] = None
-                self._action_present[trigger.aid] = 0
-        self._active_triggers.clear()
+        topo = self.topo
+        for slot in self._live:
+            self._value[slot] = None
+            self._present[slot] = 0
+            if slot < topo.channel_count:
+                self._port_set_channels[topo.chan_owner[slot][0]].clear()
+        self._live.clear()
         if self._sink is not None:
             self._sink.merge_tag()
 
@@ -424,7 +403,7 @@ class _Runtime:
         run has terminated."""
         levels = self._levels
         while True:
-            self._fold_set_logs()
+            self._fold_logs()
             lvl = self._current_level + 1
             while lvl < len(levels) and not levels[lvl]:
                 lvl += 1
@@ -459,6 +438,7 @@ class _Runtime:
         reaction = self.topo.reactions[rid]
         ctx = self._ctx[wid]
         ctx._begin(reaction, self._current_tag)
+        mark = len(ctx._sched_log)  # this body's schedules follow the mark
         if self._jitter_s > 0.0:
             time.sleep(self._jitter_rand[wid].uniform(0.0, self._jitter_s))
         try:
@@ -476,7 +456,8 @@ class _Runtime:
                     reactor_path=reaction.owner.name,
                     reaction_index=reaction.index,
                     effects=tuple(ctx._fx_log),
-                    scheduled=tuple(ctx._sched_log)))
+                    scheduled=tuple((action.label(), (g.time, g.microstep))
+                                    for g, action, _ in ctx._sched_log[mark:])))
         self._reactions_run[wid] += 1
 
     def _drain(self, wid: int) -> bool:
@@ -505,10 +486,10 @@ class _Runtime:
     def run(self) -> TerminationReport:
         topo = self.topo
         self._epoch = time.monotonic_ns()
-        if topo.startup_rids:
+        if topo.trigger_reactions[STARTUP]:
             self._enqueue(Tag(0, 0), STARTUP, None)
         for timer in topo.timers:
-            if topo.timer_reactions[timer]:
+            if topo.trigger_reactions[timer]:
                 self._enqueue(Tag(timer.offset, 0), timer, None)
 
         threads = [threading.Thread(target=self._worker_loop, args=(w,),

@@ -1,6 +1,7 @@
 """Core semantics: tags, builder validation, port/action access rules."""
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -270,6 +271,68 @@ def test_undeclared_trigger_read_fails_fast():
 
     with pytest.raises(ExecutionError, match="sink.1"):
         run_env(b.build())
+
+
+def _misuse_program(misuse):
+    b = Builder()
+    r = b.reactor("r")
+    h = SimpleNamespace(t=r.timer("t"), a=r.action("a"), inp=r.input("inp", width=2),
+                        out=r.output("out"))
+    r.reaction(STARTUP, h.t, h.inp, effects=[h.a], body=lambda ctx: misuse(ctx, h))
+    return b.build()
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (lambda ctx, h: ctx.set(h.a, 1), "is not a port"),
+    (lambda ctx, h: ctx.get(STARTUP), "startup is not a port, timer or action"),
+    (lambda ctx, h: ctx.get(h.t, index=1), "index 1 out of range for r.t"),
+    (lambda ctx, h: ctx.get(h.inp), "r.inp is a multiport"),
+    (lambda ctx, h: ctx.is_present(h.inp, index=2), "index 2 out of range for r.inp"),
+    (lambda ctx, h: ctx.get(h.out), "r.1 reads undeclared trigger r.out"),
+    (lambda ctx, h: ctx.set(h.out, 1), "r.1 sets undeclared effect r.out"),
+], ids=["set-action", "get-startup", "timer-index", "multiport-no-index",
+        "port-index-range", "undeclared-trigger", "undeclared-effect"])
+def test_one_contract_for_every_slot_kind(misuse, message):
+    with pytest.raises(ExecutionError, match="r.1") as exc_info:
+        run_env(_misuse_program(misuse))
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, ContractViolationError)
+    assert message in str(cause)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_timer_and_action_presence_is_per_tag(workers):
+    # The timer ticks every millisecond; the action fires with it at 1 ms,
+    # alone at 2.5 ms and alone at the microstep after 3 ms. Each slot must
+    # read absent at every other tag.
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t", offset=0, period=MSEC)
+    act = r.action("a")
+    r.state.seen = []
+    delays = {0: MSEC, 2: MSEC // 2, 3: 0}
+
+    @r.reaction(t, effects=[act])
+    def _(ctx):
+        tick = ctx.tag.time // MSEC
+        if tick in delays:
+            ctx.schedule(act, f"a{tick}", delay=delays[tick])
+
+    @r.reaction(t, act)
+    def _(ctx):
+        ctx.state.seen.append((ctx.tag, ctx.get(t), ctx.is_present(t),
+                               ctx.get(act), ctx.is_present(act)))
+
+    run_env(b.build(), workers=workers, stop_time=4 * MSEC)
+    assert r.state.seen == [
+        (Tag(0, 0), None, True, None, False),
+        (Tag(MSEC, 0), None, True, "a0", True),
+        (Tag(2 * MSEC, 0), None, True, None, False),
+        (Tag(2 * MSEC + MSEC // 2, 0), None, False, "a2", True),
+        (Tag(3 * MSEC, 0), None, True, None, False),
+        (Tag(3 * MSEC, 1), None, False, "a3", True),
+        (Tag(4 * MSEC, 0), None, True, None, False),
+    ]
 
 
 # -- schedule_logical -----------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from detreact import (MSEC, SEC, STARTUP, Builder, Environment, ExecutionError,
+from detreact import (MSEC, SEC, STARTUP, USEC, Builder, Environment, ExecutionError,
                       ReadyQueue, Tag, run)
 from programs import proxied_bank, two_user_bank
 
@@ -335,6 +335,88 @@ def test_no_channel_lost_under_contention():
     finally:
         sys.setswitchinterval(old)
     assert sink.state.seen == [list(range(width))] * ticks
+
+
+# -- logical schedules folded at the barrier ----------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_later_level_schedule_wins(workers):
+    # Reactions 1 and 2 of one reactor run on successive levels and schedule
+    # the same action at the same tag: the fold keeps level order.
+    b = Builder()
+    r = b.reactor("r")
+    act = r.action("a")
+    r.state.fired = []
+    r.reaction(STARTUP, effects=[act], body=lambda ctx: ctx.schedule(act, "first"))
+    r.reaction(STARTUP, effects=[act], body=lambda ctx: ctx.schedule(act, "second"))
+    r.reaction(act, body=lambda ctx: ctx.state.fired.append((ctx.tag, ctx.get(act))))
+    report = Environment(b.build(), workers=workers, fast=True).run()
+    assert r.state.fired == [(Tag(0, 1), "second")]
+    assert report.events == 2
+
+
+def test_logical_and_physical_events_each_handled_once_in_tag_order():
+    # Eight same-level reactors on four workers each schedule their own
+    # action every tick, at eight different offsets, while another thread
+    # injects physical events, with thread switches forced every microsecond.
+    n, injected = 8, 40
+    b = Builder()
+    nodes = []
+    for i in range(n):
+        r = b.reactor(f"n{i}")
+        t = r.timer("t", offset=0, period=MSEC)
+        act = r.action("a")
+        r.state.scheduled, r.state.handled = [], []
+
+        @r.reaction(t, effects=[act])
+        def _(ctx, act=act, i=i):
+            value = (i, ctx.tag.time // MSEC)
+            ctx.state.scheduled.append((ctx.schedule(act, value, delay=i * 100 * USEC), value))
+
+        r.reaction(act, body=lambda ctx, act=act: ctx.state.handled.append((ctx.tag, ctx.get(act))))
+        nodes.append(r)
+
+    sink = b.reactor("sink")
+    irq = sink.physical_action("irq")
+    sink.state.handled = []
+    sink.reaction(irq, body=lambda ctx: ctx.state.handled.append((ctx.tag, ctx.get(irq))))
+
+    sent = []
+    done = threading.Event()
+    keeper = b.reactor("keeper")
+    tick = keeper.timer("t", offset=0, period=MSEC)
+
+    @keeper.reaction(tick)
+    def _(ctx):
+        # stop once every physical event is behind this tag, or at 10 s
+        if (done.is_set() and ctx.tag > sent[-1]) or ctx.tag.time >= 10 * SEC:
+            ctx.request_stop()
+
+    env = Environment(b.build(), workers=4)
+
+    def inject():
+        env.started.wait(10)
+        for k in range(injected):
+            sent.append(env.schedule_physical(irq, k))
+            time.sleep(0.0005)
+        done.set()
+
+    injector = threading.Thread(target=inject)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        injector.start()
+        report = env.run()
+    finally:
+        sys.setswitchinterval(old)
+        injector.join(10)
+    assert not injector.is_alive()
+    assert sink.state.handled == [(g, k) for k, g in enumerate(sent)]
+    assert sent == sorted(set(sent))
+    for r in nodes:
+        assert r.state.handled == [x for x in r.state.scheduled if x[0] <= report.last_tag]
+        assert len(r.state.handled) >= len(r.state.scheduled) - 1  # only the last may lie beyond the stop
 
 
 # -- time advancement ---------------------------------------------------------
