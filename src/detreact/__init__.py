@@ -7,14 +7,13 @@ parallel, so a program's observable behavior is identical whether it runs
 on one worker thread or eight.
 """
 
-from .core import (MSEC, NSEC, SEC, SHUTDOWN, STARTUP, USEC, Action, Builder,
-                   Environment, Port, PortChannel, ReactorTopology, Tag, Timer,
-                   build_topology)
+from .core import (MSEC, NSEC, SEC, SHUTDOWN, STARTUP, USEC, Action, Builder, Port,
+                   PortChannel, ReactorTopology, Tag, Timer, build_topology)
 from .errors import (CausalityCycleError, CompositionError,
                      ContractViolationError, ExecutionError, ShutdownError)
 from .graph import PrecedenceGraph, build_precedence_graph, max_level_width, to_dot
 from .patterns import Bank, Interleaved, bank, connect, unfold
-from .sched import ReadyQueue, TerminationReport, run
+from .sched import Environment, ReadyQueue, TerminationReport
 from .trace import Trace, TraceRecord, trace_digest, value_digest
 
 __all__ = [
@@ -24,7 +23,7 @@ __all__ = [
     "ReadyQueue", "SEC", "SHUTDOWN", "STARTUP", "ShutdownError", "Tag",
     "TerminationReport", "Timer", "Trace", "TraceRecord", "USEC", "bank",
     "build_precedence_graph", "build_topology", "connect", "max_level_width",
-    "run", "to_dot", "trace_digest", "unfold", "value_digest",
+    "to_dot", "trace_digest", "unfold", "value_digest",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core import Environment
+from ..sched import Environment
 from .registry import BenchmarkSpec, BenchmarkValidationError
 
 
@@ -60,12 +60,11 @@ def student_t_ci99(samples) -> float:
 
 
 def run_once(spec: BenchmarkSpec, params: dict, workers: int = 1, fast: bool = True,
-             trace: bool = False, jitter_ms: float = 0.0, jitter_seed: int = 0):
+             trace: bool = False):
     """Build, run and validate a single fresh instance. Returns
     (instance, environment, report)."""
     instance = spec.build(params)
-    env = Environment(instance.topology, workers=workers, fast=fast, trace=trace,
-                      jitter_ms=jitter_ms, jitter_seed=jitter_seed)
+    env = Environment(instance.topology, workers=workers, fast=fast, trace=trace)
     report = env.run()
     instance.validate(report)
     return instance, env, report

@@ -2,8 +2,8 @@
 
 A program is assembled through a :class:`Builder`: declare reactor instances,
 give them ports, timers, actions and reactions, wire outputs to inputs, and
-freeze the result into a :class:`ReactorTopology`. Execution is handled by
-:mod:`detreact.sched` through an :class:`Environment`.
+freeze the result into a :class:`ReactorTopology`. This module is composition
+only; a :class:`detreact.sched.Environment` runs a topology.
 
 Logical time is superdense: a :class:`Tag` is a (nanoseconds, microstep)
 pair, totally ordered lexicographically. Delay-free scheduling advances the
@@ -13,11 +13,10 @@ moving the clock.
 
 from __future__ import annotations
 
-import threading
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .errors import CompositionError, ContractViolationError, ShutdownError
+from .errors import CompositionError
 
 NSEC = 1
 USEC = 1_000
@@ -410,62 +409,3 @@ def build_topology(program: Callable[[Builder], None], name: str = "main") -> Re
     program(b)
     return b.build()
 
-
-class Environment:
-    """One executable composition: topology + precedence graph + run config.
-
-    An Environment runs exactly once. ``schedule_physical`` and
-    ``request_stop`` are safe to call from any thread while it runs; all
-    other methods belong to the building/owning thread.
-    """
-
-    def __init__(self, topology: ReactorTopology, workers: int = 1, fast: bool = False,
-                 stop_time: int | None = None, trace: bool = False,
-                 jitter_ms: float = 0.0, jitter_seed: int = 0):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if stop_time is not None and stop_time < 0:
-            raise ValueError("stop_time must be a non-negative nanosecond value")
-        from .graph import build_precedence_graph  # deferred: graph is built on demand
-        self.topology = topology
-        self.apg = build_precedence_graph(topology)
-        self.workers = workers
-        self.fast = fast
-        self.stop_time = stop_time
-        self.trace_enabled = trace
-        self.jitter_ms = jitter_ms
-        self.jitter_seed = jitter_seed
-        self.trace = None  # populated after a traced run
-        self.started = threading.Event()
-        self._runtime = None
-        self._consumed = False
-        self._stop_before_run = False
-        self._lock = threading.Lock()
-
-    def run(self):
-        """Execute to completion and return a TerminationReport."""
-        from .sched import run as _run
-        return _run(self)
-
-    def schedule_physical(self, action: Action, value=None) -> Tag:
-        """Enqueue an event on a physical action from any thread.
-
-        The event's tag derives from the physical clock but is always
-        strictly after the tag currently being processed.
-        """
-        if not action.physical:
-            raise ContractViolationError(
-                f"{action.label()} is a logical action; schedule it from a reaction body")
-        rt = self._runtime
-        if rt is None:
-            raise ShutdownError("environment is not running")
-        return rt.schedule_physical(action, value)
-
-    def request_stop(self) -> None:
-        """Ask the scheduler to finish the current tag, run shutdown
-        reactions at the next microstep, and terminate. Idempotent."""
-        rt = self._runtime
-        if rt is not None:
-            rt.request_stop()
-        else:
-            self._stop_before_run = True

@@ -1,11 +1,13 @@
 """Tag-ordered multi-worker execution.
 
-The runtime processes events strictly in tag order. For each tag it stages
-every triggered reaction into its level's bucket, then drains the levels in
-ascending order: all triggered reactions of one level go into the ready
-queue at once and may execute on any worker in parallel; no reaction of
-level k starts before every triggered reaction below k has completed, and
-no reaction of a later tag starts before the whole tag is done.
+An :class:`Environment` is the runtime: one object owns the run config, the
+run-once lifecycle, the stop tag and all per-run state. It processes events
+strictly in tag order. For each tag it stages every triggered reaction into
+its level's bucket, then drains the levels in ascending order: all triggered
+reactions of one level go into the ready queue at once and may execute on
+any worker in parallel; no reaction of level k starts before every triggered
+reaction below k has completed, and no reaction of a later tag starts before
+the whole tag is done.
 
 Every port channel, timer and action owns one slot of a dense value and
 presence array, which is all a reaction reads or writes within a tag.
@@ -32,10 +34,10 @@ import threading
 import time
 from typing import NamedTuple
 
-from .core import (SHUTDOWN, STARTUP, Action, Environment, Port, PortChannel, Tag,
+from .core import (SHUTDOWN, STARTUP, Action, Port, PortChannel, ReactorTopology, Tag,
                    Timer, checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
-from .graph import max_level_width
+from .graph import build_precedence_graph, max_level_width
 from .trace import TraceRecord, TraceSink, value_digest
 
 
@@ -130,7 +132,7 @@ class ReactionContext:
         the current tag. Within one body, the last write to a channel wins."""
         slot = self._slot(target, index, self._reaction.effects, "sets undeclared effect")
         rt = self._rt
-        if slot >= rt.topo.channel_count:
+        if slot >= rt.topology.channel_count:
             raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
         rt._set_output_channel(slot, value, self._set_log)
         if self._fx_log is not None:
@@ -184,58 +186,76 @@ class ReactionContext:
         return self._rt._now()
 
 
-class _Runtime:
-    def __init__(self, env: Environment):
-        topo = env.topology
-        self.env = env
-        self.topo = topo
-        self.fast = env.fast
-        self.workers_n = env.workers
+class Environment:
+    """One executable composition: topology, precedence graph, run config and
+    the runtime state of its single run.
+
+    An Environment runs exactly once. ``schedule_physical`` and
+    ``request_stop`` are safe to call from any thread; all other methods
+    belong to the building/owning thread.
+    """
+
+    def __init__(self, topology: ReactorTopology, workers: int = 1, fast: bool = False,
+                 stop_time: int | None = None, trace: bool = False,
+                 jitter_ms: float = 0.0, jitter_seed: int = 0):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if stop_time is not None and stop_time < 0:
+            raise ValueError("stop_time must be a non-negative nanosecond value")
+        self.topology = topology
+        self.apg = build_precedence_graph(topology)
+        self.workers = workers
+        self.fast = fast
+        self.stop_time = stop_time
+        self.trace = None  # populated after a traced run
+        self.started = threading.Event()
 
         # Per-tag state of every slot (port channels, then timers and
         # actions); a value is None wherever its presence byte is 0.
-        self._value: list = [None] * topo.slot_count
-        self._present = bytearray(topo.slot_count)
+        self._value: list = [None] * topology.slot_count
+        self._present = bytearray(topology.slot_count)
         # written only at the coordinator moment: the present slots, and each
         # port's present channels (empty while the port is untouched)
         self._live: list[int] = []
-        self._port_set_channels: list[list[int]] = [[] for _ in topo.ports]
+        self._port_set_channels: list[list[int]] = [[] for _ in topology.ports]
 
+        # The one lock. It guards the event queue, the run-once flag, the
+        # stop tag and the tag it is derived from, and the end of the run.
         self._evlock = threading.Lock()
         self._evcv = threading.Condition(self._evlock)
+        self._ran = False
         self._event_heap: list[Tag] = []
         self._event_map: dict[Tag, dict] = {}
 
-        self._staged = bytearray(len(topo.reactions))
-        self._levels: list[list[int]] = [[] for _ in range(env.apg.num_levels)]
-        self._level_of = env.apg.level
+        self._staged = bytearray(len(topology.reactions))
+        self._levels: list[list[int]] = [[] for _ in range(self.apg.num_levels)]
+        self._level_of = self.apg.level
         self._current_level = -1
 
-        self._ready = ReadyQueue(max_level_width(env.apg))
+        self._ready = ReadyQueue(max_level_width(self.apg))
         self._pending = itertools.count(-1, -1)
         self._sem = threading.Semaphore(0)
 
         self._current_tag: Tag | None = None
         self._last_time = -1
-        self._stop_requested = env._stop_before_run
-        self._stop_tag: Tag | None = (
-            Tag(env.stop_time, 0) if env.stop_time is not None else None)
+        self._stop_tag: Tag | None = Tag(stop_time, 0) if stop_time is not None else None
         self._shutdown_fired = False
         self._terminated = False
         self._failure: tuple | None = None
 
         self._events_processed = 0
-        self._reactions_run = [0] * env.workers
+        self._reactions_run = [0] * workers
         self._epoch = 0
 
-        self._sink = TraceSink(env.workers) if env.trace_enabled else None
+        self._sink = TraceSink(workers) if trace else None
         if self._sink is not None:  # trace label of each channel
-            self._labels = [PortChannel(p, i).label() for p in topo.ports for i in range(p.width)]
-        self._ctx = [ReactionContext(self) for _ in range(env.workers)]
-        if env.jitter_ms > 0:
-            self._jitter_s = env.jitter_ms / 1000.0
-            self._jitter_rand = [random.Random(env.jitter_seed * 1000003 + w)
-                                 for w in range(env.workers)]
+            self._labels = [PortChannel(p, i).label()
+                            for p in topology.ports for i in range(p.width)]
+        self._ctx = [ReactionContext(self) for _ in range(workers)]
+        if jitter_ms > 0:
+            self._jitter_s = jitter_ms / 1000.0
+            self._jitter_rand = [random.Random(jitter_seed * 1000003 + w)
+                                 for w in range(workers)]
         else:
             self._jitter_s = 0.0
 
@@ -251,21 +271,34 @@ class _Runtime:
             heapq.heappush(self._event_heap, tag)
         m[trigger] = value  # same (trigger, tag): the later call wins
 
-    def schedule_physical(self, action: Action, value) -> Tag:
+    def schedule_physical(self, action: Action, value=None) -> Tag:
+        """Enqueue an event on a physical action from any thread while the
+        run is on.
+
+        The event's tag derives from the physical clock but is always
+        strictly after the tag currently being processed.
+        """
+        if not action.physical:
+            raise ContractViolationError(
+                f"{action.label()} is a logical action; schedule it from a reaction body")
         with self._evcv:
-            if self._terminated:
-                raise ShutdownError(f"cannot schedule {action.label()}: environment terminated")
+            if not self.started.is_set() or self._terminated:
+                raise ShutdownError(f"cannot schedule {action.label()}: environment is not running")
             g = Tag(max(self._now(), self._last_time + 1), 0)
             self._enqueue(g, action, value)
             self._evcv.notify_all()
         return g
 
     def request_stop(self) -> None:
+        """Ask the scheduler to finish the current tag, run shutdown
+        reactions at the next microstep, and terminate; before the run, stop
+        at (0, 0). The earliest stop tag wins, ``stop_time`` included, so
+        this is idempotent."""
         with self._evcv:
-            if self._terminated or self._stop_requested:
-                return
-            self._stop_requested = True
-            self._evcv.notify_all()
+            tag = self._next_stop_tag()
+            if self._stop_tag is None or tag < self._stop_tag:
+                self._stop_tag = tag
+                self._evcv.notify_all()
 
     # -- within-tag state -------------------------------------------------
 
@@ -276,7 +309,7 @@ class _Runtime:
         if not self._present[gid]:
             self._present[gid] = 1
             set_log.append(gid)
-        for dst in self.topo.conn_targets[gid]:
+        for dst in self.topology.conn_targets[gid]:
             self._value[dst] = value
             if not self._present[dst]:
                 self._present[dst] = 1
@@ -288,7 +321,7 @@ class _Runtime:
         schedules. Coordinator only. Worker order cannot matter: a level
         holds at most one reaction per reactor, so no two logs schedule the
         same action."""
-        topo = self.topo
+        topo = self.topology
         scheduled = False
         for ctx in self._ctx:
             log = ctx._set_log
@@ -315,7 +348,7 @@ class _Runtime:
             return
         lvl = self._level_of[rid]
         if lvl <= self._current_level:
-            raise RuntimeError(f"{self.topo.reactions[rid].label()} staged at level {lvl}, "
+            raise RuntimeError(f"{self.topology.reactions[rid].label()} staged at level {lvl}, "
                                f"at or below the running level {self._current_level}")
         self._staged[rid] = 1
         self._levels[lvl].append(rid)
@@ -330,13 +363,11 @@ class _Runtime:
         """Select the next tag (waiting for physical time unless in fast
         mode) and stage its triggered reactions. False when execution is
         over."""
-        topo = self.topo
+        topo = self.topology
         with self._evcv:
             while True:
                 if self._shutdown_fired or self._failure is not None:
                     return False  # re-checked after a wait: a failure ends it
-                if self._stop_requested and self._stop_tag is None:
-                    self._stop_tag = self._next_stop_tag()
                 g = self._event_heap[0] if self._event_heap else None
                 if g is not None and self._stop_tag is not None and g > self._stop_tag:
                     g = None  # beyond the stop tag: dropped
@@ -383,7 +414,7 @@ class _Runtime:
         return True
 
     def _finish_tag(self) -> None:
-        topo = self.topo
+        topo = self.topology
         for slot in self._live:
             self._value[slot] = None
             self._present[slot] = 0
@@ -415,7 +446,7 @@ class _Runtime:
                 count = len(bucket)
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(bucket)
-                wake = min(count, self.workers_n) - 1  # the coordinator drains too
+                wake = min(count, self.workers) - 1  # the coordinator drains too
                 if wake > 0:
                     self._sem.release(wake)
                 return True
@@ -432,10 +463,10 @@ class _Runtime:
                 self._failure = (None, exc)
             self._terminated = True
             self._evcv.notify_all()
-        self._sem.release(self.workers_n)
+        self._sem.release(self.workers)
 
     def _execute(self, rid: int, wid: int) -> None:
-        reaction = self.topo.reactions[rid]
+        reaction = self.topology.reactions[rid]
         ctx = self._ctx[wid]
         ctx._begin(reaction, self._current_tag)
         mark = len(ctx._sched_log)  # this body's schedules follow the mark
@@ -484,7 +515,20 @@ class _Runtime:
             self._terminate(exc)      # run() raises it once every worker is joined
 
     def run(self) -> TerminationReport:
-        topo = self.topo
+        """Execute to completion, once.
+
+        Processes startup, then all events in tag order until the queue
+        empties or the stop tag is reached, fires shutdown reactions at the
+        stop tag, and returns exact execution counts. Reaction failures abort
+        the run and are re-raised as ExecutionError naming the offending
+        reaction, and an interrupt is re-raised as is, once every worker
+        thread has been joined.
+        """
+        with self._evlock:
+            if self._ran:
+                raise RuntimeError("an Environment runs exactly once; build a fresh one")
+            self._ran = True
+        topo = self.topology
         self._epoch = time.monotonic_ns()
         if topo.trigger_reactions[STARTUP]:
             self._enqueue(Tag(0, 0), STARTUP, None)
@@ -494,10 +538,10 @@ class _Runtime:
 
         threads = [threading.Thread(target=self._worker_loop, args=(w,),
                                     name=f"detreact-worker-{w}", daemon=True)
-                   for w in range(1, self.workers_n)]
+                   for w in range(1, self.workers)]
         for t in threads:
             t.start()
-        self.env.started.set()
+        self.started.set()
 
         t0 = time.perf_counter_ns()
         try:
@@ -508,9 +552,9 @@ class _Runtime:
         duration = time.perf_counter_ns() - t0
 
         if self._sink is not None:
-            self.env.trace = self._sink.finalize({
+            self.trace = self._sink.finalize({
                 "program": topo.name,
-                "workers": self.workers_n,
+                "workers": self.workers,
             })
         if self._failure is not None:
             reaction, exc = self._failure
@@ -524,22 +568,3 @@ class _Runtime:
             reactions=sum(self._reactions_run),
             duration_ns=duration)
 
-
-def run(env: Environment) -> TerminationReport:
-    """Execute an Environment to completion.
-
-    Processes startup, then all events in tag order until the queue empties
-    or a stop is requested, fires shutdown reactions at the stop tag, and
-    returns exact execution counts. Reaction failures abort the run and are
-    re-raised as ExecutionError naming the offending reaction, and an
-    interrupt is re-raised as is, once every worker thread has been joined.
-    """
-    with env._lock:
-        if env._consumed:
-            raise RuntimeError("an Environment runs exactly once; build a fresh one")
-        env._consumed = True
-    rt = _Runtime(env)
-    env._runtime = rt
-    if env._stop_before_run:  # stop requested between construction and run
-        rt.request_stop()
-    return rt.run()

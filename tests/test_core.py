@@ -648,6 +648,47 @@ def test_shutdown_reaction_runs_at_stop_tag():
                            ("shutdown", Tag(2 * MSEC, 1))]
 
 
+def test_stop_requested_before_run_ends_at_startup():
+    from detreact import SHUTDOWN
+
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t", offset=MSEC)
+    r.state.log = []
+
+    @r.reaction(STARTUP)
+    def _(ctx):
+        ctx.state.log.append(("startup", ctx.tag))
+
+    @r.reaction(t)
+    def _(ctx):
+        ctx.state.log.append(("tick", ctx.tag))
+
+    @r.reaction(SHUTDOWN)
+    def _(ctx):
+        ctx.state.log.append(("shutdown", ctx.tag))
+
+    env = Environment(b.build(), fast=True)
+    env.request_stop()
+    report = env.run()
+    assert r.state.log == [("startup", Tag(0, 0)), ("shutdown", Tag(0, 0))]
+    assert report.last_tag == Tag(0, 0)
+
+
+def test_schedule_physical_before_run_rejected():
+    b = Builder()
+    r = b.reactor("r")
+    phys = r.physical_action("irq")
+
+    @r.reaction(phys)
+    def _(ctx):
+        pass
+
+    env = Environment(b.build(), fast=True)
+    with pytest.raises(ShutdownError, match="not running"):
+        env.schedule_physical(phys, 1)
+
+
 def test_environment_runs_once():
     topo, _ = two_user_bank()
     env = Environment(topo, fast=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from detreact import (MSEC, SEC, STARTUP, USEC, Builder, Environment, ExecutionError,
-                      ReadyQueue, Tag, run)
+                      ReadyQueue, Tag, trace_digest)
 from programs import proxied_bank, two_user_bank
 
 
@@ -508,12 +508,23 @@ def test_jitter_does_not_change_behavior():
     assert report.reactions == 4
 
 
-def test_run_function_entry_point():
-    topo, acct = two_user_bank()
-    env = Environment(topo, fast=True)
-    report = run(env)
-    assert report.reactions == 4
-    assert acct.state.balance == 10.0
+@pytest.mark.parametrize("workers", [1, 2])
+def test_request_stop_before_stop_time_wins(workers):
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t", offset=0, period=MSEC)
+    r.state.ticks = 0
+
+    @r.reaction(t)
+    def _(ctx):
+        ctx.state.ticks += 1
+        if ctx.state.ticks == 20:
+            ctx.request_stop()
+
+    report = Environment(b.build(), workers=workers, fast=True, stop_time=2 * SEC).run()
+    assert r.state.ticks == 20
+    assert report.reactions == 20
+    assert report.last_tag == Tag(19 * MSEC, 1)
 
 
 # -- threads, failures and interrupts ------------------------------------------
@@ -609,3 +620,32 @@ def test_interrupt_stops_a_real_time_run(workers):
     assert result["outcome"] == "KeyboardInterrupt"
     assert result["elapsed_s"] < 1.0
     assert result["threads"] == []
+
+
+# Runs in its own interpreter under ``python -O``, which strips asserts.
+_OPTIMIZED_RUN = """
+import json, sys
+from detreact import Environment, trace_digest
+from programs import two_user_bank
+
+topo, _ = two_user_bank()
+env = Environment(topo, workers=2, fast=True, trace=True)
+env.run()
+print(json.dumps({"optimize": sys.flags.optimize, "digest": trace_digest(env.trace)}))
+"""
+
+
+def test_traced_run_under_python_O_has_the_same_digest():
+    tests = Path(__file__).resolve().parent
+    path = (str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["optimize"] == 1
+
+    topo, _ = two_user_bank()
+    normal = Environment(topo, workers=2, fast=True, trace=True)
+    normal.run()
+    assert result["digest"] == trace_digest(normal.trace)
