@@ -3,22 +3,27 @@
 An :class:`Environment` is the runtime: one object owns the run config, the
 run-once lifecycle, the stop tag and all per-run state. It processes events
 strictly in tag order. For each tag it stages every triggered reaction into
-its level's bucket, then drains the levels in ascending order: all triggered
-reactions of one level go into the ready queue at once and may execute on
-any worker in parallel; no reaction of level k starts before every triggered
-reaction below k has completed, and no reaction of a later tag starts before
-the whole tag is done.
+its level's bucket, then runs the levels in ascending order: the triggered
+reactions of one level may execute on any worker in parallel; no reaction of
+level k starts before every triggered reaction below k has completed, and no
+reaction of a later tag starts before the whole tag is done.
 
 Every port channel, timer and action owns one slot of a dense value and
-presence array, which is all a reaction reads or writes within a tag.
+presence array, which is all a reaction reads or writes within a tag. Each
+reaction maps its declared triggers and effects to their slots, so a ``ctx``
+call finds its slot with one dict lookup.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it. The last
 worker to finish a level becomes the coordinator while every other worker is
 parked: it folds the channels the level made present (logged per worker, as
 each channel has one writer per tag) into the per-tag port state, stages the
 reactions they trigger, enqueues the level's logical schedules (also logged
-per worker), and publishes the next level, or ends the tag and advances
-logical time. So the hot path takes no lock, ``ctx.schedule`` included.
+per worker), and goes on to the next level, or ends the tag and advances
+logical time. So the hot path takes no lock, ``ctx.schedule`` included. The
+coordinator runs a level itself when no other worker could share it: the
+level has one reaction, or the run has one worker. Only a wider level is
+published to the ready queue, so a one-worker run is a plain loop on the
+calling thread that starts no thread and never touches the ready queue.
 
 In normal mode, a tag with time value t is not processed before the physical
 clock passes t (logical time chases physical time); fast mode skips the
@@ -86,11 +91,13 @@ class ReactionContext:
     """Per-worker view handed to reaction bodies. Valid only for the
     duration of one invocation."""
 
-    __slots__ = ("_rt", "_reaction", "tag", "state", "_set_log", "_fx_log", "_sched_log")
+    __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
+                 "_fx_log", "_sched_log")
 
     def __init__(self, rt):
         self._rt = rt
         self._reaction = None
+        self._triggers = self._effects = None  # the running reaction's slot maps
         self.tag = None
         self.state = None
         # channels made present and (tag, action, value) schedules, both
@@ -100,37 +107,45 @@ class ReactionContext:
         self._fx_log = None
 
     def _begin(self, reaction, tag):
+        rt = self._rt
         self._reaction = reaction
+        self._triggers = rt._trigger_slots[reaction.rid]
+        self._effects = rt._effect_slots[reaction.rid]
         self.tag = tag
         self.state = reaction.owner.state
-        if self._rt._sink is not None:
+        if rt._sink is not None:
             self._fx_log = []
 
-    def _slot(self, target, index, declared, misuse: str) -> int:
+    def _slot(self, target, index, declared: dict, misuse: str) -> int:
         """Slot of one channel of a port, or of a timer or an action (one
-        slot each), that is in ``declared``."""
+        slot each), that is a key of ``declared``: the running reaction's
+        map from each declared trigger or effect to its first slot."""
         if isinstance(target, PortChannel):
             target, index = target.port, target.index
-        elif not isinstance(target, (Port, Timer, Action)):
+        try:
+            base = declared[target]
+        except (KeyError, TypeError):  # undeclared, or unhashable
+            if not isinstance(target, (Port, Timer, Action)):
+                raise ContractViolationError(
+                    f"{self._reaction.label()}: {target!r} is not a port, timer or action"
+                ) from None
             raise ContractViolationError(
-                f"{self._reaction.label()}: {target!r} is not a port, timer or action")
-        if target not in declared:
-            raise ContractViolationError(f"{self._reaction.label()} {misuse} {target.label()}")
+                f"{self._reaction.label()} {misuse} {target.label()}") from None
         if index is None:
             if target.width != 1:
                 raise ContractViolationError(
                     f"{self._reaction.label()}: {target.label()} is a multiport, "
                     "pass an index or a channel")
-            return target.base
+            return base
         if not 0 <= index < target.width:
             raise ContractViolationError(
                 f"{self._reaction.label()}: index {index} out of range for {target.label()}")
-        return target.base + index
+        return base + index
 
     def set(self, target, value, index: int | None = None) -> None:
         """Make a declared output port present with ``value`` for the rest of
         the current tag. Within one body, the last write to a channel wins."""
-        slot = self._slot(target, index, self._reaction.effects, "sets undeclared effect")
+        slot = self._slot(target, index, self._effects, "sets undeclared effect")
         rt = self._rt
         if slot >= rt.topology.channel_count:
             raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
@@ -140,12 +155,12 @@ class ReactionContext:
 
     def get(self, target, index: int | None = None):
         """Value of a declared trigger at the current tag, or None if absent."""
-        slot = self._slot(target, index, self._reaction.triggers, "reads undeclared trigger")
-        return self._rt._value[slot]
+        return self._rt._value[self._slot(target, index, self._triggers,
+                                          "reads undeclared trigger")]
 
     def is_present(self, target, index: int | None = None) -> bool:
-        slot = self._slot(target, index, self._reaction.triggers, "reads undeclared trigger")
-        return bool(self._rt._present[slot])
+        return bool(self._rt._present[self._slot(target, index, self._triggers,
+                                                 "reads undeclared trigger")])
 
     def present(self, port: Port):
         """Iterate (index, value) over the channels of a declared multiport
@@ -153,7 +168,7 @@ class ReactionContext:
         is proportional to the number of present channels, not the width."""
         if not isinstance(port, Port):
             raise ContractViolationError(f"{self._reaction.label()}: {port!r} is not a port")
-        base = self._slot(port, 0, self._reaction.triggers, "reads undeclared trigger")
+        base = self._slot(port, 0, self._triggers, "reads undeclared trigger")
         rt = self._rt
         for local in sorted(rt._port_set_channels[port.pid]):
             yield local, rt._value[base + local]
@@ -247,6 +262,13 @@ class Environment:
         self._reactions_run = [0] * workers
         self._epoch = 0
 
+        # Each reaction's declared ports, timers and actions, as triggers and
+        # as effects, mapped to their first slot.
+        self._trigger_slots = [{t: t.base for t in r.triggers
+                                if isinstance(t, (Port, Timer, Action))}
+                               for r in topology.reactions]
+        self._effect_slots = [{e: e.base for e in r.effects} for r in topology.reactions]
+
         self._sink = TraceSink(workers) if trace else None
         if self._sink is not None:  # trace label of each channel
             self._labels = [PortChannel(p, i).label()
@@ -325,15 +347,16 @@ class Environment:
         scheduled = False
         for ctx in self._ctx:
             log = ctx._set_log
-            for gid in log:
-                pid, local = topo.chan_owner[gid]
-                chans = self._port_set_channels[pid]
-                if not chans:
-                    for rid in topo.port_reactions[pid]:
-                        self._stage(rid)
-                chans.append(local)
-            self._live += log
-            log.clear()
+            if log:
+                for gid in log:
+                    pid, local = topo.chan_owner[gid]
+                    chans = self._port_set_channels[pid]
+                    if not chans:
+                        for rid in topo.port_reactions[pid]:
+                            self._stage(rid)
+                    chans.append(local)
+                self._live += log
+                log.clear()
             if ctx._sched_log:
                 scheduled = True
         if scheduled:
@@ -426,29 +449,35 @@ class Environment:
 
     # -- worker protocol ----------------------------------------------------
 
-    def _coordinate(self) -> bool:
-        """Fold the finished level, then publish the next non-empty level, or
-        close the tag and advance. Runs on the last worker to finish a level,
-        and on worker 0 at startup, while every other worker is parked.
-        Publishes nothing once a reaction has failed. Returns False once the
-        run has terminated."""
-        levels = self._levels
+    def _coordinate(self, wid: int) -> bool:
+        """Fold the finished level, then run or publish the next non-empty
+        level, or close the tag and advance. Runs on worker ``wid``, the last
+        worker to finish a level (worker 0 at startup), while every other
+        worker is parked. A level no other worker could share, one reaction
+        or a one-worker run, runs right here; only a wider level is published
+        to the ready queue. Runs and publishes nothing once a reaction has
+        failed. Returns False once the run has terminated."""
+        levels, nlevels = self._levels, len(self._levels)
+        alone = self.workers == 1
+        self._fold_logs()
         while True:
-            self._fold_logs()
             lvl = self._current_level + 1
-            while lvl < len(levels) and not levels[lvl]:
+            while lvl < nlevels and not levels[lvl]:
                 lvl += 1
-            if lvl < len(levels) and self._failure is None:
+            if lvl < nlevels and self._failure is None:
                 bucket, levels[lvl] = levels[lvl], []
                 for rid in bucket:  # no reaction at or below lvl is staged again
                     self._staged[rid] = 0
                 self._current_level = lvl
                 count = len(bucket)
+                if count == 1 or alone:
+                    for rid in reversed(bucket):  # the order the ready queue pops
+                        self._execute(rid, wid)
+                    self._fold_logs()
+                    continue
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(bucket)
-                wake = min(count, self.workers) - 1  # the coordinator drains too
-                if wake > 0:
-                    self._sem.release(wake)
+                self._sem.release(min(count, self.workers) - 1)  # the coordinator drains too
                 return True
             self._finish_tag()
             if not self._advance_and_stage():
@@ -482,13 +511,10 @@ class Environment:
             if self._sink is not None:
                 tag = self._current_tag
                 self._sink.record(wid, TraceRecord(
-                    tag=(tag.time, tag.microstep),
-                    level=reaction.level,
-                    reactor_path=reaction.owner.name,
-                    reaction_index=reaction.index,
-                    effects=tuple(ctx._fx_log),
-                    scheduled=tuple((action.label(), (g.time, g.microstep))
-                                    for g, action, _ in ctx._sched_log[mark:])))
+                    (tag.time, tag.microstep), reaction.level, reaction.owner.name,
+                    reaction.index, tuple(ctx._fx_log),
+                    tuple((action.label(), (g.time, g.microstep))
+                          for g, action, _ in ctx._sched_log[mark:])))
         self._reactions_run[wid] += 1
 
     def _drain(self, wid: int) -> bool:
@@ -498,14 +524,14 @@ class Environment:
                 return True  # level exhausted from this worker's view: park
             self._execute(rid, wid)
             if next(self._pending) == 0:
-                if not self._coordinate():
+                if not self._coordinate(wid):
                     return False
 
     def _worker_loop(self, wid: int) -> None:
-        """Worker 0 is the calling thread: it publishes the first level and
-        drains it before it first parks. The others start parked."""
+        """Worker 0 is the calling thread: it coordinates first, and at one
+        worker it never parks. The others start parked."""
         try:
-            if wid == 0 and not (self._coordinate() and self._drain(0)):
+            if wid == 0 and not (self._coordinate(0) and self._drain(0)):
                 return
             while True:
                 self._sem.acquire()

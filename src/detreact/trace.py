@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _encode_value(v, out: bytearray) -> None:
@@ -70,8 +71,7 @@ def value_digest(v) -> str:
     return hashlib.blake2b(bytes(buf), digest_size=8).hexdigest()
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     tag: tuple  # (time_ns, microstep)
     level: int
     reactor_path: str

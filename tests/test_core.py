@@ -277,8 +277,10 @@ def _misuse_program(misuse):
     b = Builder()
     r = b.reactor("r")
     h = SimpleNamespace(t=r.timer("t"), a=r.action("a"), inp=r.input("inp", width=2),
-                        out=r.output("out"))
+                        out=r.output("out"), solo=r.input("solo"), fx=r.output("fx"))
     r.reaction(STARTUP, h.t, h.inp, effects=[h.a], body=lambda ctx: misuse(ctx, h))
+    # r.2 declares a width-1 trigger and effect that r.1 does not
+    r.reaction(h.solo, effects=[h.fx], body=lambda ctx: None)
     return b.build()
 
 
@@ -290,14 +292,37 @@ def _misuse_program(misuse):
     (lambda ctx, h: ctx.is_present(h.inp, index=2), "index 2 out of range for r.inp"),
     (lambda ctx, h: ctx.get(h.out), "r.1 reads undeclared trigger r.out"),
     (lambda ctx, h: ctx.set(h.out, 1), "r.1 sets undeclared effect r.out"),
+    (lambda ctx, h: ctx.get([1]), "[1] is not a port, timer or action"),
+    (lambda ctx, h: ctx.set([1], 1), "[1] is not a port, timer or action"),
+    (lambda ctx, h: ctx.set(h.out[0], 1), "r.1 sets undeclared effect r.out"),
+    (lambda ctx, h: ctx.is_present(h.solo), "r.1 reads undeclared trigger r.solo"),
+    (lambda ctx, h: ctx.set(h.fx, 1), "r.1 sets undeclared effect r.fx"),
 ], ids=["set-action", "get-startup", "timer-index", "multiport-no-index",
-        "port-index-range", "undeclared-trigger", "undeclared-effect"])
+        "port-index-range", "undeclared-trigger", "undeclared-effect", "get-unhashable",
+        "set-unhashable", "undeclared-channel-effect", "other-reactions-trigger",
+        "other-reactions-effect"])
 def test_one_contract_for_every_slot_kind(misuse, message):
     with pytest.raises(ExecutionError, match="r.1") as exc_info:
         run_env(_misuse_program(misuse))
     cause = exc_info.value.__cause__
     assert isinstance(cause, ContractViolationError)
     assert message in str(cause)
+
+
+def test_channel_of_a_single_port_reads_and_writes():
+    b = Builder()
+    src = b.reactor("src")
+    out = src.output("out")
+    src.reaction(STARTUP, effects=[out], body=lambda ctx: ctx.set(out[0], 7))
+    sink = b.reactor("sink")
+    inp = sink.input("in")
+    sink.reaction(inp, body=lambda ctx: setattr(ctx.state, "seen", (
+        ctx.get(inp[0]), ctx.is_present(inp[0]), ctx.get(inp, index=0), ctx.get(inp))))
+    b.connect(out, inp)
+    env = Environment(b.build(), fast=True, trace=True)
+    env.run()
+    assert sink.state.seen == (7, True, 7, 7)
+    assert env.trace.records[0].effects[0][0] == "src.out"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

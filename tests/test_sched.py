@@ -6,12 +6,14 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from detreact import (MSEC, SEC, STARTUP, USEC, Builder, Environment, ExecutionError,
-                      ReadyQueue, Tag, trace_digest)
+                      ReadyQueue, ShutdownError, Tag, trace_digest)
+from detreact.bench.registry import get_benchmark
 from programs import proxied_bank, two_user_bank
 
 
@@ -337,6 +339,68 @@ def test_no_channel_lost_under_contention():
     assert sink.state.seen == [list(range(width))] * ticks
 
 
+# -- who runs a level ---------------------------------------------------------
+
+
+def _counted_refills(env):
+    """Record the width of every level ``env`` publishes to its ready queue."""
+    widths = []
+    refill = env._ready.refill
+
+    def counting(items):
+        widths.append(len(items))
+        return refill(items)
+
+    env._ready.refill = counting
+    return widths
+
+
+@pytest.mark.parametrize("name, params", [
+    ("PingPong", {"messages": 50}),
+    ("ThreadRing", {"actors": 10, "hops": 100}),  # its startup level is 10 wide
+])
+def test_one_worker_publishes_no_level_and_starts_no_thread(name, params, monkeypatch):
+    spec = get_benchmark(name)
+    instance = spec.build(spec.resolve_params(params))
+    env = Environment(instance.topology, workers=1, fast=True)
+    widths = _counted_refills(env)
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    report = env.run()
+    instance.validate(report)
+    assert report.reactions > 0
+    assert widths == []
+    assert started == []
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ForkJoin", {"rounds": 30}),
+    ("Big", {"pings": 20}),
+    ("ThreadRing", {"actors": 10, "hops": 100}),
+])
+def test_two_workers_publish_only_levels_wider_than_one(name, params):
+    spec = get_benchmark(name)
+    digests = {}
+    for workers in (1, 2):
+        instance = spec.build(spec.resolve_params(params))
+        env = Environment(instance.topology, workers=workers, fast=True, trace=True)
+        widths = _counted_refills(env)
+        instance.validate(env.run())
+        digests[workers] = trace_digest(env.trace)
+    # Every executed level is a (tag, level) pair of the trace.
+    executed = Counter((rec.tag, rec.level) for rec in env.trace.records)
+    wide = sorted(n for n in executed.values() if n > 1)
+    assert wide  # the program has levels for the ready queue
+    assert sorted(widths) == wide
+    assert digests[2] == digests[1]
+
+
 # -- logical schedules folded at the barrier ----------------------------------
 
 
@@ -573,6 +637,56 @@ def test_failing_reaction_stops_before_the_next_level(workers):
     with pytest.raises(ExecutionError, match=r"a\.1"):
         Environment(b.build(), workers=workers, fast=True).run()
     assert z.state.seen == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_physical_scheduling_after_a_reaction_failure(workers):
+    # A real-time run kept alive by a far-off timer; a generator thread
+    # schedules a physical event every millisecond, and the reaction to the
+    # fourth one raises.
+    b = Builder()
+    r = b.reactor("r")
+    irq = r.physical_action("irq")
+    r.reaction(r.timer("keepalive", offset=10 * SEC), body=lambda ctx: None)
+    handled = []
+
+    @r.reaction(irq)
+    def _(ctx):
+        handled.append(ctx.get(irq))
+        if len(handled) == 4:
+            raise ValueError("boom")
+
+    env = Environment(b.build(), workers=workers)
+    threads_before = threading.enumerate()
+    outcomes = []  # True per accepted event, False per ShutdownError
+
+    def generate():
+        env.started.wait(5)
+        for n in range(5000):
+            try:
+                env.schedule_physical(irq, n)
+                outcomes.append(True)
+            except ShutdownError:
+                outcomes.append(False)
+                if outcomes.count(False) == 5:
+                    return
+            time.sleep(0.001)
+
+    generator = threading.Thread(target=generate)
+    generator.start()
+    try:
+        with pytest.raises(ExecutionError, match=r"r\.2"):
+            env.run()
+    finally:
+        generator.join(10)
+    assert not generator.is_alive()
+    assert handled == [0, 1, 2, 3]
+    first_refusal = outcomes.index(False)
+    assert not any(outcomes[first_refusal:])  # once refused, always refused
+    with pytest.raises(ShutdownError):
+        env.schedule_physical(irq, -1)
+    assert handled == [0, 1, 2, 3]
+    assert threading.enumerate() == threads_before  # no worker or generator is left
 
 
 # Runs in its own interpreter, so the interrupt cannot reach pytest. The
