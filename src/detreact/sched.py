@@ -10,17 +10,20 @@ reaction of a later tag starts before the whole tag is done.
 
 Every port channel, timer and action owns one slot of a dense value and
 presence array, which is all a reaction reads or writes within a tag. Each
-reaction maps its declared triggers and effects to their slots, so a ``ctx``
-call finds its slot with one dict lookup.
+reaction owns one :class:`ReactionContext`, built with the Environment: it
+maps the reaction's declared triggers and effects to their slots, so a
+``ctx`` call finds its slot with one dict lookup, and it logs what the body
+makes present and schedules.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it. The last
 worker to finish a level becomes the coordinator while every other worker is
-parked: it folds the channels the level made present (logged per worker, as
-each channel has one writer per tag) into the per-tag port state, stages the
-reactions they trigger, enqueues the level's logical schedules (also logged
-per worker), and goes on to the next level, or ends the tag and advances
-logical time. So the hot path takes no lock, ``ctx.schedule`` included. The
-coordinator runs a level itself when no other worker could share it: the
+parked: it folds the contexts of the level that just ran, recording the
+channels they made present (each channel has one writer per tag) in the
+per-tag port state, staging the reactions those ports trigger, enqueueing
+their logical schedules and tracing each completed reaction, and goes on to
+the next level, or ends the tag and advances logical time. So the hot path
+takes no lock, ``ctx.schedule`` included, and a worker carries no run state.
+The coordinator runs a level itself when no other worker could share it: the
 level has one reaction, or the run has one worker. Only a wider level is
 published to the ready queue, so a one-worker run is a plain loop on the
 calling thread that starts no thread and never touches the ready queue.
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 import threading
 import time
 from typing import NamedTuple
@@ -88,38 +90,37 @@ class ReadyQueue:
 
 
 class ReactionContext:
-    """Per-worker view handed to reaction bodies. Valid only for the
-    duration of one invocation."""
+    """One reaction's view of the runtime, built once with its Environment
+    and handed to every invocation of the reaction's body; valid only for
+    the duration of that call. What the body makes present and schedules is
+    logged here and folded by the coordinator at the level barrier."""
 
     __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
                  "_fx_log", "_sched_log")
 
-    def __init__(self, rt):
+    def __init__(self, rt, reaction):
         self._rt = rt
-        self._reaction = None
-        self._triggers = self._effects = None  # the running reaction's slot maps
-        self.tag = None
-        self.state = None
-        # channels made present and (tag, action, value) schedules, both
-        # folded at the barrier
-        self._set_log: list[int] = []
-        self._sched_log: list[tuple] = []
-        self._fx_log = None
-
-    def _begin(self, reaction, tag):
-        rt = self._rt
         self._reaction = reaction
-        self._triggers = rt._trigger_slots[reaction.rid]
-        self._effects = rt._effect_slots[reaction.rid]
-        self.tag = tag
+        # the declared ports, timers and actions, as triggers and as
+        # effects, mapped to their first slot
+        self._triggers = {t: t.base for t in reaction.triggers
+                          if isinstance(t, (Port, Timer, Action))}
+        self._effects = {e: e.base for e in reaction.effects}
+        self.tag = None  # the running tag; None after the body raised
         self.state = reaction.owner.state
-        if rt._sink is not None:
-            self._fx_log = []
+        # Logs, each only where a declared effect can fill it: the channels
+        # made present, each set's (label, digest) when traced, and the
+        # (tag, action, value) schedules.
+        sets = any(isinstance(e, Port) for e in reaction.effects)
+        self._set_log: list[int] | None = [] if sets else None
+        self._fx_log: list[tuple] | None = [] if sets and rt._sink is not None else None
+        self._sched_log: list[tuple] | None = (
+            [] if any(isinstance(e, Action) for e in reaction.effects) else None)
 
     def _slot(self, target, index, declared: dict, misuse: str) -> int:
         """Slot of one channel of a port, or of a timer or an action (one
-        slot each), that is a key of ``declared``: the running reaction's
-        map from each declared trigger or effect to its first slot."""
+        slot each), that is a key of ``declared``: this reaction's map from
+        each declared trigger or effect to its first slot."""
         if isinstance(target, PortChannel):
             target, index = target.port, target.index
         try:
@@ -170,7 +171,7 @@ class ReactionContext:
             raise ContractViolationError(f"{self._reaction.label()}: {port!r} is not a port")
         base = self._slot(port, 0, self._triggers, "reads undeclared trigger")
         rt = self._rt
-        for local in sorted(rt._port_set_channels[port.pid]):
+        for local in sorted(rt._touched.get(port.pid, ())):
             yield local, rt._value[base + local]
 
     def schedule(self, action: Action, value=None, delay: int = 0) -> Tag:
@@ -211,8 +212,7 @@ class Environment:
     """
 
     def __init__(self, topology: ReactorTopology, workers: int = 1, fast: bool = False,
-                 stop_time: int | None = None, trace: bool = False,
-                 jitter_ms: float = 0.0, jitter_seed: int = 0):
+                 stop_time: int | None = None, trace: bool = False):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if stop_time is not None and stop_time < 0:
@@ -229,10 +229,10 @@ class Environment:
         # actions); a value is None wherever its presence byte is 0.
         self._value: list = [None] * topology.slot_count
         self._present = bytearray(topology.slot_count)
-        # written only at the coordinator moment: the present slots, and each
-        # port's present channels (empty while the port is untouched)
+        # written only at the coordinator moment: the present slots, and the
+        # present channels of each port touched in this tag
         self._live: list[int] = []
-        self._port_set_channels: list[list[int]] = [[] for _ in topology.ports]
+        self._touched: dict[int, list[int]] = {}
 
         # The one lock. It guards the event queue, the run-once flag, the
         # stop tag and the tag it is derived from, and the end of the run.
@@ -244,42 +244,29 @@ class Environment:
 
         self._staged = bytearray(len(topology.reactions))
         self._levels: list[list[int]] = [[] for _ in range(self.apg.num_levels)]
-        self._level_of = self.apg.level
         self._current_level = -1
+        self._bucket: list[int] | tuple = ()  # the level that ran last, folded next
 
         self._ready = ReadyQueue(max_level_width(self.apg))
         self._pending = itertools.count(-1, -1)
         self._sem = threading.Semaphore(0)
 
+        # None until the first tag is selected; the run ends after the stop tag
         self._current_tag: Tag | None = None
-        self._last_time = -1
         self._stop_tag: Tag | None = Tag(stop_time, 0) if stop_time is not None else None
-        self._shutdown_fired = False
         self._terminated = False
         self._failure: tuple | None = None
 
         self._events_processed = 0
-        self._reactions_run = [0] * workers
+        self._reactions_run = 0
         self._epoch = 0
 
-        # Each reaction's declared ports, timers and actions, as triggers and
-        # as effects, mapped to their first slot.
-        self._trigger_slots = [{t: t.base for t in r.triggers
-                                if isinstance(t, (Port, Timer, Action))}
-                               for r in topology.reactions]
-        self._effect_slots = [{e: e.base for e in r.effects} for r in topology.reactions]
-
-        self._sink = TraceSink(workers) if trace else None
-        if self._sink is not None:  # trace label of each channel
-            self._labels = [PortChannel(p, i).label()
-                            for p in topology.ports for i in range(p.width)]
-        self._ctx = [ReactionContext(self) for _ in range(workers)]
-        if jitter_ms > 0:
-            self._jitter_s = jitter_ms / 1000.0
-            self._jitter_rand = [random.Random(jitter_seed * 1000003 + w)
-                                 for w in range(workers)]
-        else:
-            self._jitter_s = 0.0
+        self._sink = TraceSink() if trace else None
+        if self._sink is not None:  # trace label of each slot
+            self._labels = ([PortChannel(p, i).label()
+                             for p in topology.ports for i in range(p.width)]
+                            + [t.label() for t in (*topology.timers, *topology.actions)])
+        self._ctxs = [ReactionContext(self, r) for r in topology.reactions]  # by rid
 
     def _now(self) -> int:
         return time.monotonic_ns() - self._epoch
@@ -306,7 +293,8 @@ class Environment:
         with self._evcv:
             if not self.started.is_set() or self._terminated:
                 raise ShutdownError(f"cannot schedule {action.label()}: environment is not running")
-            g = Tag(max(self._now(), self._last_time + 1), 0)
+            ct = self._current_tag
+            g = Tag(max(self._now(), ct.time + 1 if ct is not None else 0), 0)
             self._enqueue(g, action, value)
             self._evcv.notify_all()
         return g
@@ -337,39 +325,51 @@ class Environment:
                 self._present[dst] = 1
                 set_log.append(dst)
 
-    def _fold_logs(self) -> None:
-        """Record the channels the finished level made present, stage the
-        reactions their ports trigger, and enqueue the level's logical
-        schedules. Coordinator only. Worker order cannot matter: a level
-        holds at most one reaction per reactor, so no two logs schedule the
-        same action."""
-        topo = self.topology
-        scheduled = False
-        for ctx in self._ctx:
+    def _fold(self) -> None:
+        """Fold the contexts of the bucket that just ran: record the channels
+        they made present and stage the reactions those ports trigger,
+        enqueue their logical schedules, and trace each reaction that
+        completed. Coordinator only. Bucket order cannot matter: a level
+        holds at most one reaction per reactor, so no two contexts schedule
+        the same action, and a tag's records are sorted when it closes."""
+        topo, touched, sink, ctxs = self.topology, self._touched, self._sink, self._ctxs
+        for rid in self._bucket:
+            ctx = ctxs[rid]
             log = ctx._set_log
             if log:
                 for gid in log:
                     pid, local = topo.chan_owner[gid]
-                    chans = self._port_set_channels[pid]
-                    if not chans:
-                        for rid in topo.port_reactions[pid]:
-                            self._stage(rid)
+                    chans = touched.get(pid)
+                    if chans is None:
+                        touched[pid] = chans = []
+                        for r in topo.port_reactions[pid]:
+                            self._stage(r)
                     chans.append(local)
                 self._live += log
                 log.clear()
-            if ctx._sched_log:
-                scheduled = True
-        if scheduled:
-            with self._evlock:
-                for ctx in self._ctx:
-                    for tag, action, value in ctx._sched_log:
-                        self._enqueue(tag, action, value)
-                    ctx._sched_log.clear()
+            sched = ctx._sched_log
+            if sink is not None:
+                fx = ctx._fx_log
+                tag = ctx.tag
+                if tag is not None:
+                    reaction = ctx._reaction
+                    sink.record(TraceRecord(
+                        (tag.time, tag.microstep), reaction.level, reaction.owner.name,
+                        reaction.index, tuple(fx) if fx else (),
+                        tuple((self._labels[action.base], (g.time, g.microstep))
+                              for g, action, _ in sched) if sched else ()))
+                if fx:
+                    fx.clear()
+            if sched:
+                with self._evlock:
+                    for g, action, value in sched:
+                        self._enqueue(g, action, value)
+                sched.clear()
 
     def _stage(self, rid: int) -> None:
         if self._staged[rid]:
             return
-        lvl = self._level_of[rid]
+        lvl = self.apg.level[rid]
         if lvl <= self._current_level:
             raise RuntimeError(f"{self.topology.reactions[rid].label()} staged at level {lvl}, "
                                f"at or below the running level {self._current_level}")
@@ -389,17 +389,16 @@ class Environment:
         topo = self.topology
         with self._evcv:
             while True:
-                if self._shutdown_fired or self._failure is not None:
-                    return False  # re-checked after a wait: a failure ends it
+                ct = self._current_tag
+                if (ct is not None and ct == self._stop_tag) or self._failure is not None:
+                    return False  # shutdown has run, or (re-checked after a wait) a failure
                 g = self._event_heap[0] if self._event_heap else None
                 if g is not None and self._stop_tag is not None and g > self._stop_tag:
                     g = None  # beyond the stop tag: dropped
                 if g is None:
                     if self._stop_tag is None:
                         self._stop_tag = self._next_stop_tag()
-                    self._current_tag = self._stop_tag
-                    self._last_time = self._stop_tag.time
-                    self._shutdown_fired = True
+                    g = self._stop_tag
                     trigmap = None
                     break
                 if not self.fast:
@@ -409,16 +408,13 @@ class Environment:
                         continue  # re-check: an earlier event may have arrived
                 heapq.heappop(self._event_heap)
                 trigmap = self._event_map.pop(g)
-                self._current_tag = g
-                self._last_time = g.time
-                if g == self._stop_tag:
-                    self._shutdown_fired = True
                 for trigger, _ in trigmap.items():
                     if isinstance(trigger, Timer) and trigger.period is not None:
                         self._enqueue(Tag(checked_time_add(g.time, trigger.period), 0),
                                       trigger, None)
                 break
-            shutdown_now = self._shutdown_fired
+            self._current_tag = g
+            shutdown_now = g == self._stop_tag
 
         self._current_level = -1
         if trigmap:
@@ -437,43 +433,43 @@ class Environment:
         return True
 
     def _finish_tag(self) -> None:
-        topo = self.topology
         for slot in self._live:
             self._value[slot] = None
             self._present[slot] = 0
-            if slot < topo.channel_count:
-                self._port_set_channels[topo.chan_owner[slot][0]].clear()
         self._live.clear()
+        self._touched.clear()
         if self._sink is not None:
             self._sink.merge_tag()
 
     # -- worker protocol ----------------------------------------------------
 
-    def _coordinate(self, wid: int) -> bool:
+    def _coordinate(self) -> bool:
         """Fold the finished level, then run or publish the next non-empty
-        level, or close the tag and advance. Runs on worker ``wid``, the last
-        worker to finish a level (worker 0 at startup), while every other
-        worker is parked. A level no other worker could share, one reaction
-        or a one-worker run, runs right here; only a wider level is published
-        to the ready queue. Runs and publishes nothing once a reaction has
+        level, or close the tag and advance. Runs on the last worker to
+        finish a level (worker 0 at startup) while every other worker is
+        parked. A level no other worker could share, one reaction or a
+        one-worker run, runs right here; only a wider level is published to
+        the ready queue. Runs and publishes nothing once a reaction has
         failed. Returns False once the run has terminated."""
         levels, nlevels = self._levels, len(self._levels)
         alone = self.workers == 1
-        self._fold_logs()
+        self._fold()
         while True:
             lvl = self._current_level + 1
             while lvl < nlevels and not levels[lvl]:
                 lvl += 1
             if lvl < nlevels and self._failure is None:
-                bucket, levels[lvl] = levels[lvl], []
+                self._bucket = bucket = levels[lvl]
+                levels[lvl] = []
                 for rid in bucket:  # no reaction at or below lvl is staged again
                     self._staged[rid] = 0
                 self._current_level = lvl
                 count = len(bucket)
+                self._reactions_run += count  # every reaction of a bucket runs
                 if count == 1 or alone:
                     for rid in reversed(bucket):  # the order the ready queue pops
-                        self._execute(rid, wid)
-                    self._fold_logs()
+                        self._execute(rid)
+                    self._fold()
                     continue
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(bucket)
@@ -494,48 +490,36 @@ class Environment:
             self._evcv.notify_all()
         self._sem.release(self.workers)
 
-    def _execute(self, rid: int, wid: int) -> None:
-        reaction = self.topology.reactions[rid]
-        ctx = self._ctx[wid]
-        ctx._begin(reaction, self._current_tag)
-        mark = len(ctx._sched_log)  # this body's schedules follow the mark
-        if self._jitter_s > 0.0:
-            time.sleep(self._jitter_rand[wid].uniform(0.0, self._jitter_s))
+    def _execute(self, rid: int) -> None:
+        ctx = self._ctxs[rid]
+        ctx.tag = self._current_tag
         try:
-            reaction.body(ctx)
+            ctx._reaction.body(ctx)
         except BaseException as exc:
+            ctx.tag = None  # a body that raised leaves no trace record
             with self._evcv:
                 if self._failure is None:
-                    self._failure = (reaction, exc)
-        else:
-            if self._sink is not None:
-                tag = self._current_tag
-                self._sink.record(wid, TraceRecord(
-                    (tag.time, tag.microstep), reaction.level, reaction.owner.name,
-                    reaction.index, tuple(ctx._fx_log),
-                    tuple((action.label(), (g.time, g.microstep))
-                          for g, action, _ in ctx._sched_log[mark:])))
-        self._reactions_run[wid] += 1
+                    self._failure = (ctx._reaction, exc)
 
-    def _drain(self, wid: int) -> bool:
+    def _drain(self) -> bool:
         while True:
             rid = self._ready.pop()
             if rid is None:
                 return True  # level exhausted from this worker's view: park
-            self._execute(rid, wid)
+            self._execute(rid)
             if next(self._pending) == 0:
-                if not self._coordinate(wid):
+                if not self._coordinate():
                     return False
 
-    def _worker_loop(self, wid: int) -> None:
-        """Worker 0 is the calling thread: it coordinates first, and at one
-        worker it never parks. The others start parked."""
+    def _worker_loop(self, first: bool = False) -> None:
+        """The ``first`` worker is the calling thread: it coordinates first,
+        and at one worker it never parks. The others start parked."""
         try:
-            if wid == 0 and not (self._coordinate(0) and self._drain(0)):
+            if first and not (self._coordinate() and self._drain()):
                 return
             while True:
                 self._sem.acquire()
-                if self._terminated or not self._drain(wid):
+                if self._terminated or not self._drain():
                     return
         except BaseException as exc:  # broken invariant or interrupt: do not hang;
             self._terminate(exc)      # run() raises it once every worker is joined
@@ -562,7 +546,7 @@ class Environment:
             if topo.trigger_reactions[timer]:
                 self._enqueue(Tag(timer.offset, 0), timer, None)
 
-        threads = [threading.Thread(target=self._worker_loop, args=(w,),
+        threads = [threading.Thread(target=self._worker_loop,
                                     name=f"detreact-worker-{w}", daemon=True)
                    for w in range(1, self.workers)]
         for t in threads:
@@ -571,7 +555,7 @@ class Environment:
 
         t0 = time.perf_counter_ns()
         try:
-            self._worker_loop(0)
+            self._worker_loop(first=True)
         finally:
             for t in threads:
                 t.join()
@@ -591,6 +575,6 @@ class Environment:
         return TerminationReport(
             last_tag=self._current_tag,
             events=self._events_processed,
-            reactions=sum(self._reactions_run),
+            reactions=self._reactions_run,
             duration_ns=duration)
 

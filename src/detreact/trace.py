@@ -116,24 +116,21 @@ def trace_digest(trace: Trace) -> int:
 class TraceSink:
     """Collects records during execution.
 
-    Workers append to private buffers with no locking; the scheduler merges
-    and canonicalizes them at each tag boundary, where it runs alone.
+    The scheduler records each tag's reactions at its level barriers, where
+    it runs alone, and canonicalizes them when the tag closes.
     """
 
-    def __init__(self, workers: int):
-        self._buffers = [[] for _ in range(workers)]
+    def __init__(self):
+        self._tag = []
         self._records = []
 
-    def record(self, worker: int, rec: TraceRecord) -> None:
-        self._buffers[worker].append(rec)
+    def record(self, rec: TraceRecord) -> None:
+        self._tag.append(rec)
 
     def merge_tag(self) -> None:
-        pending = []
-        for buf in self._buffers:
-            pending.extend(buf)
-            buf.clear()
-        pending.sort(key=TraceRecord.sort_key)
-        self._records.extend(pending)
+        self._tag.sort(key=TraceRecord.sort_key)
+        self._records += self._tag
+        self._tag.clear()
 
     def finalize(self, header: dict) -> Trace:
         self.merge_tag()

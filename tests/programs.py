@@ -7,12 +7,33 @@ connection-unfolding flavor with enough reactions to leave a trace.
 
 from __future__ import annotations
 
+import random
+import time
+
 from detreact import SEC, STARTUP, Builder, Interleaved, bank, connect, unfold
 
 
 def edges_text(topology) -> str:
     """Canonical one-line-per-connection rendering, in creation order."""
     return "".join(f"{s.label()} -> {d.label()}\n" for s, d in topology.connections)
+
+
+def jittered(topology, ms, seed):
+    """Wrap every reaction body of ``topology`` in a sleep of up to ``ms``
+    milliseconds, drawn from one generator per reaction (seeded by ``seed``
+    and the reaction id), so that wall-clock completion order varies.
+    Returns the topology."""
+    for r in topology.reactions:
+        r.body = _sleep_then(r.body, ms / 1000.0, random.Random(seed * 1000003 + r.rid))
+    return topology
+
+
+def _sleep_then(body, max_s, rand):
+    def jittered_body(ctx):
+        time.sleep(rand.uniform(0.0, max_s))
+        body(ctx)
+
+    return jittered_body
 
 
 def two_user_bank():

@@ -22,7 +22,7 @@ from detreact import (MSEC, SEC, Builder, Environment, ReadyQueue, Tag,
 from detreact.bench import get_benchmark, run_benchmark
 from programs import (bank_multiport_direct, bank_multiport_interleaved,
                       broadcast_pattern, cascade_pattern, edges_text,
-                      fork_join_pattern, proxied_bank, sparse_multiport,
+                      fork_join_pattern, jittered, proxied_bank, sparse_multiport,
                       two_user_bank)
 from test_graph import oracle_analysis, random_topology
 
@@ -43,8 +43,9 @@ def criterion(number, title):
 
 
 def _digest_of(topology, workers, jitter_ms=0.0, jitter_seed=0):
-    env = Environment(topology, workers=workers, fast=True, trace=True,
-                      jitter_ms=jitter_ms, jitter_seed=jitter_seed)
+    if jitter_ms > 0:
+        topology = jittered(topology, jitter_ms, jitter_seed)
+    env = Environment(topology, workers=workers, fast=True, trace=True)
     env.run()
     return trace_digest(env.trace)
 

@@ -14,7 +14,7 @@ import pytest
 from detreact import (MSEC, SEC, STARTUP, USEC, Builder, Environment, ExecutionError,
                       ReadyQueue, ShutdownError, Tag, trace_digest)
 from detreact.bench.registry import get_benchmark
-from programs import proxied_bank, two_user_bank
+from programs import jittered, proxied_bank, two_user_bank
 
 
 # -- end-to-end example programs -------------------------------------------
@@ -567,7 +567,7 @@ def test_stop_time_config():
 
 def test_jitter_does_not_change_behavior():
     topo, acct = two_user_bank()
-    report = Environment(topo, workers=4, fast=True, jitter_ms=1.0, jitter_seed=3).run()
+    report = Environment(jittered(topo, 1.0, 3), workers=4, fast=True).run()
     assert acct.state.balance == 10.0
     assert report.reactions == 4
 

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from detreact import (SEC, Builder, Environment, trace_digest,
+import pytest
+
+from detreact import (MSEC, SEC, Builder, Environment, ExecutionError, trace_digest,
                       value_digest)
-from programs import two_user_bank
+from programs import jittered, two_user_bank
 
 
 def traced_run(topology, workers=1, **kwargs):
@@ -106,9 +108,35 @@ def test_swapped_completion_order_same_digest():
 
     digests = set()
     for seed in range(4):
-        trace, _ = traced_run(build(), workers=2, jitter_ms=1.5, jitter_seed=seed)
+        trace, _ = traced_run(jittered(build(), 1.5, seed), workers=2)
         digests.add(trace_digest(trace))
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_level_traces_only_the_reactions_that_completed(workers):
+    # One level of three reactions, each setting its output; at the second
+    # tag two of them raise after their set. Records are built when the
+    # level is folded: the failed level keeps only the completed reaction's
+    # record, and the first tag's records stay whole.
+    b = Builder()
+    for name, fails in (("a", True), ("b", False), ("c", True)):
+        r = b.reactor(name)
+        t = r.timer("t", offset=0, period=MSEC)
+        out = r.output("out")
+
+        def body(ctx, out=out, fails=fails):
+            ctx.set(out, ctx.tag.time)
+            if fails and ctx.tag.time > 0:
+                raise ValueError("injected")
+
+        r.reaction(t, effects=[out], body=body)
+    env = Environment(b.build(), workers=workers, fast=True, trace=True)
+    with pytest.raises(ExecutionError):
+        env.run()
+    assert env.trace.to_text().splitlines() == [
+        f"TAG=0.0 RX={name}.1 FX={name}.out:{value_digest(0)} SCHED=" for name in "abc"
+    ] + [f"TAG={MSEC}.0 RX=b.1 FX=b.out:{value_digest(MSEC)} SCHED="]
 
 
 def test_text_format():
