@@ -47,6 +47,8 @@ from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
 from .trace import TraceRecord, TraceSink, value_digest
 
+_new_tuple = tuple.__new__  # builds a TraceRecord without its Python-level __new__
+
 
 class TerminationReport(NamedTuple):
     """Outcome of one run. Counts are exact: ``events`` is the number of
@@ -96,7 +98,7 @@ class ReactionContext:
     logged here and folded by the coordinator at the level barrier."""
 
     __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
-                 "_fx_log", "_sched_log")
+                 "_fx_log", "_sched_log", "_ident")
 
     def __init__(self, rt, reaction):
         self._rt = rt
@@ -116,6 +118,9 @@ class ReactionContext:
         self._fx_log: list[tuple] | None = [] if sets and rt._sink is not None else None
         self._sched_log: list[tuple] | None = (
             [] if any(isinstance(e, Action) for e in reaction.effects) else None)
+        # (level, reactor path, index) of this reaction's trace records
+        self._ident = ((reaction.level, reaction.owner.name, reaction.index)
+                       if rt._sink is not None else None)
 
     def _slot(self, target, index, declared: dict, misuse: str) -> int:
         """Slot of one channel of a port, or of a timer or an action (one
@@ -332,7 +337,10 @@ class Environment:
         completed. Coordinator only. Bucket order cannot matter: a level
         holds at most one reaction per reactor, so no two contexts schedule
         the same action, and a tag's records are sorted when it closes."""
-        topo, touched, sink, ctxs = self.topology, self._touched, self._sink, self._ctxs
+        topo, touched, ctxs = self.topology, self._touched, self._ctxs
+        sink = self._sink
+        if sink is not None:
+            record, labels = sink.tag_records.append, self._labels
         for rid in self._bucket:
             ctx = ctxs[rid]
             log = ctx._set_log
@@ -351,13 +359,12 @@ class Environment:
             if sink is not None:
                 fx = ctx._fx_log
                 tag = ctx.tag
-                if tag is not None:
-                    reaction = ctx._reaction
-                    sink.record(TraceRecord(
-                        (tag.time, tag.microstep), reaction.level, reaction.owner.name,
-                        reaction.index, tuple(fx) if fx else (),
-                        tuple((self._labels[action.base], (g.time, g.microstep))
-                              for g, action, _ in sched) if sched else ()))
+                if tag is not None:  # the running Tag; None if the body raised
+                    level, path, index = ctx._ident
+                    record(_new_tuple(TraceRecord, (
+                        tag, level, path, index, tuple(fx) if fx else (),
+                        tuple([(labels[action.base], g) for g, action, _ in sched])
+                        if sched else ())))
                 if fx:
                     fx.clear()
             if sched:

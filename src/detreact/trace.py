@@ -12,14 +12,23 @@ Text form, one record per line:
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
+
+Run as a module, it compares two trace files and names the first record
+where they differ::
+
+    python -m detreact.trace diff A.trace B.trace
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
+
+_blake2b = hashlib.blake2b
 
 
 def _encode_value(v, out: bytearray) -> None:
@@ -57,22 +66,58 @@ def _encode_value(v, out: bytearray) -> None:
     elif np is not None and isinstance(v, np.ndarray):
         arr = np.ascontiguousarray(v)
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        out += b"a" + str(arr.dtype).encode() + b"|" + repr(arr.shape).encode() + b"|"
+        out += _array_header(arr)
         out += le.tobytes()
     else:
         r = repr(v).encode("utf-8")
         out += b"r%d:" % len(r) + r
 
 
+def _array_header(arr) -> bytes:
+    return b"a" + str(arr.dtype).encode() + b"|" + repr(arr.shape).encode() + b"|"
+
+
+@functools.lru_cache(maxsize=4096)
+def _int_digest(v: int) -> str:
+    # Exact ints only: True == 1 and 1.0 == 1 would share a cache entry.
+    return _blake2b(b"i%d;" % v, digest_size=8).hexdigest()
+
+
+_NONE_DIGEST = _blake2b(b"N;", digest_size=8).hexdigest()
+_TRUE_DIGEST = _blake2b(b"T;", digest_size=8).hexdigest()
+_FALSE_DIGEST = _blake2b(b"F;", digest_size=8).hexdigest()
+# dtype byte orders whose buffer already is the little-endian encoding
+_LITTLE_ENDIAN = ("<", "|", "=") if sys.byteorder == "little" else ("<", "|")
+
+
 def value_digest(v) -> str:
-    """16-hex-digit digest of one payload."""
+    """16-hex-digit digest of one payload: BLAKE2b-64 of its canonical
+    encoding. Exact ints are memoised; an ndarray whose buffer already is
+    its encoding (C-contiguous, little-endian or byte-order free, at least
+    one dimension) is hashed in place, without a copy."""
+    t = type(v)
+    if t is int:
+        return _int_digest(v)
+    if v is None:
+        return _NONE_DIGEST
+    if t is bool:
+        return _TRUE_DIGEST if v else _FALSE_DIGEST
+    np = sys.modules.get("numpy")
+    # The encoder gives a 0-d array shape (1,), and memoryview cannot export
+    # every dtype (datetime, object): only bool and numeric arrays of at
+    # least one dimension are hashed in place.
+    if (np is not None and t is np.ndarray and v.ndim and v.flags.c_contiguous
+            and v.dtype.kind in "biufc" and v.dtype.byteorder in _LITTLE_ENDIAN):
+        h = _blake2b(_array_header(v), digest_size=8)
+        h.update(memoryview(v))
+        return h.hexdigest()
     buf = bytearray()
     _encode_value(v, buf)
-    return hashlib.blake2b(bytes(buf), digest_size=8).hexdigest()
+    return _blake2b(buf, digest_size=8).hexdigest()
 
 
 class TraceRecord(NamedTuple):
-    tag: tuple  # (time_ns, microstep)
+    tag: tuple  # (time_ns, microstep): the runtime stores the running Tag
     level: int
     reactor_path: str
     reaction_index: int
@@ -83,11 +128,15 @@ class TraceRecord(NamedTuple):
         return (self.level, self.reactor_path, self.reaction_index)
 
     def to_line(self) -> str:
-        fx = ",".join(f"{p}:{d}" for p, d in self.effects)
-        sched = ",".join(f"{a}@{t}.{m}" for a, (t, m) in self.scheduled)
-        return (f"TAG={self.tag[0]}.{self.tag[1]} "
-                f"RX={self.reactor_path}.{self.reaction_index} "
-                f"FX={fx} SCHED={sched}")
+        (time_ns, microstep), _, path, index, fx, sched = self
+        return "TAG=%s.%s RX=%s.%s FX=%s SCHED=%s" % (
+            time_ns, microstep, path, index,
+            ",".join([f"{p}:{d}" for p, d in fx]) if fx else "",
+            ",".join([f"{a}@{t}.{m}" for a, (t, m) in sched]) if sched else "")
+
+
+#: ``TraceRecord.sort_key`` as a C-level key: (level, reactor_path, reaction_index)
+_canonical_order = operator.itemgetter(1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -101,7 +150,7 @@ class Trace:
     records: tuple
 
     def canonical_bytes(self) -> bytes:
-        return "".join(r.to_line() + "\n" for r in self.records).encode("utf-8")
+        return "".join([r.to_line() + "\n" for r in self.records]).encode("utf-8")
 
     def to_text(self) -> str:
         return self.canonical_bytes().decode("utf-8")
@@ -109,29 +158,78 @@ class Trace:
 
 def trace_digest(trace: Trace) -> int:
     """Stable 64-bit digest of the canonical serialization."""
-    h = hashlib.blake2b(trace.canonical_bytes(), digest_size=8)
+    h = _blake2b(trace.canonical_bytes(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
 
 class TraceSink:
     """Collects records during execution.
 
-    The scheduler records each tag's reactions at its level barriers, where
-    it runs alone, and canonicalizes them when the tag closes.
+    The scheduler appends each tag's records to ``tag_records`` at its level
+    barriers, where it runs alone, and the sink canonicalizes them when the
+    tag closes.
     """
 
     def __init__(self):
-        self._tag = []
+        self.tag_records: list[TraceRecord] = []
         self._records = []
 
-    def record(self, rec: TraceRecord) -> None:
-        self._tag.append(rec)
-
     def merge_tag(self) -> None:
-        self._tag.sort(key=TraceRecord.sort_key)
-        self._records += self._tag
-        self._tag.clear()
+        tag = self.tag_records
+        if len(tag) > 1:
+            tag.sort(key=_canonical_order)
+        self._records += tag
+        tag.clear()
 
     def finalize(self, header: dict) -> Trace:
         self.merge_tag()
         return Trace(header=dict(header), records=tuple(self._records))
+
+
+# -- trace diff ------------------------------------------------------------
+
+def diff(a: list[str], b: list[str], context: int = 2) -> list[str]:
+    """Report of the first line where two traces, given as lines, differ:
+    ``context`` common lines before it, then that line and the ``context``
+    lines after it from each side. A trace that is a prefix of the other
+    differs at the first line it lacks. Empty when they are identical."""
+    i = next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    if i == len(a) == len(b):
+        return []
+    out = [f"first difference at line {i + 1}"]
+    out += [f"  {n + 1}: {a[n]}" for n in range(max(0, i - context), i)]
+    for mark, lines in (("-", a), ("+", b)):
+        out += [f"{mark} {n + 1}: {lines[n]}" for n in range(i, min(i + context + 1, len(lines)))]
+        if len(lines) <= i + context:
+            out.append(f"{mark} end of trace ({len(lines)} lines)")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    import argparse  # command-line use only: importing detreact stays lean
+    from pathlib import Path
+
+    parser = argparse.ArgumentParser(prog="python -m detreact.trace",
+                                     description="Tools for canonical trace files.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("diff", help="name the first record where two traces differ; "
+                                    "exit 0 when identical, 1 when they differ")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    try:
+        a = args.a.read_text(encoding="utf-8").splitlines()
+        b = args.b.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        parser.exit(2, f"error: {exc}\n")
+    report = diff(a, b)
+    if not report:
+        print(f"identical: {len(a)} records")
+        return 0
+    print(f"--- {args.a}\n+++ {args.b}")
+    print("\n".join(report))
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

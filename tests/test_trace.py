@@ -1,5 +1,7 @@
 """Trace canonicalization, digests, and the text format."""
 
+import enum
+import hashlib
 import os
 import re
 import subprocess
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from detreact import (MSEC, SEC, Builder, Environment, ExecutionError, trace_digest,
-                      value_digest)
+from detreact import (MSEC, SEC, Builder, Environment, ExecutionError, TraceRecord,
+                      trace_digest, value_digest)
+from detreact.trace import _encode_value, diff
 from programs import jittered, two_user_bank
 
 
@@ -190,6 +193,170 @@ def test_value_digest_stability_and_types():
     b = np.array([1, 2, 3], dtype=np.int64)
     assert value_digest(a) == value_digest(b)
     assert value_digest(a) != value_digest(np.array([1, 2, 4], dtype=np.int64))
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Name(str):
+    pass
+
+
+def _value_corpus():
+    import numpy as np
+    big = np.arange(6, dtype=">i8")
+    fortran = np.asfortranarray(np.arange(6, dtype="<f8").reshape(2, 3))
+    return [
+        0, -1, 1, 2**63 - 1, 2**63, 2**63 + 1, -2**63 - 1, -2**63, -2**63 + 1, 2**200,
+        True, False, 1, 0, 1.0, 0.0, -0.0, 2.5,
+        _Level.HIGH, 3, _Name("x"), "x", "", "Grüße, 世界",
+        (1, (2, "a"), [3.0, None]), [True, 1, (False, 0)], (), [],
+        None,
+        np.int64(3), np.uint8(255), np.float64(2.5), np.float32(0.1), np.bool_(True),
+        np.bool_(False),
+        np.arange(6, dtype="<i8"), big, big.astype("<i8"), fortran,
+        np.arange(12, dtype=np.int32)[::3], np.array(7, dtype=np.int64),
+        np.array([True, False, True]), np.arange(4, dtype=np.complex128),
+        np.zeros((0, 3)), np.arange(6, dtype=np.float16).reshape(3, 2),
+    ]
+
+
+def _reference_digest(v) -> str:
+    buf = bytearray()
+    _encode_value(v, buf)
+    return hashlib.blake2b(bytes(buf), digest_size=8).hexdigest()
+
+
+def test_value_digest_matches_the_canonical_encoding():
+    # The memoised ints, the constants and the in-place array hash must give
+    # exactly the digest of the canonical encoding. The corpus runs forwards
+    # and backwards, so a cache that keys 1, True and 1.0 alike fails either
+    # way round.
+    corpus = _value_corpus()
+    for v in corpus + corpus[::-1]:
+        assert value_digest(v) == _reference_digest(v), repr(v)
+    import numpy as np
+    assert len({value_digest(v) for v in (1, True, 1.0, np.int64(1), np.bool_(True))}) == 3
+
+
+def _shape_program(failing=()):
+    # Level 0 holds c.1, a.1 and b.1 (declared out of path order); level 1
+    # holds b.2, sink.1 and a.2; b.3 is at level 2. a.1 schedules a.act 5 ms
+    # later and b.1 schedules b.act at the next microstep: each of those
+    # tags has exactly one record.
+    b = Builder()
+    sink = b.reactor("sink")
+    ins = sink.input("in", width=3)
+    sink.reaction(ins, body=lambda ctx: list(ctx.present(ins)))
+    for i, name in enumerate("cab"):
+        r = b.reactor(name)
+        t = r.timer("t")
+        out = r.output("out")
+        act = r.action("act")
+        b.connect(out, ins[i])
+
+        def first(ctx, out=out, act=act, name=name, value=i * 10):
+            ctx.set(out, value)
+            if name in failing:
+                raise ValueError("injected")
+            if name == "a":
+                ctx.schedule(act, None, delay=5 * MSEC)
+            elif name == "b":
+                ctx.schedule(act, "again")
+
+        r.reaction(t, effects=[out, act], body=first)
+        if name == "b":
+            r.reaction(t, body=lambda ctx: None)
+        r.reaction(act, body=lambda ctx: None)
+    return b.build()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_record_shape_and_order(workers):
+    for seed in range(3):
+        env = Environment(jittered(_shape_program(), 1.0, seed), workers=workers,
+                          fast=True, trace=True)
+        env.run()
+        recs = env.trace.records
+        assert all(type(rec) is TraceRecord for rec in recs)
+        assert [(rec.tag, rec.level, rec.reactor_path, rec.reaction_index)
+                for rec in recs] == [
+            ((0, 0), 0, "a", 1), ((0, 0), 0, "b", 1), ((0, 0), 0, "c", 1),
+            ((0, 0), 1, "b", 2), ((0, 0), 1, "sink", 1),
+            ((0, 1), 2, "b", 3),
+            ((5 * MSEC, 0), 1, "a", 2),
+        ]
+        assert recs[0].scheduled == (("a.act", (5 * MSEC, 0)),)
+        assert recs[1].scheduled == (("b.act", (0, 1)),)
+        assert recs[2].scheduled == ()
+        assert [rec.effects for rec in recs[:3]] == [
+            (("a.out", value_digest(10)),), (("b.out", value_digest(20)),),
+            (("c.out", value_digest(0)),)]
+
+    # a failed level keeps only its completed reactions' records
+    env = Environment(jittered(_shape_program(failing="ca"), 1.0, 0), workers=workers,
+                      fast=True, trace=True)
+    with pytest.raises(ExecutionError):
+        env.run()
+    assert [(rec.reactor_path, rec.reaction_index) for rec in env.trace.records] == [("b", 1)]
+
+
+def _counter_trace(bad_at=None):
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t", offset=0, period=MSEC)
+    out = r.output("out")
+    r.state.n = 0
+
+    def count(ctx):
+        ctx.state.n += 1
+        ctx.set(out, -1 if ctx.state.n == bad_at else ctx.state.n)
+        if ctx.state.n == 8:
+            ctx.request_stop()
+
+    r.reaction(t, effects=[out], body=count)
+    trace, _ = traced_run(b.build())
+    return trace.to_text()
+
+
+def test_diff_names_the_first_divergent_record():
+    a = _counter_trace().splitlines()
+    b = _counter_trace(bad_at=5).splitlines()
+    assert diff(a, a) == []
+    assert diff(a, b) == [
+        "first difference at line 5",
+        f"  3: {a[2]}", f"  4: {a[3]}",
+        f"- 5: {a[4]}", f"- 6: {a[5]}", f"- 7: {a[6]}",
+        f"+ 5: {b[4]}", f"+ 6: {b[5]}", f"+ 7: {b[6]}",
+    ]
+    assert "FX=r.out:" + value_digest(-1) in b[4]
+    # a trace that is a prefix of the other differs at the first missing line
+    assert diff(a[:7], a)[:4] == ["first difference at line 8", f"  6: {a[5]}",
+                                  f"  7: {a[6]}", "- end of trace (7 lines)"]
+
+
+def test_diff_command(tmp_path):
+    a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+    a.write_text(_counter_trace(), encoding="utf-8")
+    b.write_text(_counter_trace(bad_at=5), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def run(*paths):
+        return subprocess.run([sys.executable, "-m", "detreact.trace", "diff", *map(str, paths)],
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    same = run(a, a)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.strip() == "identical: 8 records"
+    differ = run(a, b)
+    assert differ.returncode == 1, differ.stderr
+    lines = differ.stdout.splitlines()
+    assert lines[:3] == [f"--- {a}", f"+++ {b}", "first difference at line 5"]
+    assert f"- 5: {_counter_trace().splitlines()[4]}" in lines
+    assert run(a, tmp_path / "missing.trace").returncode == 2
 
 
 def test_import_does_not_load_numpy():
