@@ -13,20 +13,24 @@ presence array, which is all a reaction reads or writes within a tag. Each
 reaction owns one :class:`ReactionContext`, built with the Environment: it
 maps the reaction's declared triggers and effects to their slots, so a
 ``ctx`` call finds its slot with one dict lookup, and it logs what the body
-makes present and schedules.
+makes present, schedules and raises.
 
-The calling thread is worker 0 and ``workers - 1`` threads join it. The last
-worker to finish a level becomes the coordinator while every other worker is
-parked: it folds the contexts of the level that just ran, recording the
-channels they made present (each channel has one writer per tag) in the
-per-tag port state, staging the reactions those ports trigger, enqueueing
-their logical schedules and tracing each completed reaction, and goes on to
-the next level, or ends the tag and advances logical time. So the hot path
-takes no lock, ``ctx.schedule`` included, and a worker carries no run state.
-The coordinator runs a level itself when no other worker could share it: the
-level has one reaction, or the run has one worker. Only a wider level is
-published to the ready queue, so a one-worker run is a plain loop on the
-calling thread that starts no thread and never touches the ready queue.
+The calling thread is worker 0 and ``workers - 1`` threads join it. A body
+writes only its own context and the slots of the channels it sets (each has
+one writer per tag). The last worker to finish a level becomes the
+coordinator while every other worker is parked, and it alone writes run
+state: it folds the contexts of the level that just ran, recording the
+channels they made present, staging the reactions those ports trigger,
+collecting their logical schedules for the tag advance, tracing each
+completed reaction and recording the failure of the first declared reaction
+that raised; then it goes on to the next level, or ends the tag and advances
+logical time. It runs a level itself when no other worker could share it
+(one reaction, or one worker); only a wider level is published to the ready
+queue, so a one-worker run is a plain loop on the calling thread.
+
+The one lock, ``_evlock``, guards what other threads touch (the event queue,
+the stop tag, the run-once flag, the end of the run) and the tag advance that
+reads it; the fold takes it only to record a failure.
 
 In normal mode, a tag with time value t is not processed before the physical
 clock passes t (logical time chases physical time); fast mode skips the
@@ -45,7 +49,7 @@ from .core import (SHUTDOWN, STARTUP, Action, Port, PortChannel, ReactorTopology
                    Timer, checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
-from .trace import TraceRecord, TraceSink, value_digest
+from .trace import Trace, TraceRecord, _canonical_order, value_digest
 
 _new_tuple = tuple.__new__  # builds a TraceRecord without its Python-level __new__
 
@@ -77,12 +81,11 @@ class ReadyQueue:
         self._buf: list = []
         self._counter = itertools.count(-1, -1)
 
-    def refill(self, items: list) -> int:
+    def refill(self, items: list) -> None:
         if len(items) > self.capacity:
             raise ValueError(f"ready queue capacity {self.capacity} exceeded: {len(items)}")
         self._buf = items
         self._counter = itertools.count(len(items) - 1, -1)
-        return len(items)
 
     def pop(self):
         i = next(self._counter)
@@ -94,11 +97,11 @@ class ReadyQueue:
 class ReactionContext:
     """One reaction's view of the runtime, built once with its Environment
     and handed to every invocation of the reaction's body; valid only for
-    the duration of that call. What the body makes present and schedules is
-    logged here and folded by the coordinator at the level barrier."""
+    the duration of that call. What the body makes present, schedules or
+    raises is logged here and folded at the level barrier."""
 
     __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
-                 "_fx_log", "_sched_log", "_ident")
+                 "_fx_log", "_sched_log", "_ident", "_exc")
 
     def __init__(self, rt, reaction):
         self._rt = rt
@@ -108,19 +111,20 @@ class ReactionContext:
         self._triggers = {t: t.base for t in reaction.triggers
                           if isinstance(t, (Port, Timer, Action))}
         self._effects = {e: e.base for e in reaction.effects}
-        self.tag = None  # the running tag; None after the body raised
+        self.tag = None  # the running tag
         self.state = reaction.owner.state
         # Logs, each only where a declared effect can fill it: the channels
         # made present, each set's (label, digest) when traced, and the
         # (tag, action, value) schedules.
         sets = any(isinstance(e, Port) for e in reaction.effects)
         self._set_log: list[int] | None = [] if sets else None
-        self._fx_log: list[tuple] | None = [] if sets and rt._sink is not None else None
+        self._fx_log: list[tuple] | None = [] if sets and rt._records is not None else None
         self._sched_log: list[tuple] | None = (
             [] if any(isinstance(e, Action) for e in reaction.effects) else None)
         # (level, reactor path, index) of this reaction's trace records
         self._ident = ((reaction.level, reaction.owner.name, reaction.index)
-                       if rt._sink is not None else None)
+                       if rt._records is not None else None)
+        self._exc: BaseException | None = None  # what the body raised
 
     def _slot(self, target, index, declared: dict, misuse: str) -> int:
         """Slot of one channel of a port, or of a timer or an action (one
@@ -182,8 +186,8 @@ class ReactionContext:
     def schedule(self, action: Action, value=None, delay: int = 0) -> Tag:
         """Enqueue an event on a declared logical action at a strictly later
         tag: (now + delay, 0) for a positive total delay, otherwise the next
-        microstep. Returns the assigned tag. The event reaches the queue at
-        the end of the level, and the later of two calls for one tag wins."""
+        microstep. Returns the assigned tag. The event reaches the queue when
+        the current tag closes, and the later of two calls for one tag wins."""
         if not isinstance(action, Action) or action not in self._reaction.effects:
             label = action.label() if isinstance(action, Action) else repr(action)
             raise ContractViolationError(
@@ -239,18 +243,19 @@ class Environment:
         self._live: list[int] = []
         self._touched: dict[int, list[int]] = {}
 
-        # The one lock. It guards the event queue, the run-once flag, the
-        # stop tag and the tag it is derived from, and the end of the run.
+        # The one lock. It guards the event queue, the run-once flag, the stop
+        # tag and the tag it is derived from, the failure and the end of the run.
         self._evlock = threading.Lock()
         self._evcv = threading.Condition(self._evlock)
         self._ran = False
         self._event_heap: list[Tag] = []
         self._event_map: dict[Tag, dict] = {}
+        self._schedules: list[tuple] = []  # this tag's, enqueued by the tag advance
 
-        self._staged = bytearray(len(topology.reactions))
-        self._levels: list[list[int]] = [[] for _ in range(self.apg.num_levels)]
+        # one bucket per level: its staged rids, each once, in staging order
+        self._levels: list[dict[int, None]] = [{} for _ in range(self.apg.num_levels)]
         self._current_level = -1
-        self._bucket: list[int] | tuple = ()  # the level that ran last, folded next
+        self._bucket: dict[int, None] = {}  # the level that ran last, folded next
 
         self._ready = ReadyQueue(max_level_width(self.apg))
         self._pending = itertools.count(-1, -1)
@@ -266,8 +271,10 @@ class Environment:
         self._reactions_run = 0
         self._epoch = 0
 
-        self._sink = TraceSink() if trace else None
-        if self._sink is not None:  # trace label of each slot
+        # when traced: this tag's records, and earlier tags' in canonical order
+        self._tag_records: list[TraceRecord] | None = [] if trace else None
+        self._records: list[TraceRecord] | None = [] if trace else None
+        if trace:  # trace label of each slot
             self._labels = ([PortChannel(p, i).label()
                              for p in topology.ports for i in range(p.width)]
                             + [t.label() for t in (*topology.timers, *topology.actions)])
@@ -331,17 +338,21 @@ class Environment:
                 set_log.append(dst)
 
     def _fold(self) -> None:
-        """Fold the contexts of the bucket that just ran: record the channels
-        they made present and stage the reactions those ports trigger,
-        enqueue their logical schedules, and trace each reaction that
-        completed. Coordinator only. Bucket order cannot matter: a level
-        holds at most one reaction per reactor, so no two contexts schedule
-        the same action, and a tag's records are sorted when it closes."""
+        """Fold and empty the bucket that just ran: record the channels its
+        contexts made present and stage the reactions those ports trigger,
+        collect their logical schedules for the tag advance, trace each
+        reaction that completed, and record the failure of the first
+        declared (lowest rid) reaction that raised. Coordinator only. Bucket
+        order cannot matter: a level holds at most one reaction per reactor,
+        so no two contexts schedule the same action, and a tag's records are
+        sorted when it closes."""
         topo, touched, ctxs = self.topology, self._touched, self._ctxs
-        sink = self._sink
-        if sink is not None:
-            record, labels = sink.tag_records.append, self._labels
-        for rid in self._bucket:
+        records = self._tag_records
+        if records is not None:
+            record, labels = records.append, self._labels
+        bucket = self._bucket
+        failed = None
+        for rid in bucket:
             ctx = ctxs[rid]
             log = ctx._set_log
             if log:
@@ -356,32 +367,35 @@ class Environment:
                 self._live += log
                 log.clear()
             sched = ctx._sched_log
-            if sink is not None:
+            exc = ctx._exc
+            if records is not None:
                 fx = ctx._fx_log
-                tag = ctx.tag
-                if tag is not None:  # the running Tag; None if the body raised
+                if exc is None:  # a body that raised leaves no trace record
                     level, path, index = ctx._ident
                     record(_new_tuple(TraceRecord, (
-                        tag, level, path, index, tuple(fx) if fx else (),
+                        ctx.tag, level, path, index, tuple(fx) if fx else (),
                         tuple([(labels[action.base], g) for g, action, _ in sched])
                         if sched else ())))
                 if fx:
                     fx.clear()
             if sched:
-                with self._evlock:
-                    for g, action, value in sched:
-                        self._enqueue(g, action, value)
+                self._schedules += sched
                 sched.clear()
+            if exc is not None and (failed is None or rid < failed):
+                failed = rid
+        bucket.clear()
+        if failed is not None:
+            ctx = ctxs[failed]
+            with self._evlock:  # an interrupt recorded by _terminate comes first
+                if self._failure is None:
+                    self._failure = (ctx._reaction, ctx._exc)
 
     def _stage(self, rid: int) -> None:
-        if self._staged[rid]:
-            return
         lvl = self.apg.level[rid]
         if lvl <= self._current_level:
             raise RuntimeError(f"{self.topology.reactions[rid].label()} staged at level {lvl}, "
                                f"at or below the running level {self._current_level}")
-        self._staged[rid] = 1
-        self._levels[lvl].append(rid)
+        self._levels[lvl][rid] = None
 
     # -- tag lifecycle ------------------------------------------------------
 
@@ -390,11 +404,14 @@ class Environment:
         return Tag(ct.time, ct.microstep + 1) if ct is not None else Tag(0, 0)
 
     def _advance_and_stage(self) -> bool:
-        """Select the next tag (waiting for physical time unless in fast
-        mode) and stage its triggered reactions. False when execution is
-        over."""
+        """Enqueue the closed tag's logical schedules, select the next tag
+        (waiting for physical time unless in fast mode) and stage its
+        triggered reactions. False when execution is over."""
         topo = self.topology
         with self._evcv:
+            for g, action, value in self._schedules:
+                self._enqueue(g, action, value)
+            self._schedules.clear()
             while True:
                 ct = self._current_tag
                 if (ct is not None and ct == self._stop_tag) or self._failure is not None:
@@ -445,8 +462,12 @@ class Environment:
             self._present[slot] = 0
         self._live.clear()
         self._touched.clear()
-        if self._sink is not None:
-            self._sink.merge_tag()
+        records = self._tag_records
+        if records:
+            if len(records) > 1:
+                records.sort(key=_canonical_order)
+            self._records += records
+            records.clear()
 
     # -- worker protocol ----------------------------------------------------
 
@@ -466,10 +487,7 @@ class Environment:
             while lvl < nlevels and not levels[lvl]:
                 lvl += 1
             if lvl < nlevels and self._failure is None:
-                self._bucket = bucket = levels[lvl]
-                levels[lvl] = []
-                for rid in bucket:  # no reaction at or below lvl is staged again
-                    self._staged[rid] = 0
+                self._bucket = bucket = levels[lvl]  # emptied by its fold
                 self._current_level = lvl
                 count = len(bucket)
                 self._reactions_run += count  # every reaction of a bucket runs
@@ -479,7 +497,7 @@ class Environment:
                     self._fold()
                     continue
                 self._pending = itertools.count(count - 1, -1)
-                self._ready.refill(bucket)
+                self._ready.refill(list(bucket))
                 self._sem.release(min(count, self.workers) - 1)  # the coordinator drains too
                 return True
             self._finish_tag()
@@ -502,11 +520,8 @@ class Environment:
         ctx.tag = self._current_tag
         try:
             ctx._reaction.body(ctx)
-        except BaseException as exc:
-            ctx.tag = None  # a body that raised leaves no trace record
-            with self._evcv:
-                if self._failure is None:
-                    self._failure = (ctx._reaction, exc)
+        except BaseException as exc:  # recorded by the fold, like the body's other effects
+            ctx._exc = exc
 
     def _drain(self) -> bool:
         while True:
@@ -536,10 +551,11 @@ class Environment:
 
         Processes startup, then all events in tag order until the queue
         empties or the stop tag is reached, fires shutdown reactions at the
-        stop tag, and returns exact execution counts. Reaction failures abort
-        the run and are re-raised as ExecutionError naming the offending
-        reaction, and an interrupt is re-raised as is, once every worker
-        thread has been joined.
+        stop tag, and returns exact execution counts. A reaction failure
+        aborts the run at the end of its level and is re-raised as
+        ExecutionError naming, of the reactions that failed in that level,
+        the one declared first; an interrupt is re-raised as is. Either is
+        raised once every worker thread has been joined.
         """
         with self._evlock:
             if self._ran:
@@ -568,11 +584,10 @@ class Environment:
                 t.join()
         duration = time.perf_counter_ns() - t0
 
-        if self._sink is not None:
-            self.trace = self._sink.finalize({
-                "program": topo.name,
-                "workers": self.workers,
-            })
+        if self._records is not None:
+            self._finish_tag()  # closes a tag that an interrupt left open
+            self.trace = Trace(header={"program": topo.name, "workers": self.workers},
+                               records=tuple(self._records))
         if self._failure is not None:
             reaction, exc = self._failure
             if not isinstance(exc, Exception):

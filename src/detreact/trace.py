@@ -124,9 +124,6 @@ class TraceRecord(NamedTuple):
     effects: tuple  # ((port_label, digest), ...) in set order
     scheduled: tuple  # ((action_label, (time_ns, microstep)), ...) in call order
 
-    def sort_key(self):
-        return (self.level, self.reactor_path, self.reaction_index)
-
     def to_line(self) -> str:
         (time_ns, microstep), _, path, index, fx, sched = self
         return "TAG=%s.%s RX=%s.%s FX=%s SCHED=%s" % (
@@ -135,7 +132,7 @@ class TraceRecord(NamedTuple):
             ",".join([f"{a}@{t}.{m}" for a, (t, m) in sched]) if sched else "")
 
 
-#: ``TraceRecord.sort_key`` as a C-level key: (level, reactor_path, reaction_index)
+#: the order of records within one tag: (level, reactor_path, reaction_index)
 _canonical_order = operator.itemgetter(1, 2, 3)
 
 
@@ -162,45 +159,26 @@ def trace_digest(trace: Trace) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-class TraceSink:
-    """Collects records during execution.
-
-    The scheduler appends each tag's records to ``tag_records`` at its level
-    barriers, where it runs alone, and the sink canonicalizes them when the
-    tag closes.
-    """
-
-    def __init__(self):
-        self.tag_records: list[TraceRecord] = []
-        self._records = []
-
-    def merge_tag(self) -> None:
-        tag = self.tag_records
-        if len(tag) > 1:
-            tag.sort(key=_canonical_order)
-        self._records += tag
-        tag.clear()
-
-    def finalize(self, header: dict) -> Trace:
-        self.merge_tag()
-        return Trace(header=dict(header), records=tuple(self._records))
-
-
 # -- trace diff ------------------------------------------------------------
 
-def diff(a: list[str], b: list[str], context: int = 2) -> list[str]:
+_DIFF_CONTEXT = 2  # lines shown around the first difference
+
+
+def diff(a: list[str], b: list[str]) -> list[str]:
     """Report of the first line where two traces, given as lines, differ:
-    ``context`` common lines before it, then that line and the ``context``
-    lines after it from each side. A trace that is a prefix of the other
-    differs at the first line it lacks. Empty when they are identical."""
+    ``_DIFF_CONTEXT`` common lines before it, then that line and the
+    ``_DIFF_CONTEXT`` lines after it from each side. A trace that is a
+    prefix of the other differs at the first line it lacks. Empty when they
+    are identical."""
     i = next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     if i == len(a) == len(b):
         return []
     out = [f"first difference at line {i + 1}"]
-    out += [f"  {n + 1}: {a[n]}" for n in range(max(0, i - context), i)]
+    out += [f"  {n + 1}: {a[n]}" for n in range(max(0, i - _DIFF_CONTEXT), i)]
     for mark, lines in (("-", a), ("+", b)):
-        out += [f"{mark} {n + 1}: {lines[n]}" for n in range(i, min(i + context + 1, len(lines)))]
-        if len(lines) <= i + context:
+        out += [f"{mark} {n + 1}: {lines[n]}"
+                for n in range(i, min(i + _DIFF_CONTEXT + 1, len(lines)))]
+        if len(lines) <= i + _DIFF_CONTEXT:
             out.append(f"{mark} end of trace ({len(lines)} lines)")
     return out
 

@@ -591,6 +591,57 @@ def test_request_stop_before_stop_time_wins(workers):
     assert report.last_tag == Tag(19 * MSEC, 1)
 
 
+# -- what takes the lock -------------------------------------------------------
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        got = self._lock.acquire(blocking, timeout)
+        self.acquired += got  # only while holding the lock
+        return got
+
+    __enter__ = acquire
+
+    def release(self):
+        self._lock.release()
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, params", [
+    ("CountingActor", {"count": 1000}),  # one logical schedule per tag
+    ("Big", {"pings": 200}),
+])
+def test_the_lock_is_taken_once_per_tag_advance(name, params, workers):
+    # Besides the advances, only the run-once check, a stop request and the
+    # end of the run take the lock: no body, schedule or fold does.
+    spec = get_benchmark(name)
+    instance = spec.build(spec.resolve_params(params))
+    env = Environment(instance.topology, workers=workers, fast=True)
+    env._evlock = lock = _CountingLock()
+    env._evcv = threading.Condition(lock)
+    advances = 0
+    advance = env._advance_and_stage
+
+    def counting_advance():
+        nonlocal advances
+        advances += 1
+        return advance()
+
+    env._advance_and_stage = counting_advance
+    instance.validate(env.run())
+    assert advances > 100
+    assert lock.acquired <= advances + 3
+
+
 # -- threads, failures and interrupts ------------------------------------------
 
 
@@ -637,6 +688,23 @@ def test_failing_reaction_stops_before_the_next_level(workers):
     with pytest.raises(ExecutionError, match=r"a\.1"):
         Environment(b.build(), workers=workers, fast=True).run()
     assert z.state.seen == []
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_first_declared_failure_is_reported_at_any_worker_count(workers):
+    # Three reactions of one level raise, finishing in an order the jitter
+    # varies: the error names the one declared first, every time.
+    for seed in range(10):
+        b = Builder()
+        for name in ("a", "b", "c"):
+            b.reactor(name).reaction(STARTUP, body=lambda ctx, n=name: _raise(ValueError(n)))
+        program = jittered(b.build(), 1.0, seed)
+        with pytest.raises(ExecutionError, match=r"^reaction a\.1 failed: ValueError\('a'\)$"):
+            Environment(program, workers=workers, fast=True).run()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
