@@ -14,7 +14,6 @@ from .errors import (CausalityCycleError, CompositionError,
 from .graph import PrecedenceGraph, build_precedence_graph, max_level_width, to_dot
 from .patterns import Bank, Interleaved, bank, connect, unfold
 from .sched import Environment, ReadyQueue, TerminationReport
-from .trace import Trace, TraceRecord, trace_digest, value_digest
 
 __all__ = [
     "Action", "Bank", "Builder", "CausalityCycleError", "CompositionError",
@@ -27,3 +26,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_TRACE_NAMES = frozenset({"Trace", "TraceRecord", "trace_digest", "value_digest"})
+
+
+def __getattr__(name: str):
+    # The trace module loads on first use, not with the package, so that
+    # ``python -m detreact.trace`` runs it as a fresh ``__main__``.
+    if name in _TRACE_NAMES:
+        from . import trace
+        return getattr(trace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

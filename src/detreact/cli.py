@@ -2,7 +2,9 @@
 
 Selects benchmarks, sweeps worker counts, prints a human-readable table and
 optionally writes CSV and canonical trace files. Exit codes: 0 when every
-validator passed, 1 on validator failure, 2 on usage errors.
+validator passed (and, with ``--trace``, every benchmark gave one trace
+digest across the worker sweep), 1 otherwise, 2 on usage errors. When a
+sweep's digests differ, the trace diff names the first divergent record.
 
 CSV layout: per-iteration rows ``benchmark,workers,iteration,millis`` for the
 retained (post-warmup) iterations, followed by summary rows
@@ -20,7 +22,7 @@ import click
 
 from .bench import (BenchmarkValidationError, UnknownBenchmarkError,
                     get_benchmark, list_benchmarks, run_benchmark, run_once)
-from .trace import trace_digest
+from .trace import Trace, diff, trace_digest
 
 WORKERS_ENV_VAR = "DETREACT_WORKERS"
 
@@ -59,13 +61,12 @@ def _print_listing():
         click.echo(f"{spec.name:24s} {spec.group:12s} {spec.title:28s} {defaults}")
 
 
-def _trace_one(spec, params, workers: int, fast: bool, trace_dir: Path) -> int:
+def _trace_one(spec, params, workers: int, fast: bool, trace_dir: Path) -> Trace:
     """Extra untimed run with tracing on; writes the canonical text."""
     _, env, _ = run_once(spec, params, workers=workers, fast=fast, trace=True)
-    digest = trace_digest(env.trace)
     path = trace_dir / f"{spec.name}_w{workers}.trace"
     path.write_text(env.trace.to_text(), encoding="utf-8")
-    return digest
+    return env.trace
 
 
 @click.command(context_settings={"help_option_names": ["-h", "--help"]})
@@ -126,6 +127,7 @@ def main(benchmarks, workers_text, iterations, warmup, fast, params_kv, csv_path
         except KeyError as exc:
             click.echo(f"error: {exc.args[0]}", err=True)
             sys.exit(2)
+        first = None  # (workers, digest, trace) of the first traced worker count
         for workers in worker_counts:
             try:
                 stats = run_benchmark(spec, params, workers=workers,
@@ -142,9 +144,18 @@ def main(benchmarks, workers_text, iterations, warmup, fast, params_kv, csv_path
                 iteration_rows.append(f"{spec.name},{workers},{warmup + i},{ms:.6f}")
             summary_rows.append(f"{spec.name},{workers},{stats.mean_ms:.6f},{stats.ci99_ms:.6f}")
             if trace_dir is not None:
-                digest = _trace_one(spec, params, workers, fast, trace_dir)
+                trace = _trace_one(spec, params, workers, fast, trace_dir)
+                digest = trace_digest(trace)
                 click.echo(f"{'':24s} trace digest {digest:016x} -> "
                            f"{trace_dir / f'{spec.name}_w{workers}.trace'}")
+                if first is None:
+                    first = (workers, digest, trace)
+                elif digest != first[1]:
+                    failures.append(f"{spec.name}: the trace at workers={workers} "
+                                    f"differs from workers={first[0]}")
+                    click.echo(f"{'':24s} FAIL: trace differs from workers={first[0]}")
+                    for line in diff(first[2].lines, trace.lines):
+                        click.echo(f"{'':24s} {line}")
 
     if csv_path is not None:
         lines = ["benchmark,workers,iteration,millis"]
@@ -155,7 +166,7 @@ def main(benchmarks, workers_text, iterations, warmup, fast, params_kv, csv_path
         click.echo(f"wrote {csv_path}")
 
     if failures:
-        click.echo(f"{len(failures)} validator failure(s)", err=True)
+        click.echo(f"{len(failures)} failure(s)", err=True)
         sys.exit(1)
 
 

@@ -49,9 +49,6 @@ from .core import (SHUTDOWN, STARTUP, Action, Port, PortChannel, ReactorTopology
                    Timer, checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
-from .trace import Trace, TraceRecord, _canonical_order, value_digest
-
-_new_tuple = tuple.__new__  # builds a TraceRecord without its Python-level __new__
 
 
 class TerminationReport(NamedTuple):
@@ -101,7 +98,7 @@ class ReactionContext:
     raises is logged here and folded at the level barrier."""
 
     __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
-                 "_fx_log", "_sched_log", "_ident", "_exc")
+                 "_fx_log", "_sched_log", "_ev_log", "_rx", "_exc")
 
     def __init__(self, rt, reaction):
         self._rt = rt
@@ -114,16 +111,19 @@ class ReactionContext:
         self.tag = None  # the running tag
         self.state = reaction.owner.state
         # Logs, each only where a declared effect can fill it: the channels
-        # made present, each set's (label, digest) when traced, and the
-        # (tag, action, value) schedules.
+        # made present and the (tag, action, value) schedules, and when
+        # traced, the text of each set ("label:digest") and of each schedule
+        # ("label@time.microstep").
+        tr = rt._tr
         sets = any(isinstance(e, Port) for e in reaction.effects)
+        schedules = any(isinstance(e, Action) for e in reaction.effects)
         self._set_log: list[int] | None = [] if sets else None
-        self._fx_log: list[tuple] | None = [] if sets and rt._records is not None else None
-        self._sched_log: list[tuple] | None = (
-            [] if any(isinstance(e, Action) for e in reaction.effects) else None)
-        # (level, reactor path, index) of this reaction's trace records
-        self._ident = ((reaction.level, reaction.owner.name, reaction.index)
-                       if rt._records is not None else None)
+        self._sched_log: list[tuple] | None = [] if schedules else None
+        self._fx_log: list[str] | None = [] if sets and tr is not None else None
+        self._ev_log: list[str] | None = [] if schedules and tr is not None else None
+        # what follows the tag prefix in this reaction's trace lines
+        self._rx = (tr.reaction_prefix(reaction.owner.name, reaction.index)
+                    if tr is not None else None)
         self._exc: BaseException | None = None  # what the body raised
 
     def _slot(self, target, index, declared: dict, misuse: str) -> int:
@@ -161,7 +161,7 @@ class ReactionContext:
             raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
         rt._set_output_channel(slot, value, self._set_log)
         if self._fx_log is not None:
-            self._fx_log.append((rt._labels[slot], value_digest(value)))
+            self._fx_log.append(rt._slot_part[slot] + rt._tr.value_digest(value))
 
     def get(self, target, index: int | None = None):
         """Value of a declared trigger at the current tag, or None if absent."""
@@ -201,6 +201,8 @@ class ReactionContext:
         else:
             g = Tag(cur.time, cur.microstep + 1)
         self._sched_log.append((g, action, value))
+        if self._ev_log is not None:
+            self._ev_log.append(self._rt._slot_part[action.base] % g)
         return g
 
     def request_stop(self) -> None:
@@ -271,13 +273,19 @@ class Environment:
         self._reactions_run = 0
         self._epoch = 0
 
-        # when traced: this tag's records, and earlier tags' in canonical order
-        self._tag_records: list[TraceRecord] | None = [] if trace else None
-        self._records: list[TraceRecord] | None = [] if trace else None
-        if trace:  # trace label of each slot
-            self._labels = ([PortChannel(p, i).label()
-                             for p in topology.ports for i in range(p.width)]
-                            + [t.label() for t in (*topology.timers, *topology.actions)])
+        # Traced runs only: the trace module, which owns the line format, the
+        # run's canonical lines so far, and the parts they are composed of:
+        # the running tag's prefix and each slot's part; and each reaction's
+        # rank in the canonical order of one tag's lines.
+        self._tr = None
+        self._lines: list[str] | None = None
+        if trace:
+            from . import trace as tr  # an untraced run never loads it
+            self._tr = tr
+            self._lines = []
+            self._tag_prefix = ""
+            self._slot_part = tr.slot_parts(topology)
+            self._rank = tr.canonical_ranks(topology)
         self._ctxs = [ReactionContext(self, r) for r in topology.reactions]  # by rid
 
     def _now(self) -> int:
@@ -338,19 +346,18 @@ class Environment:
                 set_log.append(dst)
 
     def _fold(self) -> None:
-        """Fold and empty the bucket that just ran: record the channels its
-        contexts made present and stage the reactions those ports trigger,
-        collect their logical schedules for the tag advance, trace each
-        reaction that completed, and record the failure of the first
-        declared (lowest rid) reaction that raised. Coordinator only. Bucket
-        order cannot matter: a level holds at most one reaction per reactor,
-        so no two contexts schedule the same action, and a tag's records are
-        sorted when it closes."""
+        """Fold and empty the bucket that just ran: trace each reaction that
+        completed, record the channels its contexts made present and stage
+        the reactions those ports trigger, collect their logical schedules
+        for the tag advance, and record the failure of the first declared
+        (lowest rid) reaction that raised. Coordinator only. Bucket order
+        cannot matter: a level holds at most one reaction per reactor, so no
+        two contexts schedule the same action, and the trace puts a level's
+        lines in canonical order itself."""
         topo, touched, ctxs = self.topology, self._touched, self._ctxs
-        records = self._tag_records
-        if records is not None:
-            record, labels = records.append, self._labels
         bucket = self._bucket
+        if self._tr is not None:
+            self._trace_level(bucket)
         failed = None
         for rid in bucket:
             ctx = ctxs[rid]
@@ -368,16 +375,6 @@ class Environment:
                 log.clear()
             sched = ctx._sched_log
             exc = ctx._exc
-            if records is not None:
-                fx = ctx._fx_log
-                if exc is None:  # a body that raised leaves no trace record
-                    level, path, index = ctx._ident
-                    record(_new_tuple(TraceRecord, (
-                        ctx.tag, level, path, index, tuple(fx) if fx else (),
-                        tuple([(labels[action.base], g) for g, action, _ in sched])
-                        if sched else ())))
-                if fx:
-                    fx.clear()
             if sched:
                 self._schedules += sched
                 sched.clear()
@@ -389,6 +386,24 @@ class Environment:
             with self._evlock:  # an interrupt recorded by _terminate comes first
                 if self._failure is None:
                     self._failure = (ctx._reaction, ctx._exc)
+
+    def _trace_level(self, bucket: dict) -> None:
+        """Append the canonical line of each reaction of the bucket that
+        completed, in canonical order: levels are folded in ascending order,
+        so sorting one level's reactions by their rank orders the tag's
+        lines by (level, reactor path, index)."""
+        ctxs, append = self._ctxs, self._lines.append
+        tag, sep = self._tag_prefix, self._tr.SCHED
+        for rid in sorted(bucket, key=self._rank.__getitem__) if len(bucket) > 1 else bucket:
+            ctx = ctxs[rid]
+            fx, ev = ctx._fx_log, ctx._ev_log
+            if ctx._exc is None:  # a body that raised leaves no line
+                append(tag + ctx._rx + (",".join(fx) if fx else "") + sep
+                       + (",".join(ev) if ev else ""))
+            if fx:
+                fx.clear()
+            if ev:
+                ev.clear()
 
     def _stage(self, rid: int) -> None:
         lvl = self.apg.level[rid]
@@ -440,6 +455,8 @@ class Environment:
             self._current_tag = g
             shutdown_now = g == self._stop_tag
 
+        if self._tr is not None:
+            self._tag_prefix = self._tr.tag_prefix(g)
         self._current_level = -1
         if trigmap:
             self._events_processed += len(trigmap)
@@ -462,12 +479,6 @@ class Environment:
             self._present[slot] = 0
         self._live.clear()
         self._touched.clear()
-        records = self._tag_records
-        if records:
-            if len(records) > 1:
-                records.sort(key=_canonical_order)
-            self._records += records
-            records.clear()
 
     # -- worker protocol ----------------------------------------------------
 
@@ -584,10 +595,11 @@ class Environment:
                 t.join()
         duration = time.perf_counter_ns() - t0
 
-        if self._records is not None:
-            self._finish_tag()  # closes a tag that an interrupt left open
-            self.trace = Trace(header={"program": topo.name, "workers": self.workers},
-                               records=tuple(self._records))
+        if self._tr is not None:
+            self.trace = self._tr.Trace(
+                header={"program": topo.name, "workers": self.workers},
+                lines=tuple(self._lines),
+                levels={ctx._rx: ctx._reaction.level for ctx in self._ctxs})
         if self._failure is not None:
             reaction, exc = self._failure
             if not isinstance(exc, Exception):

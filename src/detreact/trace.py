@@ -1,14 +1,23 @@
 """Canonical execution traces.
 
-A trace records, for every executed reaction, the tag, the reactor path and
-lexical index, the ports it set (as value digests, not values) and the events
-it scheduled. Records within one tag are sorted by (level, reactor path,
-lexical index), so the physical interleaving of workers never shows through:
-two runs are behaviorally identical exactly when their trace digests match.
-
-Text form, one record per line:
+A trace is text: one line for every executed reaction, giving the tag, the
+reactor path and lexical index, the ports it set (as value digests, not
+values) and the events it scheduled. Lines within one tag are ordered by
+(level, reactor path, lexical index), so the physical interleaving of
+workers never shows through: two runs are behaviorally identical exactly
+when their trace digests match.
 
     TAG=<time_ns>.<microstep> RX=<reactor-path>.<index> FX=<port:digest,...> SCHED=<action@time_ns.microstep,...>
+
+This module is the one place that knows that format. A traced run composes
+each completed reaction's line from parts computed once: a prefix per tag
+(:func:`tag_prefix`) and per reaction (:func:`reaction_prefix`), and a part
+per slot (:func:`slot_parts`) for each value it sets and event it
+schedules; :data:`SCHED` separates the two lists. The lines are the trace;
+:attr:`Trace.records` is a parsed view of them as :class:`TraceRecord` s,
+built on access. A traced run keeps no GC-tracked object per line; on the
+benchmark's micro-w1 workload (2-vCPU VM, Python 3.11) it costs about 1.5x
+the plain run, digest included.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
@@ -25,8 +34,11 @@ import functools
 import hashlib
 import operator
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from .core import PortChannel, ReactorTopology, Tag
 
 _blake2b = hashlib.blake2b
 
@@ -117,7 +129,7 @@ def value_digest(v) -> str:
 
 
 class TraceRecord(NamedTuple):
-    tag: tuple  # (time_ns, microstep): the runtime stores the running Tag
+    tag: tuple  # (time_ns, microstep), a Tag
     level: int
     reactor_path: str
     reaction_index: int
@@ -132,25 +144,125 @@ class TraceRecord(NamedTuple):
             ",".join([f"{a}@{t}.{m}" for a, (t, m) in sched]) if sched else "")
 
 
-#: the order of records within one tag: (level, reactor_path, reaction_index)
-_canonical_order = operator.itemgetter(1, 2, 3)
+# -- the parts of a line -----------------------------------------------------
+
+#: A completed reaction's line is its tag prefix, its reaction prefix, its
+#: effects joined by ",", this separator and its scheduled events joined by ",".
+SCHED = " SCHED="
+
+
+def tag_prefix(tag) -> str:
+    """``TAG=<time_ns>.<microstep>``, how every line of one tag starts."""
+    return "TAG=%s.%s" % tag
+
+
+def reaction_prefix(path: str, index: int) -> str:
+    """`` RX=<path>.<index> FX=``, what follows the tag prefix in every line
+    of one reaction; the effects come next."""
+    return " RX=%s.%s FX=" % (path, index)
+
+
+def slot_parts(topology: ReactorTopology) -> list[str]:
+    """For every slot of the topology, the part of a line it writes: for a
+    port channel, the prefix of a value digest (``<label>:``); for a timer
+    or an action, the format that a scheduled tag fills
+    (``<label>@%s.%s``)."""
+    return ([PortChannel(p, i).label() + ":" for p in topology.ports for i in range(p.width)]
+            + [t.label().replace("%", "%%") + "@%s.%s"
+               for t in (*topology.timers, *topology.actions)])
+
+
+def canonical_ranks(topology: ReactorTopology) -> list[int]:
+    """For every reaction (by rid), its rank in (level, reactor path, index)
+    order: the order of the lines of one tag."""
+    rank = [0] * len(topology.reactions)
+    order = sorted(topology.reactions, key=lambda r: (r.level, r.owner.name, r.index))
+    for n, r in enumerate(order):
+        rank[r.rid] = n
+    return rank
+
+
+def _parse(line: str, levels: dict) -> TraceRecord:
+    # Every search but the first splits at the first separator after the
+    # previous field, and every field splits from the right, so names may
+    # hold ".", ":", "@" and spaces.
+    i = line.index(" RX=")
+    j = line.index(" FX=", i) + 4
+    k = line.index(" SCHED=", j)
+    time_ns, _, microstep = line[4:i].partition(".")
+    path, _, index = line[i + 4:j - 4].rpartition(".")
+    fx, sched = line[j:k], line[k + 7:]
+    return TraceRecord(
+        Tag(int(time_ns), int(microstep)), levels[line[i:j]], path, int(index),
+        tuple([tuple(part.rsplit(":", 1)) for part in fx.split(",")]) if fx else (),
+        tuple([_parse_event(part) for part in sched.split(",")]) if sched else ())
+
+
+def _parse_event(part: str) -> tuple:
+    label, _, at = part.rpartition("@")
+    time_ns, _, microstep = at.partition(".")
+    return label, Tag(int(time_ns), int(microstep))
+
+
+class TraceRecords(Sequence):
+    """Read-only view of a trace's lines as :class:`TraceRecord` s. A record
+    is parsed when it is accessed and is not kept; ``len()`` parses
+    nothing. The view equals any sequence of the same records, so an empty
+    view equals ``()``."""
+
+    __slots__ = ("_lines", "_levels")
+
+    def __init__(self, lines: tuple, levels: dict):
+        self._lines = lines
+        self._levels = levels
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple([_parse(line, self._levels) for line in self._lines[i]])
+        return _parse(self._lines[i], self._levels)
+
+    def __iter__(self):
+        levels = self._levels
+        for line in self._lines:
+            yield _parse(line, levels)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TraceRecords, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Finalized trace. The digest covers the canonical record serialization;
-    the header (program name, parameters, worker count) is carried for human
-    consumption and deliberately excluded, so runs that differ only in worker
-    count can compare equal."""
+    """Finalized trace: its canonical lines, without line ends. The digest
+    covers the canonical text; the header (program name, parameters, worker
+    count) is carried for human consumption and deliberately excluded, so
+    runs that differ only in worker count can compare equal."""
 
     header: dict
-    records: tuple
+    lines: tuple
+    #: the level of each reaction, keyed by its reaction prefix
+    levels: dict = field(repr=False)
 
-    def canonical_bytes(self) -> bytes:
-        return "".join([r.to_line() + "\n" for r in self.records]).encode("utf-8")
+    @property
+    def records(self) -> TraceRecords:
+        """The lines as :class:`TraceRecord` s, each parsed when accessed.
+        The view is exact whenever the canonical text is unambiguous: no
+        label holds a ``,``, and no name holds `` FX=`` or `` SCHED=``. Then
+        ``record.to_line()`` gives back the line it was parsed from, and
+        ``record.level`` is its reaction's level."""
+        return TraceRecords(self.lines, self.levels)
 
     def to_text(self) -> str:
-        return self.canonical_bytes().decode("utf-8")
+        return "\n".join((*self.lines, ""))
+
+    def canonical_bytes(self) -> bytes:
+        return self.to_text().encode("utf-8")
 
 
 def trace_digest(trace: Trace) -> int:

@@ -1,10 +1,14 @@
 """CLI contract: flags, exit codes, CSV schema, trace files."""
 
 import re
+import threading
 
 from click.testing import CliRunner
 
+from detreact import MSEC, Builder
+from detreact.bench import BenchmarkInstance, BenchmarkSpec, registry
 from detreact.cli import main
+from detreact.trace import diff
 
 
 def invoke(*args, env=None):
@@ -88,6 +92,40 @@ def test_worker_sweep_traces_identical(tmp_path):
     assert len(contents) == 1, "trace files differ across worker counts"
     digests = re.findall(r"trace digest ([0-9a-f]{16})", result.output)
     assert len(set(digests)) == 1 and len(digests) == 4
+
+
+def test_sweep_names_the_first_divergent_record(tmp_path, monkeypatch):
+    # A body that reads how many threads are alive: the run's own workers
+    # make that one more at workers=2 than at workers=1, so the traces part
+    # at the first tick, whatever the OS schedules.
+    def build(params):
+        b = Builder("threads")
+        r = b.reactor("r")
+        t = r.timer("t", offset=0, period=MSEC)
+        out = r.output("out")
+        r.state.n = 0
+
+        def tick(ctx):
+            ctx.state.n += 1
+            ctx.set(out, threading.active_count())
+            if ctx.state.n == 3:
+                ctx.request_stop()
+
+        r.reaction(t, effects=[out], body=tick)
+        return BenchmarkInstance(b.build(), lambda report: None)
+
+    spec = BenchmarkSpec(name="ThreadCount", title="Thread Count", group="micro",
+                         defaults={}, build=build)
+    monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+    result = invoke("-b", "ThreadCount", "--workers", "1,2", "--iterations", "2",
+                    "--warmup", "1", "--trace", str(tmp_path))
+    assert result.exit_code == 1, result.output
+    a, b = ((tmp_path / f"ThreadCount_w{w}.trace").read_text().splitlines() for w in (1, 2))
+    report = diff(a, b)
+    assert report[0] == "first difference at line 1"
+    assert "FAIL: trace differs from workers=1" in result.output
+    for line in report:
+        assert line in result.output
 
 
 def test_validator_failure_exit_1():

@@ -1,6 +1,7 @@
 """Trace canonicalization, digests, and the text format."""
 
 import enum
+import gc
 import hashlib
 import os
 import re
@@ -12,8 +13,11 @@ import pytest
 
 from detreact import (MSEC, SEC, Builder, Environment, ExecutionError, TraceRecord,
                       trace_digest, value_digest)
+from detreact import trace as trace_module
+from detreact.bench import get_benchmark, list_benchmarks, run_once
 from detreact.trace import _encode_value, diff
 from programs import jittered, two_user_bank
+from test_bench import small_params
 
 
 def traced_run(topology, workers=1, **kwargs):
@@ -353,6 +357,9 @@ def test_diff_command(tmp_path):
     assert same.stdout.strip() == "identical: 8 records"
     differ = run(a, b)
     assert differ.returncode == 1, differ.stderr
+    # importing the package does not load detreact.trace before it runs as
+    # __main__, so Python has nothing to warn about
+    assert same.stderr == differ.stderr == ""
     lines = differ.stdout.splitlines()
     assert lines[:3] == [f"--- {a}", f"+++ {b}", "first difference at line 5"]
     assert f"- 5: {_counter_trace().splitlines()[4]}" in lines
@@ -368,3 +375,98 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# -- the lines are the trace, the records a parsed view -----------------------
+
+
+def _round_trips(trace, report):
+    assert "".join(r.to_line() + "\n" for r in trace.records).encode() == trace.canonical_bytes()
+    assert len(trace.records) == len(trace.lines) == report.reactions
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", [spec.name for spec in list_benchmarks()])
+def test_records_view_round_trips(name, workers):
+    spec = get_benchmark(name)
+    _, env, report = run_once(spec, small_params(spec), workers=workers, trace=True)
+    _round_trips(env.trace, report)
+
+
+def _odd_names_program():
+    # Names holding ".", ":", "@" and spaces, in reactors, ports, a
+    # multiport, an action and a timer; "sink @1.2" reads at level 1.
+    b = Builder()
+    src = b.reactor("src.a:1 @b")
+    t = src.timer("t.x @0:1", offset=0, period=MSEC)
+    out = src.output("out:v.1@ w", width=2)
+    act = src.action("act@2.3: %s z")
+    src.state.n = 0
+
+    def tick(ctx):
+        ctx.state.n += 1
+        ctx.set(out, ctx.state.n, index=0)
+        ctx.set(out[1], f"x:{ctx.state.n}@")
+        ctx.schedule(act, None, delay=MSEC // 2)
+        if ctx.state.n == 3:
+            ctx.request_stop()
+
+    src.reaction(t, effects=[out, act], body=tick)
+    src.reaction(act, body=lambda ctx: None)
+    sink = b.reactor("sink @1.2")
+    inp = sink.input("in. @:", width=2)
+    sink.reaction(inp, body=lambda ctx: list(ctx.present(inp)))
+    b.connect(out, inp)
+    return b.build()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_records_view_parses_names_from_the_right(workers):
+    env = Environment(_odd_names_program(), workers=workers, fast=True, trace=True)
+    report = env.run()
+    trace = env.trace
+    _round_trips(trace, report)
+    first, second = trace.records[:2]
+    assert first == TraceRecord(
+        (0, 0), 0, "src.a:1 @b", 1,
+        (("src.a:1 @b.out:v.1@ w[0]", value_digest(1)),
+         ("src.a:1 @b.out:v.1@ w[1]", value_digest("x:1@"))),
+        (("src.a:1 @b.act@2.3: %s z", (MSEC // 2, 0)),))
+    assert (second.tag, second.level, second.reactor_path, second.reaction_index) == (
+        (0, 0), 1, "sink @1.2", 1)
+
+
+def test_records_are_parsed_on_access(monkeypatch):
+    topo, _ = two_user_bank()
+    trace, _ = traced_run(topo)
+    records = trace.records
+    assert records[0] == records[0] and records[0] is not records[0]  # built, not kept
+    assert list(records[1:3]) == [records[1], records[2]]
+    assert records == tuple(records) and records != records[:-1]
+    calls = []
+    parse = trace_module._parse
+    monkeypatch.setattr(trace_module, "_parse", lambda *args: calls.append(args) or parse(*args))
+    assert len(records) == 4 and calls == []  # len() parses nothing
+    assert records[-1].reactor_path == "account" and len(calls) == 1
+
+
+def _tracked_objects_left(count):
+    spec = get_benchmark("CountingActor")
+    gc.collect()
+    before = len(gc.get_objects())
+    env = Environment(spec.build(spec.resolve_params({"count": count})).topology,
+                      fast=True, trace=True)
+    env.run()
+    trace = env.trace
+    del env
+    gc.collect()
+    left = len(gc.get_objects()) - before
+    assert len(trace.records) == 2 * count + 3
+    return left
+
+
+def test_a_trace_keeps_no_gc_tracked_object_per_record():
+    # A line is a str, which the cycle collector never tracks: holding a
+    # trace of 8003 records keeps no more tracked objects than one of 2003.
+    _tracked_objects_left(10)  # warm up imports and caches
+    assert _tracked_objects_left(4000) - _tracked_objects_left(1000) < 50
