@@ -79,6 +79,8 @@ def run_benchmark(spec: BenchmarkSpec, params: dict | None = None, workers: int 
         raise ValueError("workers must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     if not warmup < iterations:
         raise ValueError(f"warmup ({warmup}) must be smaller than iterations ({iterations})")
     resolved = spec.resolve_params(params)

@@ -13,6 +13,7 @@ moving the clock.
 
 from __future__ import annotations
 
+import operator
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -34,6 +35,15 @@ class Tag(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.time}, {self.microstep})"
+
+
+def as_time(value, error: type[Exception], what: str) -> int:
+    """Return ``value`` as an int: logical time is integer nanoseconds, so
+    anything that is not an integer (numpy integers are) raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be integer nanoseconds, got {value!r}") from None
 
 
 def checked_time_add(a: int, b: int) -> int:
@@ -211,6 +221,9 @@ class ReactorInstance:
     def timer(self, name: str, offset: int = 0, period: int | None = None) -> Timer:
         self.builder._check_open()
         self._claim_name(name)
+        offset = as_time(offset, CompositionError, f"timer {self.name}.{name}: offset")
+        if period is not None:
+            period = as_time(period, CompositionError, f"timer {self.name}.{name}: period")
         if offset < 0:
             raise CompositionError(f"timer {self.name}.{name}: negative offset")
         if period is not None and period <= 0:
@@ -231,6 +244,7 @@ class ReactorInstance:
     def _action(self, name, physical, min_delay) -> Action:
         self.builder._check_open()
         self._claim_name(name)
+        min_delay = as_time(min_delay, CompositionError, f"action {self.name}.{name}: min_delay")
         if min_delay < 0:
             raise CompositionError(f"action {self.name}.{name}: negative min_delay")
         action = Action(self, name, physical, min_delay)

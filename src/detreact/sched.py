@@ -46,7 +46,7 @@ import time
 from typing import NamedTuple
 
 from .core import (SHUTDOWN, STARTUP, Action, Port, PortChannel, ReactorTopology, Tag,
-                   Timer, checked_time_add)
+                   Timer, as_time, checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
 
@@ -192,6 +192,8 @@ class ReactionContext:
             label = action.label() if isinstance(action, Action) else repr(action)
             raise ContractViolationError(
                 f"{self._reaction.label()} schedules undeclared action {label}")
+        if type(delay) is not int:
+            delay = as_time(delay, ContractViolationError, f"{self._reaction.label()}: delay")
         if delay < 0:
             raise ContractViolationError(f"{self._reaction.label()}: negative delay")
         total = checked_time_add(delay, action.min_delay)
@@ -226,8 +228,10 @@ class Environment:
                  stop_time: int | None = None, trace: bool = False):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if stop_time is not None and stop_time < 0:
-            raise ValueError("stop_time must be a non-negative nanosecond value")
+        if stop_time is not None:
+            stop_time = as_time(stop_time, ValueError, "stop_time")
+            if stop_time < 0:
+                raise ValueError("stop_time must be a non-negative nanosecond value")
         self.topology = topology
         self.apg = build_precedence_graph(topology)
         self.workers = workers

@@ -309,14 +309,12 @@ def test_criterion_10_measurement_methodology(tmp_path):
         assert len(stats.samples_ms) == 30
         assert stats.ci99_ms >= 0.0
 
-        from click.testing import CliRunner
-
         from detreact.cli import main
         csv_path = tmp_path / "method.csv"
-        result = CliRunner().invoke(main, [
+        exit_code = main([
             "-b", "PingPong", "--workers", "1", "--iterations", "32",
             "--warmup", "2", "--param", "messages=5", "--csv", str(csv_path)])
-        assert result.exit_code == 0, result.output
+        assert exit_code == 0
         lines = csv_path.read_text().splitlines()
         import re
         iteration_rows = [ln for ln in lines

@@ -117,6 +117,12 @@ def test_warmup_must_be_smaller_than_iterations():
         run_benchmark(spec, {"messages": 5}, iterations=2, warmup=2)
 
 
+def test_warmup_must_not_be_negative():
+    spec = get_benchmark("PingPong")
+    with pytest.raises(ValueError, match="warmup"):
+        run_benchmark(spec, {"messages": 5}, iterations=4, warmup=-1)
+
+
 def test_validator_failure_aborts():
     def build(params):
         from detreact import Builder

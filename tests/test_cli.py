@@ -1,9 +1,14 @@
 """CLI contract: flags, exit codes, CSV schema, trace files."""
 
+import io
+import os
 import re
 import threading
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+from unittest import mock
 
-from click.testing import CliRunner
+import pytest
 
 from detreact import MSEC, Builder
 from detreact.bench import BenchmarkInstance, BenchmarkSpec, registry
@@ -12,17 +17,25 @@ from detreact.trace import diff
 
 
 def invoke(*args, env=None):
-    return CliRunner().invoke(main, list(args), env=env, catch_exceptions=False)
+    """Run ``main(args)`` with stdout and stderr captured together; a usage
+    error leaves through argparse's ``SystemExit``."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(out):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code, output=out.getvalue())
 
 
 def test_no_arguments_prints_usage_exit_2():
     result = invoke()
     assert result.exit_code == 2
-    assert "Usage:" in result.output
+    assert "usage:" in result.output
 
 
 def test_unknown_flag_exit_2():
-    result = CliRunner().invoke(main, ["--frobnicate"])
+    result = invoke("--frobnicate")
     assert result.exit_code == 2
 
 
@@ -152,3 +165,29 @@ def test_bad_workers_value_exit_2():
 def test_warmup_not_below_iterations_exit_2():
     result = invoke("-b", "PingPong", "--iterations", "2", "--warmup", "2")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, named", [
+    (("--iterations", "4", "--warmup", "-1"), "--warmup"),
+    (("--iterations", "-1", "--warmup", "-3"), "--iterations"),
+    (("--param", "messages=10.9"), "messages=10.9"),
+    (("--param", "messages=x"), "messages=x"),
+], ids=["negative-warmup", "negative-iterations", "fractional-param", "non-numeric-param"])
+def test_malformed_number_exit_2(args, named):
+    result = invoke("-b", "PingPong", *args)
+    assert result.exit_code == 2
+    assert named in result.output
+
+
+def test_trace_naming_a_file_exit_2(tmp_path):
+    existing = tmp_path / "file.trace"
+    existing.write_text("")
+    result = invoke("-b", "PingPong", "--trace", str(existing))
+    assert result.exit_code == 2
+    assert "--trace" in result.output
+
+
+def test_csv_naming_a_directory_exit_2(tmp_path):
+    result = invoke("-b", "PingPong", "--csv", str(tmp_path))
+    assert result.exit_code == 2
+    assert "--csv" in result.output

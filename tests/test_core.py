@@ -444,6 +444,60 @@ def test_min_delay_applies():
     assert r.state.got == Tag(1 * SEC, 0)
 
 
+def test_fractional_delay_rejected():
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t")
+    act = r.action("a")
+    r.reaction(t, effects=[act], body=lambda ctx: ctx.schedule(act, delay=0.5))
+    r.reaction(act, body=lambda ctx: None)
+
+    with pytest.raises(ExecutionError, match="r.1") as exc_info:
+        run_env(b.build())
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, ContractViolationError)
+    assert "r.1: delay must be integer nanoseconds" in str(cause)
+
+
+def test_numpy_integer_times_accepted():
+    np = pytest.importorskip("numpy")
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t", offset=np.int64(MSEC), period=np.int32(MSEC))
+    act = r.action("a", min_delay=np.int64(MSEC))
+    r.state.tags = []
+
+    @r.reaction(t, effects=[act])
+    def _(ctx):
+        g = ctx.schedule(act, delay=np.int64(1))
+        assert type(g.time) is int
+
+    @r.reaction(act)
+    def _(ctx):
+        ctx.state.tags.append(ctx.tag)
+
+    run_env(b.build(), stop_time=np.int64(3 * MSEC))
+    assert r.state.tags == [Tag(2 * MSEC + 1, 0)]
+
+
+@pytest.mark.parametrize("declare, what", [
+    (lambda r: r.timer("t", offset=0.5), "timer r.t: offset"),
+    (lambda r: r.timer("t", period=1.0), "timer r.t: period"),
+    (lambda r: r.action("a", min_delay=0.5), "action r.a: min_delay"),
+], ids=["offset", "period", "min_delay"])
+def test_fractional_composition_times_rejected(declare, what):
+    r = Builder().reactor("r")
+    with pytest.raises(CompositionError, match=f"{what} must be integer nanoseconds"):
+        declare(r)
+
+
+def test_fractional_stop_time_rejected():
+    b = Builder()
+    b.reactor("r").timer("t")
+    with pytest.raises(ValueError, match="stop_time must be integer nanoseconds"):
+        Environment(b.build(), stop_time=0.5)
+
+
 def test_schedule_physical_action_via_logical_op_rejected():
     b = Builder()
     r = b.reactor("r")
