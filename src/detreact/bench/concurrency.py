@@ -13,8 +13,7 @@ from collections import deque
 from ..core import STARTUP, Builder
 from ..patterns import bank, connect
 from .lcg import Lcg64
-from .registry import (GROUP_CONCURRENCY, BenchmarkInstance, BenchmarkSpec,
-                       check, register)
+from .registry import GROUP_CONCURRENCY, BenchmarkInstance, check, register
 
 
 def _dictionary_ops(seed: int, worker: int, ops: int, write_percent: int, keys: int):
@@ -28,17 +27,14 @@ def _dictionary_ops(seed: int, worker: int, ops: int, write_percent: int, keys: 
     return out
 
 
-def _build_concurrent_dictionary(params: dict) -> BenchmarkInstance:
-    k = int(params["workers"])
-    ops = int(params["ops"])
-    write_percent = int(params["write_percent"])
-    keys = int(params["keys"])
-    seed = int(params["seed"])
+@register("ConcurrentDictionary", "Concurrent Dictionary", GROUP_CONCURRENCY)
+def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
+                                 seed=1) -> BenchmarkInstance:
     b = Builder("ConcurrentDictionary")
 
     store = b.reactor("store")
-    req_in = store.input("req", width=k)
-    resp_out = store.output("resp", width=k)
+    req_in = store.input("req", width=workers)
+    resp_out = store.output("resp", width=workers)
     store.state.table = {}
 
     @store.reaction(req_in, effects=[resp_out])
@@ -52,7 +48,7 @@ def _build_concurrent_dictionary(params: dict) -> BenchmarkInstance:
             else:
                 ctx.set(resp_out, table.get(key, 0), index=i)
 
-    all_ops = [_dictionary_ops(seed, i, ops, write_percent, keys) for i in range(k)]
+    all_ops = [_dictionary_ops(seed, i, ops, write_percent, keys) for i in range(workers)]
 
     def member(r, bank_index):
         out = r.output("req")
@@ -76,29 +72,29 @@ def _build_concurrent_dictionary(params: dict) -> BenchmarkInstance:
             else:
                 ctx.set(done, True)
 
-    workers = bank(b, "worker", k, member)
+    worker_bank = bank(b, "worker", workers, member)
     sink = b.reactor("sink")
-    done_in = sink.input("done", width=k)
+    done_in = sink.input("done", width=workers)
     sink.state.done = 0
 
     @sink.reaction(done_in)
     def _collect(ctx):
         for _i, _ in ctx.present(done_in):
             ctx.state.done += 1
-        if ctx.state.done == k:
+        if ctx.state.done == workers:
             ctx.request_stop()
 
-    connect(workers.port("req"), req_in)
-    connect(resp_out, workers.port("resp"))
-    connect(workers.port("done"), done_in)
+    connect(worker_bank.port("req"), req_in)
+    connect(resp_out, worker_bank.port("resp"))
+    connect(worker_bank.port("done"), done_in)
     topo = b.build()
 
     # Oracle: workers submit in lockstep rounds; the store serves each round
     # in ascending worker index.
     expected_table = {}
-    expected_check = [0] * k
+    expected_check = [0] * workers
     for rnd in range(ops):
-        for i in range(k):
+        for i in range(workers):
             kind, key, value = all_ops[i][rnd]
             if kind == "w":
                 expected_table[key] = value
@@ -109,17 +105,15 @@ def _build_concurrent_dictionary(params: dict) -> BenchmarkInstance:
 
     def validate(report):
         check(store.state.table == expected_table, "dictionary contents diverge from oracle")
-        for i, w in enumerate(workers.members):
+        for i, w in enumerate(worker_bank.members):
             check(w.state.check == expected_check[i], f"worker {i} reply checksum mismatch")
-        check(sink.state.done == k, "missing completions")
+        check(sink.state.done == workers, "missing completions")
 
     return BenchmarkInstance(topo, validate)
 
 
-def _build_sleeping_barber(params: dict) -> BenchmarkInstance:
-    customers = int(params["customers"])
-    capacity = int(params["capacity"])
-    seed = int(params["seed"])
+@register("SleepingBarber", "Sleeping Barber", GROUP_CONCURRENCY)
+def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstance:
     b = Builder("SleepingBarber")
     arrival_rng = Lcg64(seed * 69697)
     gaps = [1 + arrival_rng.next_below(3) for _ in range(customers)]
@@ -214,9 +208,8 @@ def _build_sleeping_barber(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_cigarette_smokers(params: dict) -> BenchmarkInstance:
-    rounds = int(params["rounds"])
-    seed = int(params["seed"])
+@register("CigaretteSmokers", "Cigarette Smokers", GROUP_CONCURRENCY)
+def _build_cigarette_smokers(rounds=1500, seed=1) -> BenchmarkInstance:
     b = Builder("CigaretteSmokers")
     rng = Lcg64(seed * 31337)
     picks = [rng.next_below(3) for _ in range(rounds)]
@@ -271,16 +264,15 @@ def _build_cigarette_smokers(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_dining_philosophers(params: dict) -> BenchmarkInstance:
-    n = int(params["philosophers"])
-    rounds = int(params["eat_rounds"])
-    if n < 2:
+@register("DiningPhilosophers", "Dining Philosophers", GROUP_CONCURRENCY)
+def _build_dining_philosophers(philosophers=20, eat_rounds=50) -> BenchmarkInstance:
+    if philosophers < 2:
         raise ValueError("DiningPhilosophers needs at least 2 philosophers")
     b = Builder("DiningPhilosophers")
 
     arbiter = b.reactor("arbiter")
-    req_in = arbiter.input("req", width=n)
-    grant_out = arbiter.output("grant", width=n)
+    req_in = arbiter.input("req", width=philosophers)
+    grant_out = arbiter.output("grant", width=philosophers)
     arbiter.state.granted_total = 0
     arbiter.state.done = 0
     arbiter.state.rotation = 0
@@ -293,15 +285,15 @@ def _build_dining_philosophers(params: dict) -> BenchmarkInstance:
                 ctx.state.done += 1
             else:
                 hungry.append(i)
-        if ctx.state.done == n:
+        if ctx.state.done == philosophers:
             ctx.request_stop()
         if not hungry:
             return
-        start = ctx.state.rotation % n
+        start = ctx.state.rotation % philosophers
         ctx.state.rotation += 1
-        forks = [False] * n
-        for i in sorted(hungry, key=lambda i: (i - start) % n):
-            left, right = i, (i + 1) % n
+        forks = [False] * philosophers
+        for i in sorted(hungry, key=lambda i: (i - start) % philosophers):
+            left, right = i, (i + 1) % philosophers
             if not forks[left] and not forks[right]:
                 forks[left] = forks[right] = True
                 ctx.state.granted_total += 1
@@ -319,7 +311,7 @@ def _build_dining_philosophers(params: dict) -> BenchmarkInstance:
 
         @r.reaction(STARTUP, retry, effects=[req_out])
         def _ask(ctx):
-            if ctx.state.eats < rounds:
+            if ctx.state.eats < eat_rounds:
                 ctx.set(req_out, "hungry")
             elif not ctx.state.done_sent:
                 ctx.state.done_sent = True
@@ -333,30 +325,26 @@ def _build_dining_philosophers(params: dict) -> BenchmarkInstance:
                 ctx.state.denied += 1
             ctx.schedule(retry)
 
-    phils = bank(b, "philosopher", n, philosopher)
+    phils = bank(b, "philosopher", philosophers, philosopher)
     connect(phils.port("req"), req_in)
     connect(grant_out, phils.port("grant"))
     topo = b.build()
 
     def validate(report):
         for i, p in enumerate(phils.members):
-            check(p.state.eats == rounds,
-                  f"philosopher {i} ate {p.state.eats} times, expected {rounds}")
-        check(arbiter.state.granted_total == n * rounds,
-              f"grants {arbiter.state.granted_total} != {n * rounds}")
-        check(arbiter.state.done == n, "a philosopher starved (never reported done)")
+            check(p.state.eats == eat_rounds,
+                  f"philosopher {i} ate {p.state.eats} times, expected {eat_rounds}")
+        check(arbiter.state.granted_total == philosophers * eat_rounds,
+              f"grants {arbiter.state.granted_total} != {philosophers * eat_rounds}")
+        check(arbiter.state.done == philosophers, "a philosopher starved (never reported done)")
 
     return BenchmarkInstance(topo, validate)
 
 
-def _build_bank_transaction(params: dict) -> BenchmarkInstance:
-    n = int(params["accounts"])
-    rounds = int(params["rounds"])
-    batch = int(params["batch"])
-    initial = int(params["initial"])
-    seed = int(params["seed"])
-    record = bool(params["record"])
-    if n < 2:
+@register("BankTransaction", "Bank Transaction", GROUP_CONCURRENCY)
+def _build_bank_transaction(accounts=20, rounds=150, batch=10, initial=10_000, seed=1,
+                            record=0) -> BenchmarkInstance:
+    if accounts < 2:
         raise ValueError("BankTransaction needs at least 2 accounts")
     b = Builder("BankTransaction")
     rng = Lcg64(seed * 104729)
@@ -364,14 +352,14 @@ def _build_bank_transaction(params: dict) -> BenchmarkInstance:
     for _ in range(rounds):
         txns = []
         for _ in range(batch):
-            src = rng.next_below(n)
-            dst = (src + 1 + rng.next_below(n - 1)) % n
+            src = rng.next_below(accounts)
+            dst = (src + 1 + rng.next_below(accounts - 1)) % accounts
             txns.append((src, dst, 1 + rng.next_below(100)))
         batches.append(tuple(txns))
 
     teller = b.reactor("teller")
     tx_out = teller.output("tx")
-    bal_in = teller.input("balances", width=n)
+    bal_in = teller.input("balances", width=accounts)
     nxt = teller.action("next")
     teller.state.round = 0
     teller.state.final_total = None
@@ -417,43 +405,21 @@ def _build_bank_transaction(params: dict) -> BenchmarkInstance:
             if record:
                 ctx.state.history.append((ctx.tag, balance))
 
-    accounts = bank(b, "account", n, account)
-    connect(tx_out, accounts.port("tx"), broadcast=True)
-    connect(accounts.port("balance"), bal_in)
+    account_bank = bank(b, "account", accounts, account)
+    connect(tx_out, account_bank.port("tx"), broadcast=True)
+    connect(account_bank.port("balance"), bal_in)
     topo = b.build()
 
-    expected = [initial] * n
+    expected = [initial] * accounts
     for txns in batches:
         for src, dst, amount in txns:
             expected[src] -= amount
             expected[dst] += amount
 
     def validate(report):
-        check(teller.state.final_total == n * initial,
-              f"money not conserved: {teller.state.final_total} != {n * initial}")
+        check(teller.state.final_total == accounts * initial,
+              f"money not conserved: {teller.state.final_total} != {accounts * initial}")
         check(teller.state.final_balances == expected, "balances diverge from oracle replay")
 
     return BenchmarkInstance(topo, validate)
 
-
-register(BenchmarkSpec(
-    name="ConcurrentDictionary", title="Concurrent Dictionary", group=GROUP_CONCURRENCY,
-    defaults={"workers": 8, "ops": 500, "write_percent": 10, "keys": 128, "seed": 1},
-    build=_build_concurrent_dictionary))
-register(BenchmarkSpec(
-    name="SleepingBarber", title="Sleeping Barber", group=GROUP_CONCURRENCY,
-    defaults={"customers": 800, "capacity": 5, "seed": 1},
-    build=_build_sleeping_barber))
-register(BenchmarkSpec(
-    name="CigaretteSmokers", title="Cigarette Smokers", group=GROUP_CONCURRENCY,
-    defaults={"rounds": 1500, "seed": 1},
-    build=_build_cigarette_smokers))
-register(BenchmarkSpec(
-    name="DiningPhilosophers", title="Dining Philosophers", group=GROUP_CONCURRENCY,
-    defaults={"philosophers": 20, "eat_rounds": 50},
-    build=_build_dining_philosophers))
-register(BenchmarkSpec(
-    name="BankTransaction", title="Bank Transaction", group=GROUP_CONCURRENCY,
-    defaults={"accounts": 20, "rounds": 150, "batch": 10, "initial": 10_000,
-              "seed": 1, "record": 0},
-    build=_build_bank_transaction))

@@ -74,7 +74,8 @@ def run_benchmark(spec: BenchmarkSpec, params: dict | None = None, workers: int 
                   iterations: int = 32, warmup: int = 2,
                   fast: bool = True) -> MeasurementStats:
     """Measure a benchmark. ``params`` are overrides on top of the
-    benchmark's defaults; unknown keys are rejected."""
+    benchmark's defaults; unknown keys and non-integer values are rejected
+    before the first iteration."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if iterations < 1:

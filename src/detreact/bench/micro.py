@@ -12,12 +12,11 @@ from __future__ import annotations
 from ..core import STARTUP, Builder
 from ..patterns import Interleaved, bank, connect, unfold
 from .lcg import Lcg64
-from .registry import (GROUP_MICRO, BenchmarkInstance, BenchmarkSpec, check,
-                       register)
+from .registry import GROUP_MICRO, BenchmarkInstance, check, register
 
 
-def _build_ping_pong(params: dict) -> BenchmarkInstance:
-    n = int(params["messages"])
+@register("PingPong", "Ping Pong", GROUP_MICRO)
+def _build_ping_pong(messages=1000) -> BenchmarkInstance:
     b = Builder("PingPong")
     ping = b.reactor("ping")
     pong = b.reactor("pong")
@@ -26,7 +25,7 @@ def _build_ping_pong(params: dict) -> BenchmarkInstance:
     pong_out = pong.output("out")
     pong_in = pong.input("in")
     serve = ping.action("serve")
-    ping.state.remaining = n
+    ping.state.remaining = messages
     pong.state.count = 0
 
     @ping.reaction(STARTUP, serve, effects=[ping_out])
@@ -51,16 +50,16 @@ def _build_ping_pong(params: dict) -> BenchmarkInstance:
     topo = b.build()
 
     def validate(report):
-        check(pong.state.count == n, f"expected {n} pongs, got {pong.state.count}")
+        check(pong.state.count == messages, f"expected {messages} pongs, got {pong.state.count}")
         check(ping.state.remaining == 0, "ping did not drain")
-        check(report.reactions == 3 * n, f"expected {3 * n} reactions, got {report.reactions}")
+        check(report.reactions == 3 * messages,
+              f"expected {3 * messages} reactions, got {report.reactions}")
 
     return BenchmarkInstance(topo, validate)
 
 
-def _build_thread_ring(params: dict) -> BenchmarkInstance:
-    actors = int(params["actors"])
-    hops = int(params["hops"])
+@register("ThreadRing", "Thread Ring", GROUP_MICRO)
+def _build_thread_ring(actors=100, hops=2000) -> BenchmarkInstance:
     b = Builder("ThreadRing")
 
     def member(r, bank_index):
@@ -111,8 +110,8 @@ def _build_thread_ring(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_counting(params: dict) -> BenchmarkInstance:
-    count = int(params["count"])
+@register("CountingActor", "Counting Actor", GROUP_MICRO)
+def _build_counting(count=10000) -> BenchmarkInstance:
     b = Builder("CountingActor")
     prod = b.reactor("producer")
     counter = b.reactor("counter")
@@ -162,9 +161,8 @@ def _build_counting(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_fork_join(params: dict) -> BenchmarkInstance:
-    k = int(params["workers"])
-    rounds = int(params["rounds"])
+@register("ForkJoin", "Fork Join (throughput)", GROUP_MICRO)
+def _build_fork_join(workers=8, rounds=1000) -> BenchmarkInstance:
     b = Builder("ForkJoin")
     src = b.reactor("source")
     out = src.output("out")
@@ -191,8 +189,8 @@ def _build_fork_join(params: dict) -> BenchmarkInstance:
             ctx.state.count += 1
             ctx.state.acc = (ctx.state.acc * 31 + v) & 0xFFFFFFFF
 
-    workers = bank(b, "worker", k, worker)
-    connect(out, workers.port("in"), broadcast=True)
+    worker_bank = bank(b, "worker", workers, worker)
+    connect(out, worker_bank.port("in"), broadcast=True)
     topo = b.build()
 
     expected_acc = 0
@@ -200,7 +198,7 @@ def _build_fork_join(params: dict) -> BenchmarkInstance:
         expected_acc = (expected_acc * 31 + r) & 0xFFFFFFFF
 
     def validate(report):
-        for i, w in enumerate(workers.members):
+        for i, w in enumerate(worker_bank.members):
             check(w.state.count == rounds,
                   f"worker {i} saw {w.state.count} messages, expected {rounds}")
             check(w.state.acc == expected_acc, f"worker {i} checksum mismatch")
@@ -208,17 +206,15 @@ def _build_fork_join(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_big(params: dict) -> BenchmarkInstance:
-    n = int(params["actors"])
-    pings = int(params["pings"])
-    seed = int(params["seed"])
+@register("Big", "Big", GROUP_MICRO)
+def _build_big(actors=12, pings=200, seed=1) -> BenchmarkInstance:
     b = Builder("Big")
 
     def member(r, bank_index):
-        ping_out = r.output("ping_out", width=n)
-        ping_in = r.input("ping_in", width=n)
-        pong_out = r.output("pong_out", width=n)
-        pong_in = r.input("pong_in", width=n)
+        ping_out = r.output("ping_out", width=actors)
+        ping_in = r.input("ping_in", width=actors)
+        pong_out = r.output("pong_out", width=actors)
+        pong_in = r.input("pong_in", width=actors)
         done = r.output("done")
         nxt = r.action("next")
         r.state.rng = Lcg64(seed * 7919 + bank_index)
@@ -228,7 +224,7 @@ def _build_big(params: dict) -> BenchmarkInstance:
         @r.reaction(STARTUP, nxt, effects=[ping_out, done])
         def _ping(ctx):
             if ctx.state.sent < pings:
-                target = ctx.state.rng.next_below(n)
+                target = ctx.state.rng.next_below(actors)
                 ctx.state.sent += 1
                 ctx.set(ping_out, bank_index, index=target)
             else:
@@ -245,16 +241,16 @@ def _build_big(params: dict) -> BenchmarkInstance:
                 ctx.state.pongs += 1
             ctx.schedule(nxt)
 
-    members = bank(b, "member", n, member)
+    members = bank(b, "member", actors, member)
     sink = b.reactor("sink")
-    done_in = sink.input("done", width=n)
+    done_in = sink.input("done", width=actors)
     sink.state.done = 0
 
     @sink.reaction(done_in)
     def _collect(ctx):
         for _i, _ in ctx.present(done_in):
             ctx.state.done += 1
-        if ctx.state.done == n:
+        if ctx.state.done == actors:
             ctx.request_stop()
 
     connect(members.port("ping_out"), Interleaved(members.port("ping_in")))
@@ -266,20 +262,19 @@ def _build_big(params: dict) -> BenchmarkInstance:
         for i, m in enumerate(members.members):
             check(m.state.sent == pings, f"member {i} sent {m.state.sent}, expected {pings}")
             check(m.state.pongs == pings, f"member {i} got {m.state.pongs} pongs")
-        check(sink.state.done == n, "not all members reported done")
+        check(sink.state.done == actors, "not all members reported done")
 
     return BenchmarkInstance(topo, validate)
 
 
-def _build_chameneos(params: dict) -> BenchmarkInstance:
-    n = int(params["chameneos"])
-    meetings = int(params["meetings"])
-    if n < 2:
+@register("Chameneos", "Chameneos", GROUP_MICRO)
+def _build_chameneos(chameneos=10, meetings=2000) -> BenchmarkInstance:
+    if chameneos < 2:
         raise ValueError("Chameneos needs at least 2 chameneos to pair")
     b = Builder("Chameneos")
     mall = b.reactor("mall")
-    req_in = mall.input("req", width=n)
-    reply_out = mall.output("reply", width=n)
+    req_in = mall.input("req", width=chameneos)
+    reply_out = mall.output("reply", width=chameneos)
     mall.state.budget = meetings
     mall.state.granted = 0
 
@@ -329,7 +324,7 @@ def _build_chameneos(params: dict) -> BenchmarkInstance:
             else:
                 ctx.state.stopped = True
 
-    members = bank(b, "chameneo", n, member)
+    members = bank(b, "chameneo", chameneos, member)
     connect(members.port("out"), req_in)
     connect(reply_out, members.port("in"))
     topo = b.build()
@@ -343,22 +338,3 @@ def _build_chameneos(params: dict) -> BenchmarkInstance:
 
     return BenchmarkInstance(topo, validate)
 
-
-register(BenchmarkSpec(
-    name="PingPong", title="Ping Pong", group=GROUP_MICRO,
-    defaults={"messages": 1000}, build=_build_ping_pong))
-register(BenchmarkSpec(
-    name="ThreadRing", title="Thread Ring", group=GROUP_MICRO,
-    defaults={"actors": 100, "hops": 2000}, build=_build_thread_ring))
-register(BenchmarkSpec(
-    name="CountingActor", title="Counting Actor", group=GROUP_MICRO,
-    defaults={"count": 10000}, build=_build_counting))
-register(BenchmarkSpec(
-    name="ForkJoin", title="Fork Join (throughput)", group=GROUP_MICRO,
-    defaults={"workers": 8, "rounds": 1000}, build=_build_fork_join))
-register(BenchmarkSpec(
-    name="Big", title="Big", group=GROUP_MICRO,
-    defaults={"actors": 12, "pings": 200, "seed": 1}, build=_build_big))
-register(BenchmarkSpec(
-    name="Chameneos", title="Chameneos", group=GROUP_MICRO,
-    defaults={"chameneos": 10, "meetings": 2000}, build=_build_chameneos))

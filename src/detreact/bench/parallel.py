@@ -6,44 +6,41 @@ loops. Work is split over a bank whose width is a benchmark parameter,
 independent of the scheduler's worker count; chunk boundaries and reduction
 order (ascending bank index) are therefore fixed, and results are
 bit-identical no matter how many workers execute them.
+
+The builders that need numpy import it themselves, so that importing
+``detreact.bench`` does not load it and the other benchmarks run without it.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core import STARTUP, Builder
 from ..patterns import bank, connect, unfold
 from .lcg import Lcg64
-from .registry import (GROUP_PARALLELISM, BenchmarkInstance, BenchmarkSpec,
-                       check, register)
+from .registry import GROUP_PARALLELISM, BenchmarkInstance, check, register
 
 
-def _build_producer_consumer(params: dict) -> BenchmarkInstance:
-    p = int(params["producers"])
-    c = int(params["consumers"])
-    items = int(params["items"])
-    capacity = int(params["buffer"])
-    seed = int(params["seed"])
-    if capacity < p:
+@register("ProducerConsumer", "Producer-Consumer", GROUP_PARALLELISM)
+def _build_producer_consumer(producers=4, consumers=4, items=300, buffer=10,
+                             seed=1) -> BenchmarkInstance:
+    if buffer < producers:
         raise ValueError("buffer must hold at least one item per producer")
     b = Builder("ProducerConsumer")
 
     values = [[Lcg64(seed * 131 + i).next_below(1 << 20) for _ in range(items)]
-              for i in range(p)]
+              for i in range(producers)]
 
     manager = b.reactor("manager")
-    prod_in = manager.input("items", width=p)
-    ack_in = manager.input("acks", width=c)
-    deliver_out = manager.output("deliver", width=c)
-    credit_out = manager.output("credit", width=p)
+    prod_in = manager.input("items", width=producers)
+    ack_in = manager.input("acks", width=consumers)
+    deliver_out = manager.output("deliver", width=consumers)
+    credit_out = manager.output("credit", width=producers)
     st = manager.state
     st.queue = []
-    st.slots = capacity
-    st.waiting = list(range(p))  # producers waiting for a free slot
-    st.free = list(range(c))  # idle consumers, kept sorted
+    st.slots = buffer
+    st.waiting = list(range(producers))  # producers waiting for a free slot
+    st.free = list(range(consumers))  # idle consumers, kept sorted
     st.eos = 0
 
     def _dispatch(ctx):
@@ -56,7 +53,7 @@ def _build_producer_consumer(params: dict) -> BenchmarkInstance:
             producer = st.waiting.pop(0)
             st.slots -= 1
             ctx.set(credit_out, True, index=producer)
-        if st.eos == p and not st.queue and len(st.free) == c:
+        if st.eos == producers and not st.queue and len(st.free) == consumers:
             ctx.request_stop()
 
     @manager.reaction(STARTUP, effects=[credit_out])
@@ -128,22 +125,22 @@ def _build_producer_consumer(params: dict) -> BenchmarkInstance:
         def _deliver(ctx):
             ctx.schedule(consume, ctx.get(deliver_in))
 
-    producers = bank(b, "producer", p, producer)
-    consumers = bank(b, "consumer", c, consumer)
-    connect(producers.port("item"), prod_in)
-    connect(credit_out, producers.port("credit"))
-    connect(deliver_out, consumers.port("deliver"))
-    connect(consumers.port("ack"), ack_in)
+    producer_bank = bank(b, "producer", producers, producer)
+    consumer_bank = bank(b, "consumer", consumers, consumer)
+    connect(producer_bank.port("item"), prod_in)
+    connect(credit_out, producer_bank.port("credit"))
+    connect(deliver_out, consumer_bank.port("deliver"))
+    connect(consumer_bank.port("ack"), ack_in)
     topo = b.build()
 
     def validate(report):
-        total = sum(cc.state.count for cc in consumers.members)
-        check(total == p * items, f"consumed {total} items, expected {p * items}")
-        produced_sum = sum(pp.state.sum for pp in producers.members)
-        consumed_sum = sum(cc.state.sum for cc in consumers.members)
+        total = sum(cc.state.count for cc in consumer_bank.members)
+        check(total == producers * items, f"consumed {total} items, expected {producers * items}")
+        produced_sum = sum(pp.state.sum for pp in producer_bank.members)
+        consumed_sum = sum(cc.state.sum for cc in consumer_bank.members)
         check(produced_sum == consumed_sum, "value checksum mismatch")
-        check(manager.state.eos == p and not manager.state.queue, "buffer not drained")
-        check(manager.state.slots == capacity, "slot accounting broken")
+        check(manager.state.eos == producers and not manager.state.queue, "buffer not drained")
+        check(manager.state.slots == buffer, "slot accounting broken")
 
     return BenchmarkInstance(topo, validate)
 
@@ -189,10 +186,10 @@ def _fan_out_compute(b: Builder, segments: int, rounds: int, compute):
     return disp
 
 
-def _build_trapezoid(params: dict) -> BenchmarkInstance:
-    pieces = int(params["pieces"])
-    segments = int(params["segments"])
-    rounds = int(params["rounds"])
+@register("Trapezoidal", "Trapezoidal Approximation", GROUP_PARALLELISM)
+def _build_trapezoid(pieces=200_000, segments=4, rounds=3) -> BenchmarkInstance:
+    import numpy as np
+
     lo, hi = 0.0, 1.0
     h = (hi - lo) / pieces
     bounds = [pieces * i // segments for i in range(segments + 1)]
@@ -223,10 +220,10 @@ def _build_trapezoid(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_pi_precision(params: dict) -> BenchmarkInstance:
-    terms = int(params["terms"])
-    segments = int(params["segments"])
-    rounds = int(params["rounds"])
+@register("PiPrecision", "Pi Precision", GROUP_PARALLELISM)
+def _build_pi_precision(terms=500_000, segments=4, rounds=3) -> BenchmarkInstance:
+    import numpy as np
+
     bounds = [terms * i // segments for i in range(segments + 1)]
     ks = [np.arange(bounds[i], bounds[i + 1], dtype=np.float64)
           for i in range(segments)]
@@ -253,11 +250,10 @@ def _build_pi_precision(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_radix_sort(params: dict) -> BenchmarkInstance:
-    size = int(params["size"])
-    bits = int(params["bits"])
-    rounds = int(params["rounds"])
-    seed = int(params["seed"])
+@register("RadixSort", "Radix Sort", GROUP_PARALLELISM)
+def _build_radix_sort(size=10_000, bits=16, rounds=4, seed=1) -> BenchmarkInstance:
+    import numpy as np
+
     b = Builder("RadixSort")
     rng = Lcg64(seed * 8675309)
     inputs = [np.array([rng.next_below(1 << bits) for _ in range(size)], dtype=np.int64)
@@ -313,12 +309,10 @@ def _build_radix_sort(params: dict) -> BenchmarkInstance:
     return BenchmarkInstance(topo, validate)
 
 
-def _build_filter_bank(params: dict) -> BenchmarkInstance:
-    branches = int(params["branches"])
-    frame = int(params["frame"])
-    taps = int(params["taps"])
-    rounds = int(params["rounds"])
-    seed = int(params["seed"])
+@register("FilterBank", "Filter Bank", GROUP_PARALLELISM)
+def _build_filter_bank(branches=8, frame=4096, taps=64, rounds=10, seed=1) -> BenchmarkInstance:
+    import numpy as np
+
     b = Builder("FilterBank")
 
     coeffs = []
@@ -384,24 +378,3 @@ def _build_filter_bank(params: dict) -> BenchmarkInstance:
 
     return BenchmarkInstance(topo, validate)
 
-
-register(BenchmarkSpec(
-    name="ProducerConsumer", title="Producer-Consumer", group=GROUP_PARALLELISM,
-    defaults={"producers": 4, "consumers": 4, "items": 300, "buffer": 10, "seed": 1},
-    build=_build_producer_consumer))
-register(BenchmarkSpec(
-    name="Trapezoidal", title="Trapezoidal Approximation", group=GROUP_PARALLELISM,
-    defaults={"pieces": 200_000, "segments": 4, "rounds": 3},
-    build=_build_trapezoid))
-register(BenchmarkSpec(
-    name="PiPrecision", title="Pi Precision", group=GROUP_PARALLELISM,
-    defaults={"terms": 500_000, "segments": 4, "rounds": 3},
-    build=_build_pi_precision))
-register(BenchmarkSpec(
-    name="RadixSort", title="Radix Sort", group=GROUP_PARALLELISM,
-    defaults={"size": 10_000, "bits": 16, "rounds": 4, "seed": 1},
-    build=_build_radix_sort))
-register(BenchmarkSpec(
-    name="FilterBank", title="Filter Bank", group=GROUP_PARALLELISM,
-    defaults={"branches": 8, "frame": 4096, "taps": 64, "rounds": 10, "seed": 1},
-    build=_build_filter_bank))

@@ -1,5 +1,10 @@
 """Benchmark registry: named, parameterized topology builders with validators.
 
+A benchmark is a builder function decorated with ``@register(name, title,
+group)``. Its keyword arguments are the benchmark's parameters, and their
+defaults, in signature order, are ``BenchmarkSpec.defaults``. Every parameter
+is an integer: ``BenchmarkSpec.resolve_params`` rejects any other override.
+
 Each benchmark builds a fresh topology per iteration and checks its own
 functional result after the run; timing without a passing validator is
 meaningless, so validation failures abort the measurement.
@@ -7,6 +12,8 @@ meaningless, so validation failures abort the measurement.
 
 from __future__ import annotations
 
+import inspect
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -53,18 +60,29 @@ class BenchmarkSpec:
                 raise KeyError(
                     f"benchmark {self.name}: unknown parameter {key!r} "
                     f"(accepts: {', '.join(sorted(params))})")
-            params[key] = value
+            try:
+                params[key] = operator.index(value)
+            except TypeError:
+                raise ValueError(f"benchmark {self.name}: parameter {key!r} must be "
+                                 f"an integer, got {value!r}") from None
         return params
 
 
 _REGISTRY: dict[str, BenchmarkSpec] = {}
 
 
-def register(spec: BenchmarkSpec) -> BenchmarkSpec:
-    if spec.name in _REGISTRY:
-        raise ValueError(f"benchmark {spec.name!r} registered twice")
-    _REGISTRY[spec.name] = spec
-    return spec
+def register(name: str, title: str, group: str):
+    """Decorator: register ``builder(**params) -> BenchmarkInstance`` as the
+    benchmark ``name``, with its keyword arguments' defaults as parameters."""
+    def decorate(builder: Callable[..., BenchmarkInstance]):
+        if name in _REGISTRY:
+            raise ValueError(f"benchmark {name!r} registered twice")
+        defaults = {p.name: p.default
+                    for p in inspect.signature(builder).parameters.values()}
+        _REGISTRY[name] = BenchmarkSpec(name, title, group, defaults,
+                                        lambda params: builder(**params))
+        return builder
+    return decorate
 
 
 def list_benchmarks() -> list[BenchmarkSpec]:

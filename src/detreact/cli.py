@@ -66,6 +66,19 @@ def _trace_one(spec, params, workers: int, fast: bool, trace_dir: Path) -> Trace
 
 def main(argv: list[str] | None = None) -> int:
     """Run deterministic reactor benchmarks and report timing statistics."""
+    try:
+        try:
+            return _main(argv)
+        finally:  # also when --help or a usage error leaves through SystemExit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at os.devnull, so that
+        # the interpreter's own flush at exit has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(prog="detreact", description=main.__doc__)
     add = parser.add_argument
     add("-b", "--benchmark", dest="benchmarks", action="append", default=[], metavar="NAME",

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import threading
 import time
 from typing import NamedTuple
@@ -226,6 +227,10 @@ class Environment:
 
     def __init__(self, topology: ReactorTopology, workers: int = 1, fast: bool = False,
                  stop_time: int | None = None, trace: bool = False):
+        try:
+            workers = operator.index(workers)
+        except TypeError:
+            raise ValueError(f"workers must be an integer, got {workers!r}") from None
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if stop_time is not None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -296,6 +297,19 @@ def diff(a: list[str], b: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _main(argv)
+        finally:  # also when --help or a usage error leaves through SystemExit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at os.devnull, so that
+        # the interpreter's own flush at exit has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     import argparse  # command-line use only: importing detreact stays lean
     from pathlib import Path
 

@@ -1,6 +1,11 @@
 """Benchmark registry, harness statistics, and per-benchmark validators."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from detreact.bench import (BenchmarkInstance, BenchmarkSpec,
                             BenchmarkValidationError, Lcg64,
                             UnknownBenchmarkError, get_benchmark,
                             list_benchmarks, run_benchmark, run_once)
+from detreact.bench import harness
 from detreact.bench.harness import student_t_quantile
 
 SMALL = {
@@ -191,3 +197,119 @@ def test_radix_sort_output_is_sorted_permutation():
     for arr in sink.state.outputs:
         assert len(arr) == 300
         assert bool(np.all(arr[1:] >= arr[:-1]))
+
+
+# -- golden trace digests -----------------------------------------------------
+
+GOLDEN_DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+# These three trace numpy float results (np.sin, np.sum), whose last bits may
+# differ across CPUs and numpy builds; they are checked across worker counts
+# only.
+FLOAT_TRACED = {"FilterBank", "PiPrecision", "Trapezoidal"}
+
+
+def test_golden_digests_cover_every_benchmark():
+    assert not set(GOLDEN_DIGESTS) & FLOAT_TRACED
+    assert set(GOLDEN_DIGESTS) | FLOAT_TRACED == {s.name for s in list_benchmarks()}
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in list_benchmarks()])
+def test_default_trace_digest_is_pinned(name):
+    spec = get_benchmark(name)
+    digests = set()
+    for workers in (1, 2):
+        _inst, env, _report = run_once(spec, spec.resolve_params({}), workers=workers,
+                                       trace=True)
+        digests.add(f"{trace_digest(env.trace):016x}")
+    assert len(digests) == 1, f"{name}: behavior varies with worker count"
+    if name not in FLOAT_TRACED:
+        assert digests == {GOLDEN_DIGESTS[name]}
+
+
+# -- parameters are integers --------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [10.9, "10"])
+def test_non_integer_parameter_rejected(value):
+    spec = get_benchmark("PingPong")
+    with pytest.raises(ValueError, match="PingPong: parameter 'messages' must be an integer"):
+        spec.resolve_params({"messages": value})
+
+
+def test_non_integer_parameter_rejected_before_any_iteration(monkeypatch):
+    def iteration(*args, **kwargs):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(harness, "run_once", iteration)
+    with pytest.raises(ValueError, match="'messages'"):
+        run_benchmark(get_benchmark("PingPong"), {"messages": 10.9})
+
+
+def test_integer_parameters_accepted():
+    import numpy as np
+    params = get_benchmark("BankTransaction").resolve_params(
+        {"accounts": np.int64(5), "record": 1})
+    assert params["accounts"] == 5 and type(params["accounts"]) is int
+    assert params["record"] == 1
+
+
+def test_every_default_is_an_int():
+    for spec in list_benchmarks():
+        for key, value in spec.defaults.items():
+            assert type(value) is int, f"{spec.name}: default {key}={value!r}"
+
+
+# -- numpy serves only the numeric benchmarks ---------------------------------
+
+NUMPY_BENCHMARKS = {"FilterBank", "PiPrecision", "RadixSort", "Trapezoidal"}
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_import_bench_does_not_load_numpy():
+    done = _python("import sys, detreact.bench; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+# Runs in its own interpreter, where any import of numpy raises ImportError.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from detreact import trace_digest
+from detreact.bench import get_benchmark, list_benchmarks, run_once
+from detreact.cli import main
+
+listing = io.StringIO()
+with contextlib.redirect_stdout(listing):
+    code = main(["--list"])
+digests = {}
+for spec in list_benchmarks():
+    if spec.name not in sys.argv[1:]:
+        _, env, _ = run_once(spec, spec.resolve_params({}), trace=True)
+        digests[spec.name] = f"{trace_digest(env.trace):016x}"
+radix_sort = get_benchmark("RadixSort")
+try:
+    radix_sort.build(radix_sort.resolve_params({}))
+    radix = "built"
+except ImportError:
+    radix = "ImportError"
+print(json.dumps({"list": [code, len(listing.getvalue().splitlines())],
+                  "digests": digests, "radix": radix}))
+"""
+
+
+def test_twelve_benchmarks_run_without_numpy():
+    done = _python(_WITHOUT_NUMPY, *sorted(NUMPY_BENCHMARKS))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["list"] == [0, 17]
+    assert result["radix"] == "ImportError"
+    assert result["digests"] == {name: digest for name, digest in GOLDEN_DIGESTS.items()
+                                 if name not in NUMPY_BENCHMARKS}

@@ -3,8 +3,11 @@
 import io
 import os
 import re
+import subprocess
+import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -191,3 +194,24 @@ def test_csv_naming_a_directory_exit_2(tmp_path):
     result = invoke("-b", "PingPong", "--csv", str(tmp_path))
     assert result.exit_code == 2
     assert "--csv" in result.output
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("module", ["detreact.cli", "detreact.trace"])
+def test_closed_stdout_exits_1_quietly(tmp_path, module, unbuffered):
+    trace = tmp_path / "a.trace"
+    trace.write_text("x\n", encoding="utf-8")
+    args = ["--list"] if module == "detreact.cli" else ["diff", str(trace), str(trace)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = subprocess.run([sys.executable, *(["-u"] if unbuffered else []), "-m", module,
+                               *args],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=60, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")

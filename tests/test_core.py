@@ -498,6 +498,23 @@ def test_fractional_stop_time_rejected():
         Environment(b.build(), stop_time=0.5)
 
 
+@pytest.mark.parametrize("workers", [2.0, "2"])
+def test_non_integer_workers_rejected(workers):
+    b = Builder()
+    b.reactor("r").timer("t")
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        Environment(b.build(), workers=workers)
+
+
+def test_numpy_integer_workers_accepted():
+    import numpy as np
+    topo, acct = two_user_bank()
+    env = Environment(topo, workers=np.int64(2), fast=True)
+    assert type(env.workers) is int
+    env.run()
+    assert acct.state.balance == 10.0
+
+
 def test_schedule_physical_action_via_logical_op_rejected():
     b = Builder()
     r = b.reactor("r")
