@@ -13,7 +13,7 @@ from collections import deque
 from ..core import STARTUP, Builder
 from ..patterns import bank, connect
 from .lcg import Lcg64
-from .registry import GROUP_CONCURRENCY, BenchmarkInstance, check, register
+from .registry import GROUP_CONCURRENCY, BenchmarkInstance, at_least, check, register
 
 
 def _dictionary_ops(seed: int, worker: int, ops: int, write_percent: int, keys: int):
@@ -30,6 +30,8 @@ def _dictionary_ops(seed: int, worker: int, ops: int, write_percent: int, keys: 
 @register("ConcurrentDictionary", "Concurrent Dictionary", GROUP_CONCURRENCY)
 def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
                                  seed=1) -> BenchmarkInstance:
+    at_least("ConcurrentDictionary", workers=(workers, 1), ops=(ops, 1),
+             write_percent=(write_percent, 0), keys=(keys, 1))
     b = Builder("ConcurrentDictionary")
 
     store = b.reactor("store")
@@ -114,6 +116,7 @@ def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
 
 @register("SleepingBarber", "Sleeping Barber", GROUP_CONCURRENCY)
 def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstance:
+    at_least("SleepingBarber", customers=(customers, 1), capacity=(capacity, 0))
     b = Builder("SleepingBarber")
     arrival_rng = Lcg64(seed * 69697)
     gaps = [1 + arrival_rng.next_below(3) for _ in range(customers)]
@@ -210,6 +213,7 @@ def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstan
 
 @register("CigaretteSmokers", "Cigarette Smokers", GROUP_CONCURRENCY)
 def _build_cigarette_smokers(rounds=1500, seed=1) -> BenchmarkInstance:
+    at_least("CigaretteSmokers", rounds=(rounds, 1))  # startup offers the first
     b = Builder("CigaretteSmokers")
     rng = Lcg64(seed * 31337)
     picks = [rng.next_below(3) for _ in range(rounds)]
@@ -266,8 +270,7 @@ def _build_cigarette_smokers(rounds=1500, seed=1) -> BenchmarkInstance:
 
 @register("DiningPhilosophers", "Dining Philosophers", GROUP_CONCURRENCY)
 def _build_dining_philosophers(philosophers=20, eat_rounds=50) -> BenchmarkInstance:
-    if philosophers < 2:
-        raise ValueError("DiningPhilosophers needs at least 2 philosophers")
+    at_least("DiningPhilosophers", philosophers=(philosophers, 2), eat_rounds=(eat_rounds, 0))
     b = Builder("DiningPhilosophers")
 
     arbiter = b.reactor("arbiter")
@@ -344,8 +347,8 @@ def _build_dining_philosophers(philosophers=20, eat_rounds=50) -> BenchmarkInsta
 @register("BankTransaction", "Bank Transaction", GROUP_CONCURRENCY)
 def _build_bank_transaction(accounts=20, rounds=150, batch=10, initial=10_000, seed=1,
                             record=0) -> BenchmarkInstance:
-    if accounts < 2:
-        raise ValueError("BankTransaction needs at least 2 accounts")
+    at_least("BankTransaction", accounts=(accounts, 2), rounds=(rounds, 0), batch=(batch, 0),
+             initial=(initial, 0), record=(record, 0))
     b = Builder("BankTransaction")
     rng = Lcg64(seed * 104729)
     batches = []

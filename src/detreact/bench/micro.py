@@ -12,11 +12,12 @@ from __future__ import annotations
 from ..core import STARTUP, Builder
 from ..patterns import Interleaved, bank, connect, unfold
 from .lcg import Lcg64
-from .registry import GROUP_MICRO, BenchmarkInstance, check, register
+from .registry import GROUP_MICRO, BenchmarkInstance, at_least, check, register
 
 
 @register("PingPong", "Ping Pong", GROUP_MICRO)
 def _build_ping_pong(messages=1000) -> BenchmarkInstance:
+    at_least("PingPong", messages=(messages, 1))  # startup sends the first
     b = Builder("PingPong")
     ping = b.reactor("ping")
     pong = b.reactor("pong")
@@ -60,6 +61,7 @@ def _build_ping_pong(messages=1000) -> BenchmarkInstance:
 
 @register("ThreadRing", "Thread Ring", GROUP_MICRO)
 def _build_thread_ring(actors=100, hops=2000) -> BenchmarkInstance:
+    at_least("ThreadRing", actors=(actors, 1), hops=(hops, 0))  # the token stops at 0
     b = Builder("ThreadRing")
 
     def member(r, bank_index):
@@ -112,6 +114,7 @@ def _build_thread_ring(actors=100, hops=2000) -> BenchmarkInstance:
 
 @register("CountingActor", "Counting Actor", GROUP_MICRO)
 def _build_counting(count=10000) -> BenchmarkInstance:
+    at_least("CountingActor", count=(count, 0))
     b = Builder("CountingActor")
     prod = b.reactor("producer")
     counter = b.reactor("counter")
@@ -163,6 +166,7 @@ def _build_counting(count=10000) -> BenchmarkInstance:
 
 @register("ForkJoin", "Fork Join (throughput)", GROUP_MICRO)
 def _build_fork_join(workers=8, rounds=1000) -> BenchmarkInstance:
+    at_least("ForkJoin", workers=(workers, 1), rounds=(rounds, 0))
     b = Builder("ForkJoin")
     src = b.reactor("source")
     out = src.output("out")
@@ -208,6 +212,7 @@ def _build_fork_join(workers=8, rounds=1000) -> BenchmarkInstance:
 
 @register("Big", "Big", GROUP_MICRO)
 def _build_big(actors=12, pings=200, seed=1) -> BenchmarkInstance:
+    at_least("Big", actors=(actors, 1), pings=(pings, 0))
     b = Builder("Big")
 
     def member(r, bank_index):
@@ -269,8 +274,7 @@ def _build_big(actors=12, pings=200, seed=1) -> BenchmarkInstance:
 
 @register("Chameneos", "Chameneos", GROUP_MICRO)
 def _build_chameneos(chameneos=10, meetings=2000) -> BenchmarkInstance:
-    if chameneos < 2:
-        raise ValueError("Chameneos needs at least 2 chameneos to pair")
+    at_least("Chameneos", chameneos=(chameneos, 2), meetings=(meetings, 0))  # 2 to pair
     b = Builder("Chameneos")
     mall = b.reactor("mall")
     req_in = mall.input("req", width=chameneos)

@@ -18,14 +18,14 @@ import math
 from ..core import STARTUP, Builder
 from ..patterns import bank, connect, unfold
 from .lcg import Lcg64
-from .registry import GROUP_PARALLELISM, BenchmarkInstance, check, register
+from .registry import GROUP_PARALLELISM, BenchmarkInstance, at_least, check, register
 
 
 @register("ProducerConsumer", "Producer-Consumer", GROUP_PARALLELISM)
 def _build_producer_consumer(producers=4, consumers=4, items=300, buffer=10,
                              seed=1) -> BenchmarkInstance:
-    if buffer < producers:
-        raise ValueError("buffer must hold at least one item per producer")
+    at_least("ProducerConsumer", producers=(producers, 1), consumers=(consumers, 1),
+             items=(items, 0), buffer=(buffer, producers))  # one slot per producer
     b = Builder("ProducerConsumer")
 
     values = [[Lcg64(seed * 131 + i).next_below(1 << 20) for _ in range(items)]
@@ -188,6 +188,7 @@ def _fan_out_compute(b: Builder, segments: int, rounds: int, compute):
 
 @register("Trapezoidal", "Trapezoidal Approximation", GROUP_PARALLELISM)
 def _build_trapezoid(pieces=200_000, segments=4, rounds=3) -> BenchmarkInstance:
+    at_least("Trapezoidal", pieces=(pieces, 1), segments=(segments, 1), rounds=(rounds, 1))
     import numpy as np
 
     lo, hi = 0.0, 1.0
@@ -222,6 +223,7 @@ def _build_trapezoid(pieces=200_000, segments=4, rounds=3) -> BenchmarkInstance:
 
 @register("PiPrecision", "Pi Precision", GROUP_PARALLELISM)
 def _build_pi_precision(terms=500_000, segments=4, rounds=3) -> BenchmarkInstance:
+    at_least("PiPrecision", terms=(terms, 1), segments=(segments, 1), rounds=(rounds, 1))
     import numpy as np
 
     bounds = [terms * i // segments for i in range(segments + 1)]
@@ -252,6 +254,7 @@ def _build_pi_precision(terms=500_000, segments=4, rounds=3) -> BenchmarkInstanc
 
 @register("RadixSort", "Radix Sort", GROUP_PARALLELISM)
 def _build_radix_sort(size=10_000, bits=16, rounds=4, seed=1) -> BenchmarkInstance:
+    at_least("RadixSort", size=(size, 0), bits=(bits, 1), rounds=(rounds, 1))
     import numpy as np
 
     b = Builder("RadixSort")
@@ -311,6 +314,8 @@ def _build_radix_sort(size=10_000, bits=16, rounds=4, seed=1) -> BenchmarkInstan
 
 @register("FilterBank", "Filter Bank", GROUP_PARALLELISM)
 def _build_filter_bank(branches=8, frame=4096, taps=64, rounds=10, seed=1) -> BenchmarkInstance:
+    at_least("FilterBank", branches=(branches, 1), frame=(frame, 1), taps=(taps, 1),
+             rounds=(rounds, 1))
     import numpy as np
 
     b = Builder("FilterBank")

@@ -3,7 +3,9 @@
 A benchmark is a builder function decorated with ``@register(name, title,
 group)``. Its keyword arguments are the benchmark's parameters, and their
 defaults, in signature order, are ``BenchmarkSpec.defaults``. Every parameter
-is an integer: ``BenchmarkSpec.resolve_params`` rejects any other override.
+is an integer: ``BenchmarkSpec.resolve_params`` rejects any other override,
+and each builder rejects a count below its least meaningful value
+(``at_least``).
 
 Each benchmark builds a fresh topology per iteration and checks its own
 functional result after the run; timing without a passing validator is
@@ -95,6 +97,17 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         return _REGISTRY[name]
     except KeyError:
         raise UnknownBenchmarkError(name, list(_REGISTRY)) from None
+
+
+def at_least(benchmark: str, **bounds: tuple[int, int]) -> None:
+    """Reject each parameter given as ``name=(value, least)`` whose value is
+    below the least its benchmark can mean, with a ``ValueError`` naming the
+    benchmark, the parameter and the value. Builders call it first, so an
+    out-of-range count fails at build, not as a wrong or endless run."""
+    for name, (value, least) in bounds.items():
+        if value < least:
+            raise ValueError(f"benchmark {benchmark}: parameter {name!r} must be at least "
+                             f"{least}, got {value}")
 
 
 def check(condition: bool, message: str) -> None:

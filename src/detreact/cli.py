@@ -5,8 +5,9 @@ optionally writes CSV and canonical trace files. ``main(argv)`` returns the
 exit code: 0 when every validator passed (and, with ``--trace``, every
 benchmark gave one trace digest across the worker sweep), 1 otherwise. Usage
 errors, malformed numbers included (``--param`` values are integers), exit 2
-through argparse before any run starts. When a sweep's digests differ, the
-trace diff names the first divergent record.
+through argparse before any run starts; so does, on one stderr line, a
+parameter that a builder rejects as out of its range. When a sweep's digests
+differ, the trace diff names the first divergent record.
 
 CSV layout: per-iteration rows ``benchmark,workers,iteration,millis`` for the
 retained (post-warmup) iterations, followed by summary rows
@@ -133,6 +134,12 @@ def _main(argv: list[str] | None) -> int:
                 for spec in selected]
     except KeyError as exc:
         parser.error(exc.args[0])
+    try:
+        for spec, params in runs:
+            spec.build(params)  # a builder rejects a count out of its range
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.trace is not None:
         args.trace.mkdir(parents=True, exist_ok=True)

@@ -26,11 +26,18 @@ completed reaction and recording the failure of the first declared reaction
 that raised; then it goes on to the next level, or ends the tag and advances
 logical time. It runs a level itself when no other worker could share it
 (one reaction, or one worker); only a wider level is published to the ready
-queue, so a one-worker run is a plain loop on the calling thread.
+queue, so a one-worker run is a plain loop on the calling thread, in one
+call of ``_coordinate``.
 
-The one lock, ``_evlock``, guards what other threads touch (the event queue,
-the stop tag, the run-once flag, the end of the run) and the tag advance that
-reads it; the fold takes it only to record a failure.
+The event queue has two parts. An event at a microstep above 0 can only come
+from a zero-delay ``ctx.schedule`` in the tag just before it, so the tag
+advance moves those into ``_micro``, a plain dict that precedes everything
+else; every other event (startup, a timer, a delayed schedule, a physical
+action) is at microstep 0 and goes to a heap of tags with a map of their
+triggers. The one lock, ``_evlock``, guards what other threads touch (the
+event heap, the stop tag, the run-once flag, the end of the run) and the tag
+advance that reads it; ``_micro`` is the coordinator's alone, and the fold
+takes the lock only to record a failure.
 
 In normal mode, a tag with time value t is not processed before the physical
 clock passes t (logical time chases physical time); fast mode skips the
@@ -158,9 +165,21 @@ class ReactionContext:
         the current tag. Within one body, the last write to a channel wins."""
         slot = self._slot(target, index, self._effects, "sets undeclared effect")
         rt = self._rt
-        if slot >= rt.topology.channel_count:
+        topo = rt.topology
+        if slot >= topo.channel_count:
             raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
-        rt._set_output_channel(slot, value, self._set_log)
+        # One writer per channel and tag (an output's reactions never overlap,
+        # an input has one source), so nothing here races.
+        values, present, log = rt._value, rt._present, self._set_log
+        values[slot] = value
+        if not present[slot]:
+            present[slot] = 1
+            log.append(slot)
+        for dst in topo.conn_targets[slot]:
+            values[dst] = value
+            if not present[dst]:
+                present[dst] = 1
+                log.append(dst)
         if self._fx_log is not None:
             self._fx_log.append(rt._slot_part[slot] + rt._tr.value_digest(value))
 
@@ -254,14 +273,16 @@ class Environment:
         self._live: list[int] = []
         self._touched: dict[int, list[int]] = {}
 
-        # The one lock. It guards the event queue, the run-once flag, the stop
-        # tag and the tag it is derived from, the failure and the end of the run.
+        # The one lock. It guards the event heap and map, the run-once flag,
+        # the stop tag and the tag it is derived from, the failure and the end
+        # of the run.
         self._evlock = threading.Lock()
         self._evcv = threading.Condition(self._evlock)
         self._ran = False
-        self._event_heap: list[Tag] = []
+        self._event_heap: list[Tag] = []  # microstep-0 tags only
         self._event_map: dict[Tag, dict] = {}
         self._schedules: list[tuple] = []  # this tag's, enqueued by the tag advance
+        self._micro: dict = {}  # the next microstep's events, coordinator only
 
         # one bucket per level: its staged rids, each once, in staging order
         self._levels: list[dict[int, None]] = [{} for _ in range(self.apg.num_levels)]
@@ -339,62 +360,7 @@ class Environment:
                 self._stop_tag = tag
                 self._evcv.notify_all()
 
-    # -- within-tag state -------------------------------------------------
-
-    def _set_output_channel(self, gid: int, value, set_log: list) -> None:
-        # One writer per channel and tag (an output's reactions never overlap,
-        # an input has one source), so nothing here races.
-        self._value[gid] = value
-        if not self._present[gid]:
-            self._present[gid] = 1
-            set_log.append(gid)
-        for dst in self.topology.conn_targets[gid]:
-            self._value[dst] = value
-            if not self._present[dst]:
-                self._present[dst] = 1
-                set_log.append(dst)
-
-    def _fold(self) -> None:
-        """Fold and empty the bucket that just ran: trace each reaction that
-        completed, record the channels its contexts made present and stage
-        the reactions those ports trigger, collect their logical schedules
-        for the tag advance, and record the failure of the first declared
-        (lowest rid) reaction that raised. Coordinator only. Bucket order
-        cannot matter: a level holds at most one reaction per reactor, so no
-        two contexts schedule the same action, and the trace puts a level's
-        lines in canonical order itself."""
-        topo, touched, ctxs = self.topology, self._touched, self._ctxs
-        bucket = self._bucket
-        if self._tr is not None:
-            self._trace_level(bucket)
-        failed = None
-        for rid in bucket:
-            ctx = ctxs[rid]
-            log = ctx._set_log
-            if log:
-                for gid in log:
-                    pid, local = topo.chan_owner[gid]
-                    chans = touched.get(pid)
-                    if chans is None:
-                        touched[pid] = chans = []
-                        for r in topo.port_reactions[pid]:
-                            self._stage(r)
-                    chans.append(local)
-                self._live += log
-                log.clear()
-            sched = ctx._sched_log
-            exc = ctx._exc
-            if sched:
-                self._schedules += sched
-                sched.clear()
-            if exc is not None and (failed is None or rid < failed):
-                failed = rid
-        bucket.clear()
-        if failed is not None:
-            ctx = ctxs[failed]
-            with self._evlock:  # an interrupt recorded by _terminate comes first
-                if self._failure is None:
-                    self._failure = (ctx._reaction, ctx._exc)
+    # -- tracing ----------------------------------------------------------
 
     def _trace_level(self, bucket: dict) -> None:
         """Append the canonical line of each reaction of the bucket that
@@ -414,13 +380,6 @@ class Environment:
             if ev:
                 ev.clear()
 
-    def _stage(self, rid: int) -> None:
-        lvl = self.apg.level[rid]
-        if lvl <= self._current_level:
-            raise RuntimeError(f"{self.topology.reactions[rid].label()} staged at level {lvl}, "
-                               f"at or below the running level {self._current_level}")
-        self._levels[lvl][rid] = None
-
     # -- tag lifecycle ------------------------------------------------------
 
     def _next_stop_tag(self) -> Tag:
@@ -430,17 +389,41 @@ class Environment:
     def _advance_and_stage(self) -> bool:
         """Enqueue the closed tag's logical schedules, select the next tag
         (waiting for physical time unless in fast mode) and stage its
-        triggered reactions. False when execution is over."""
-        topo = self.topology
-        with self._evcv:
+        triggered reactions. False when execution is over.
+
+        The event queue has two parts. ``_micro`` holds the events at the
+        next microstep of the tag that just closed: an event at a microstep
+        above 0 can only come from a zero-delay ``ctx.schedule`` in the tag
+        just before it, so these events all share one tag. It precedes every
+        other pending event, all of which are at a later time, and physical
+        time has already passed it, so it is selected first and without a
+        wait. ``_micro`` is a plain dict, written and consumed only here by
+        the coordinator between tags, so it needs no heap and no lock of its
+        own. Every other event (startup, a timer, a physical action, a
+        schedule with a positive total delay) is at microstep 0 and goes to
+        ``_event_heap``, with its triggers in ``_event_map``; other threads
+        write these, so the lock is taken for them and the stop tag, once
+        per advance."""
+        topo, levels, level_of = self.topology, self._levels, self.apg.level
+        micro = self._micro
+        with self._evlock:
             for g, action, value in self._schedules:
-                self._enqueue(g, action, value)
+                if g.microstep:
+                    micro[action] = value  # same action: the later call wins
+                    upnext = g
+                else:
+                    self._enqueue(g, action, value)
             self._schedules.clear()
             while True:
                 ct = self._current_tag
                 if (ct is not None and ct == self._stop_tag) or self._failure is not None:
                     return False  # shutdown has run, or (re-checked after a wait) a failure
-                g = self._event_heap[0] if self._event_heap else None
+                if micro:  # never beyond the stop tag, which is later than ct
+                    g = upnext
+                    trigmap = micro
+                    break
+                heap = self._event_heap
+                g = heap[0] if heap else None
                 if g is not None and self._stop_tag is not None and g > self._stop_tag:
                     g = None  # beyond the stop tag: dropped
                 if g is None:
@@ -454,9 +437,9 @@ class Environment:
                     if now <= g.time:
                         self._evcv.wait((g.time - now + 1) / 1e9)
                         continue  # re-check: an earlier event may have arrived
-                heapq.heappop(self._event_heap)
+                heapq.heappop(heap)
                 trigmap = self._event_map.pop(g)
-                for trigger, _ in trigmap.items():
+                for trigger in trigmap:
                     if isinstance(trigger, Timer) and trigger.period is not None:
                         self._enqueue(Tag(checked_time_add(g.time, trigger.period), 0),
                                       trigger, None)
@@ -469,40 +452,86 @@ class Environment:
         self._current_level = -1
         if trigmap:
             self._events_processed += len(trigmap)
+            values, present, live = self._value, self._present, self._live
             for trigger, value in trigmap.items():
                 if trigger is not STARTUP:
                     slot = trigger.base
-                    self._value[slot] = value
-                    self._present[slot] = 1
-                    self._live.append(slot)
+                    values[slot] = value
+                    present[slot] = 1
+                    live.append(slot)
                 for rid in topo.trigger_reactions[trigger]:
-                    self._stage(rid)
+                    levels[level_of[rid]][rid] = None
+            trigmap.clear()  # consumed
         if shutdown_now:
             for rid in topo.trigger_reactions[SHUTDOWN]:
-                self._stage(rid)
+                levels[level_of[rid]][rid] = None
         return True
-
-    def _finish_tag(self) -> None:
-        for slot in self._live:
-            self._value[slot] = None
-            self._present[slot] = 0
-        self._live.clear()
-        self._touched.clear()
 
     # -- worker protocol ----------------------------------------------------
 
     def _coordinate(self) -> bool:
-        """Fold the finished level, then run or publish the next non-empty
-        level, or close the tag and advance. Runs on the last worker to
-        finish a level (worker 0 at startup) while every other worker is
-        parked. A level no other worker could share, one reaction or a
-        one-worker run, runs right here; only a wider level is published to
-        the ready queue. Runs and publishes nothing once a reaction has
-        failed. Returns False once the run has terminated."""
+        """The tag loop. Runs on the last worker to finish a level (worker 0
+        at startup) while every other worker is parked: folds the level that
+        just ran, then runs or publishes the next non-empty level, or closes
+        the tag and advances. A level no other worker could share, one
+        reaction or a one-worker run, runs right here, so a one-worker run
+        never leaves this loop; only a wider level is published to the ready
+        queue. Runs and publishes nothing once a reaction has failed.
+        Returns False once the run has terminated.
+
+        The fold empties the bucket that ran: it traces each reaction that
+        completed, records the channels its context made present and stages
+        the reactions those ports trigger, collects its logical schedules for
+        the tag advance, and records the failure of the first declared
+        (lowest rid) reaction that raised. Bucket order cannot matter: a
+        level holds at most one reaction per reactor, so no two contexts
+        schedule the same action, and the trace puts a level's lines in
+        canonical order itself."""
+        topo = self.topology
+        chan_owner, port_reactions, level_of = topo.chan_owner, topo.port_reactions, self.apg.level
         levels, nlevels = self._levels, len(self._levels)
+        ctxs, touched, live, schedules = self._ctxs, self._touched, self._live, self._schedules
+        values, present = self._value, self._present
         alone = self.workers == 1
-        self._fold()
+        traced = self._tr is not None
+        bucket = self._bucket
         while True:
+            if bucket:  # fold the level that ran
+                if traced:
+                    self._trace_level(bucket)
+                running = self._current_level
+                failed = None
+                for rid in bucket:
+                    ctx = ctxs[rid]
+                    log = ctx._set_log
+                    if log:
+                        for gid in log:
+                            pid, local = chan_owner[gid]
+                            chans = touched.get(pid)
+                            if chans is None:
+                                touched[pid] = chans = []
+                                for r in port_reactions[pid]:
+                                    lvl = level_of[r]
+                                    if lvl <= running:
+                                        raise RuntimeError(
+                                            f"{topo.reactions[r].label()} staged at level {lvl}, "
+                                            f"at or below the running level {running}")
+                                    levels[lvl][r] = None
+                            chans.append(local)
+                        live += log
+                        log.clear()
+                    sched = ctx._sched_log
+                    if sched:
+                        schedules += sched
+                        sched.clear()
+                    if ctx._exc is not None and (failed is None or rid < failed):
+                        failed = rid
+                bucket.clear()
+                if failed is not None:
+                    ctx = ctxs[failed]
+                    with self._evlock:  # an interrupt recorded by _terminate comes first
+                        if self._failure is None:
+                            self._failure = (ctx._reaction, ctx._exc)
             lvl = self._current_level + 1
             while lvl < nlevels and not levels[lvl]:
                 lvl += 1
@@ -512,18 +541,29 @@ class Environment:
                 count = len(bucket)
                 self._reactions_run += count  # every reaction of a bucket runs
                 if count == 1 or alone:
+                    tag = self._current_tag
                     for rid in reversed(bucket):  # the order the ready queue pops
-                        self._execute(rid)
-                    self._fold()
+                        ctx = ctxs[rid]
+                        ctx.tag = tag
+                        try:
+                            ctx._reaction.body(ctx)
+                        except BaseException as exc:  # recorded by the fold
+                            ctx._exc = exc
                     continue
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(list(bucket))
                 self._sem.release(min(count, self.workers) - 1)  # the coordinator drains too
                 return True
-            self._finish_tag()
+            # close the tag: what it made present is absent in the next
+            for slot in live:
+                values[slot] = None
+                present[slot] = 0
+            live.clear()
+            touched.clear()
             if not self._advance_and_stage():
                 self._terminate()
                 return False
+            bucket = None  # the new tag's buckets are staged, none has run
 
     def _terminate(self, exc: BaseException | None = None) -> None:
         """End the run and release every parked worker; ``exc`` is a broken

@@ -253,6 +253,40 @@ def test_integer_parameters_accepted():
     assert params["record"] == 1
 
 
+# -- counts below their least meaningful value fail at build --------------------
+
+
+def test_every_count_rejects_a_negative_value_at_build():
+    # Every parameter but a seed is a count, a size or a flag.
+    for spec in list_benchmarks():
+        for key in spec.defaults:
+            if key == "seed":
+                continue
+            params = spec.resolve_params({key: -1})
+            with pytest.raises(ValueError, match=rf"^benchmark {spec.name}: parameter "
+                                                 rf"'{key}' must be at least \d+, got -1$"):
+                spec.build(params)
+
+
+@pytest.mark.parametrize("name, key, least", [
+    ("PingPong", "messages", 1),  # 0 used to fail its validator
+    ("ThreadRing", "hops", 0),  # -1 used to run forever
+    ("ThreadRing", "actors", 1),
+    ("CountingActor", "count", 0),
+    ("Chameneos", "chameneos", 2),
+    ("CigaretteSmokers", "rounds", 1),
+    ("DiningPhilosophers", "philosophers", 2),
+    ("ProducerConsumer", "buffer", 3),  # one slot per producer, of 3
+])
+def test_a_count_below_its_least_is_rejected_and_the_least_runs(name, key, least):
+    spec = get_benchmark(name)
+    below = spec.resolve_params({**SMALL[name], key: least - 1})
+    with pytest.raises(ValueError, match=rf"^benchmark {name}: parameter '{key}' must be at "
+                                         rf"least {least}, got {least - 1}$"):
+        spec.build(below)
+    run_once(spec, spec.resolve_params({**SMALL[name], key: least}))  # validates
+
+
 def test_every_default_is_an_int():
     for spec in list_benchmarks():
         for key, value in spec.defaults.items():

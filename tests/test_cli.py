@@ -182,6 +182,25 @@ def test_malformed_number_exit_2(args, named):
     assert named in result.output
 
 
+@pytest.mark.parametrize("benchmarks, param, message", [
+    (["ThreadRing"], "hops=-1", "ThreadRing: parameter 'hops' must be at least 0, got -1"),
+    (["PingPong"], "messages=0", "PingPong: parameter 'messages' must be at least 1, got 0"),
+    (["Chameneos"], "chameneos=1", "Chameneos: parameter 'chameneos' must be at least 2, got 1"),
+    # ForkJoin accepts 0 rounds and would run first
+    (["ForkJoin", "CigaretteSmokers"], "rounds=0",
+     "CigaretteSmokers: parameter 'rounds' must be at least 1, got 0"),
+], ids=["ThreadRing", "PingPong", "Chameneos", "second-benchmark"])
+def test_count_below_its_least_exit_2_on_one_line(benchmarks, param, message, monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("detreact.cli.run_benchmark", run)
+    selected = [arg for name in benchmarks for arg in ("-b", name)]
+    result = invoke(*selected, "--param", param, "--iterations", "2", "--warmup", "1")
+    assert result.exit_code == 2
+    assert result.output == f"detreact: error: benchmark {message}\n"
+
+
 def test_trace_naming_a_file_exit_2(tmp_path):
     existing = tmp_path / "file.trace"
     existing.write_text("")

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from detreact import (MSEC, SEC, STARTUP, USEC, Builder, Environment, ExecutionError,
+import detreact.sched as sched
+from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, USEC, Builder, Environment, ExecutionError,
                       ReadyQueue, ShutdownError, Tag, trace_digest)
 from detreact.bench.registry import get_benchmark
 from programs import jittered, proxied_bank, two_user_bank
@@ -589,6 +590,200 @@ def test_request_stop_before_stop_time_wins(workers):
     assert r.state.ticks == 20
     assert report.reactions == 20
     assert report.last_tag == Tag(19 * MSEC, 1)
+
+
+# -- the two-part event queue ---------------------------------------------------
+
+
+def _event_order_program():
+    """In its startup tag, one reaction schedules a zero-delay action twice
+    with different values, an action whose min_delay is reached with delay
+    0, and an action with a positive delay. The zero-delay event starts a
+    microstep chain; the min_delay event requests a stop, and what it
+    schedules at the next microstep runs with shutdown."""
+    b = Builder("event_order")
+    r = b.reactor("r")
+    now, held = r.action("now"), r.action("held", min_delay=MSEC)
+    later, nxt = r.action("later"), r.action("next")
+    out = r.output("out")
+    r.state.seen = []
+
+    @r.reaction(STARTUP, effects=[now, held, later])
+    def _start(ctx):
+        ctx.schedule(now, "first")
+        ctx.schedule(held, "held")  # (1 ms, 0) through min_delay
+        ctx.schedule(later, "later", delay=MSEC // 2)
+        ctx.schedule(now, "second")  # the same tag: the later call wins
+
+    @r.reaction(now, held, later, nxt, effects=[out, nxt])
+    def _see(ctx):
+        fired = [(a.name, ctx.get(a)) for a in (now, held, later, nxt) if ctx.is_present(a)]
+        ctx.state.seen.append((ctx.tag, fired))
+        ctx.set(out, len(ctx.state.seen))
+        if ctx.is_present(now) and ctx.tag.microstep < 3:  # a stale event cannot chain on
+            ctx.schedule(nxt, ctx.tag.microstep)
+        if ctx.is_present(held):
+            ctx.schedule(nxt, "at stop")
+            ctx.request_stop()
+
+    @r.reaction(SHUTDOWN)
+    def _stop(ctx):
+        ctx.state.seen.append((ctx.tag, "shutdown"))
+
+    return b.build(), r
+
+
+EVENT_ORDER_SEEN = [
+    (Tag(0, 1), [("now", "second")]),
+    (Tag(0, 2), [("next", 1)]),
+    (Tag(MSEC // 2, 0), [("later", "later")]),
+    (Tag(MSEC, 0), [("held", "held")]),
+    (Tag(MSEC, 1), [("next", "at stop")]),
+    (Tag(MSEC, 1), "shutdown"),
+]
+
+EVENT_ORDER_LINES = (
+    "TAG=0.0 RX=r.1 FX= SCHED=r.now@0.1,r.held@1000000.0,r.later@500000.0,r.now@0.1",
+    "TAG=0.1 RX=r.2 FX=r.out:9b7ab796d0cacec6 SCHED=r.next@0.2",
+    "TAG=0.2 RX=r.2 FX=r.out:49aef57b20c5ec31 SCHED=",
+    "TAG=500000.0 RX=r.2 FX=r.out:50163cd4ae7e6fb1 SCHED=",
+    "TAG=1000000.0 RX=r.2 FX=r.out:96057dbf61640407 SCHED=r.next@1000000.1",
+    "TAG=1000000.1 RX=r.2 FX=r.out:1cc39f6a22473b12 SCHED=",
+    "TAG=1000000.1 RX=r.3 FX= SCHED=",
+)
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["plain", "jittered"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_next_microstep_events_precede_the_heap_and_the_later_call_wins(workers, jitter):
+    topo, r = _event_order_program()
+    if jitter:
+        jittered(topo, 0.5, workers)
+    env = Environment(topo, workers=workers, fast=True, trace=True)
+    report = env.run()
+    assert r.state.seen == EVENT_ORDER_SEEN
+    assert env.trace.lines == EVENT_ORDER_LINES
+    assert report[:3] == (Tag(MSEC, 1), 6, 7)  # startup and five events; seven bodies
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_physical_event_lands_while_a_microstep_chain_runs(workers):
+    # Real time. At microstep 5 of a chain at time 0, the body waits until
+    # another thread's schedule_physical has returned: the physical event
+    # is queued while the chain runs, and is handled after its last step.
+    b = Builder("chain")
+    r = b.reactor("r")
+    step = r.action("step")
+    irq = r.physical_action("irq")
+    chain_running, landed = threading.Event(), threading.Event()
+    seen = []
+
+    @r.reaction(STARTUP, step, effects=[step])
+    def _chain(ctx):
+        k = ctx.tag.microstep
+        seen.append(("step", ctx.tag))
+        if k == 5:
+            chain_running.set()
+            landed.wait(5)
+        if k < 20:
+            ctx.schedule(step, k)
+
+    @r.reaction(irq)
+    def _irq(ctx):
+        seen.append(("irq", ctx.tag, ctx.get(irq)))
+        ctx.request_stop()
+
+    env = Environment(b.build(), workers=workers)
+    tags = []
+
+    def inject():
+        chain_running.wait(5)
+        tags.append(env.schedule_physical(irq, "irq"))
+        landed.set()
+
+    thread = threading.Thread(target=inject)
+    thread.start()
+    try:
+        report = env.run()
+    finally:
+        thread.join(10)
+    g, = tags
+    assert g.microstep == 0 and g.time > 0
+    assert seen == [("step", Tag(0, k)) for k in range(21)] + [("irq", g, "irq")]
+    assert report.last_tag == Tag(g.time, 1)
+    assert report.events == 22  # startup, 20 steps and the physical event
+
+
+def _counted_heap_operations(monkeypatch):
+    counts = Counter()
+    for name in ("heappush", "heappop"):
+        def counting(*args, _real=getattr(sched.heapq, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sched.heapq, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, params", [
+    ("CountingActor", {"count": 1000}),
+    ("PingPong", {}),
+], ids=["CountingActor", "PingPong"])
+def test_microstep_chain_takes_no_heap_operation(name, params, workers, monkeypatch):
+    # Every event after startup is at the next microstep of the tag that
+    # scheduled it.
+    spec = get_benchmark(name)
+    instance = spec.build(spec.resolve_params(params))
+    env = Environment(instance.topology, workers=workers, fast=True)
+    counts = _counted_heap_operations(monkeypatch)
+    report = env.run()
+    instance.validate(report)
+    assert report.events == report.last_tag.microstep >= 1000
+    assert counts == {"heappush": 1, "heappop": 1}  # the startup event
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, counts", [
+    ("PingPong", (1000, 3000, (0, 1000))),
+    ("ThreadRing", (2001, 4101, (0, 2001))),
+    ("CountingActor", (10001, 20003, (0, 10001))),
+    ("Big", (2401, 6412, (0, 201))),
+    ("Chameneos", (4001, 8421, (0, 401))),
+    ("ForkJoin", (1001, 9001, (0, 1001))),
+])
+def test_micro_programs_count_events_reactions_and_last_tag(name, counts, workers):
+    spec = get_benchmark(name)
+    instance = spec.build(spec.resolve_params())
+    report = Environment(instance.topology, workers=workers, fast=True).run()
+    instance.validate(report)
+    assert (report.events, report.reactions, tuple(report.last_tag)) == counts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_staging_at_or_below_the_running_level_fails_the_run(workers):
+    # Two writers at level 0 (published at workers=2) and a reader of the
+    # first, moved down to its writer's level: the fold that sees the write
+    # cannot stage the reader, and the run stops with every worker joined.
+    b = Builder()
+    a, c = b.reactor("a"), b.reactor("c")
+    out = a.output("out")
+    a.reaction(STARTUP, effects=[out], body=lambda ctx: ctx.set(out, 1))
+    c.reaction(STARTUP, body=lambda ctx: None)
+    z = b.reactor("z")
+    z_in = z.input("in")
+    reader = z.reaction(z_in, body=lambda ctx: None)
+    b.connect(out, z_in)
+    env = Environment(b.build(), workers=workers, fast=True)
+    level = list(env.apg.level)
+    assert level[reader.rid] == 1
+    level[reader.rid] = 0
+    env.apg.level = tuple(level)
+    with pytest.raises(ExecutionError, match=r"z\.1 staged at level 0, at or below the "
+                                             r"running level 0") as failure:
+        env.run()
+    assert isinstance(failure.value.__cause__, RuntimeError)
+    assert _worker_threads() == []
 
 
 # -- what takes the lock -------------------------------------------------------
