@@ -8,7 +8,7 @@ on one worker thread or eight.
 """
 
 from .core import (MSEC, NSEC, SEC, SHUTDOWN, STARTUP, USEC, Action, Builder, Port,
-                   PortChannel, ReactorTopology, Tag, Timer, build_topology)
+                   PortChannel, ReactorTopology, Tag, Timer)
 from .errors import (CausalityCycleError, CompositionError,
                      ContractViolationError, ExecutionError, ShutdownError)
 from .graph import PrecedenceGraph, build_precedence_graph, max_level_width, to_dot
@@ -21,7 +21,7 @@ __all__ = [
     "MSEC", "NSEC", "Port", "PortChannel", "PrecedenceGraph", "ReactorTopology",
     "ReadyQueue", "SEC", "SHUTDOWN", "STARTUP", "ShutdownError", "Tag",
     "TerminationReport", "Timer", "Trace", "TraceRecord", "USEC", "bank",
-    "build_precedence_graph", "build_topology", "connect", "max_level_width",
+    "build_precedence_graph", "connect", "max_level_width",
     "to_dot", "trace_digest", "unfold", "value_digest",
 ]
 

@@ -194,9 +194,9 @@ def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstan
         ctx.schedule(cut, delay=cut_lengths[ctx.state.started])
         ctx.state.started += 1
 
-    b.connect(cust_out, cust_in)
-    b.connect(chair_out, chair_in)
-    b.connect(done_out, done_in)
+    connect(cust_out, cust_in)
+    connect(chair_out, chair_in)
+    connect(done_out, done_in)
     topo = b.build()
 
     def validate(report):

@@ -46,8 +46,8 @@ def _build_ping_pong(messages=1000) -> BenchmarkInstance:
         ctx.state.count += 1
         ctx.set(pong_out, ctx.get(pong_in))
 
-    b.connect(ping_out, pong_in)
-    b.connect(pong_out, ping_in)
+    connect(ping_out, pong_in)
+    connect(pong_out, ping_in)
     topo = b.build()
 
     def validate(report):
@@ -151,9 +151,9 @@ def _build_counting(count=10000) -> BenchmarkInstance:
         ctx.state.result = ctx.get(total_in)
         ctx.request_stop()
 
-    b.connect(inc_out, inc_in)
-    b.connect(req_out, req_in)
-    b.connect(total_out, total_in)
+    connect(inc_out, inc_in)
+    connect(req_out, req_in)
+    connect(total_out, total_in)
     topo = b.build()
 
     def validate(report):

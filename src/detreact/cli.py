@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .bench import (BenchmarkValidationError, UnknownBenchmarkError,
                     get_benchmark, list_benchmarks, run_benchmark, run_once)
-from .trace import Trace, diff, trace_digest
+from .trace import Trace, _guard_stdout, diff, trace_digest
 
 WORKERS_ENV_VAR = "DETREACT_WORKERS"
 
@@ -67,16 +67,7 @@ def _trace_one(spec, params, workers: int, fast: bool, trace_dir: Path) -> Trace
 
 def main(argv: list[str] | None = None) -> int:
     """Run deterministic reactor benchmarks and report timing statistics."""
-    try:
-        try:
-            return _main(argv)
-        finally:  # also when --help or a usage error leaves through SystemExit
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout is gone. Point stdout at os.devnull, so that
-        # the interpreter's own flush at exit has nothing left to fail on.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    return _guard_stdout(_main, argv)
 
 
 def _main(argv: list[str] | None) -> int:

@@ -1,9 +1,12 @@
 """Reactor composition: tags, ports, actions, timers, reactions, topologies.
 
 A program is assembled through a :class:`Builder`: declare reactor instances,
-give them ports, timers, actions and reactions, wire outputs to inputs, and
-freeze the result into a :class:`ReactorTopology`. This module is composition
-only; a :class:`detreact.sched.Environment` runs a topology.
+give them ports, timers, actions and reactions, and freeze the result into a
+:class:`ReactorTopology`. Wiring lives in :mod:`detreact.patterns`, whose
+``connect`` is the one operator that connects outputs to inputs, from a
+single channel up to banks of multiports; it records each channel pair
+through :meth:`Builder._connect_channels`. This module is composition only;
+a :class:`detreact.sched.Environment` runs a topology.
 
 Logical time is superdense: a :class:`Tag` is a (nanoseconds, microstep)
 pair, totally ordered lexicographically. Delay-free scheduling advances the
@@ -46,6 +49,18 @@ def as_time(value, error: type[Exception], what: str) -> int:
         raise error(f"{what} must be integer nanoseconds, got {value!r}") from None
 
 
+def _as_width(value, what: str) -> int:
+    """Return ``value`` as the width of a port or a bank: an integer of at
+    least 1, else a CompositionError naming ``what``."""
+    try:
+        width = operator.index(value)
+    except TypeError:
+        raise CompositionError(f"{what}: width must be an integer, got {value!r}") from None
+    if width < 1:
+        raise CompositionError(f"{what}: width must be >= 1, got {width}")
+    return width
+
+
 def checked_time_add(a: int, b: int) -> int:
     """Add two non-negative nanosecond values, rejecting 64-bit overflow."""
     total = a + b
@@ -74,33 +89,31 @@ class Port:
     """A declared port. Multiports have ``width > 1``; ``port[i]`` addresses
     one channel."""
 
-    __slots__ = ("owner", "pid", "name", "direction", "width", "base")
+    __slots__ = ("owner", "pid", "name", "is_input", "width", "base")
 
-    def __init__(self, owner, pid, name, direction, width):
+    def __init__(self, owner, pid, name, is_input, width):
         self.owner = owner
         self.pid = pid
         self.name = name
-        self.direction = direction  # "input" | "output"
+        self.is_input = is_input
         self.width = width
         self.base = -1  # global channel offset, assigned at build()
 
-    @property
-    def is_input(self) -> bool:
-        return self.direction == "input"
-
     def __getitem__(self, index: int) -> "PortChannel":
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise TypeError(
+                f"{self.label()}: channel index must be an integer, got {index!r}") from None
         if not 0 <= index < self.width:
             raise IndexError(f"{self.label()} has width {self.width}, index {index} out of range")
         return PortChannel(self, index)
-
-    def channels(self):
-        return [PortChannel(self, i) for i in range(self.width)]
 
     def label(self) -> str:
         return f"{self.owner.name}.{self.name}"
 
     def __repr__(self) -> str:
-        return f"<Port {self.label()} {self.direction} w={self.width}>"
+        return f"<Port {self.label()} {'input' if self.is_input else 'output'} w={self.width}>"
 
 
 class PortChannel(NamedTuple):
@@ -204,17 +217,16 @@ class ReactorInstance:
         self._names.add(name)
 
     def input(self, name: str, width: int = 1) -> Port:
-        return self._port(name, "input", width)
+        return self._port(name, True, width)
 
     def output(self, name: str, width: int = 1) -> Port:
-        return self._port(name, "output", width)
+        return self._port(name, False, width)
 
-    def _port(self, name, direction, width) -> Port:
+    def _port(self, name, is_input, width) -> Port:
         self.builder._check_open()
         self._claim_name(name)
-        if width < 1:
-            raise CompositionError(f"port {self.name}.{name}: width must be >= 1, got {width}")
-        port = Port(self, len(self.ports), name, direction, width)
+        width = _as_width(width, f"port {self.name}.{name}")
+        port = Port(self, len(self.ports), name, is_input, width)
         self.ports.append(port)
         return port
 
@@ -358,7 +370,7 @@ class ReactorTopology:
 
 class Builder:
     """Mutable assembly surface for one topology. Single-threaded; frozen by
-    :meth:`build`."""
+    :meth:`build`. Its ports are wired with :func:`detreact.patterns.connect`."""
 
     def __init__(self, name: str = "main"):
         self.name = name
@@ -382,6 +394,8 @@ class Builder:
         return inst
 
     def _connect_channels(self, src: PortChannel, dst: PortChannel) -> None:
+        """Check one output-to-input channel pair and record it: the one place
+        a connection enters the topology."""
         self._check_open()
         if src.port.owner.builder is not self or dst.port.owner.builder is not self:
             raise CompositionError("connection endpoints belong to a different topology")
@@ -397,29 +411,8 @@ class Builder:
         self._writers.add(key)
         self._connections.append((src, dst))
 
-    def connect(self, src, dst) -> None:
-        """Wire an output to an input, pairwise across equal widths.
-
-        ``src``/``dst`` may be ports or single channels. Bank and broadcast
-        wiring lives in :mod:`detreact.patterns`.
-        """
-        src_ch = [src] if isinstance(src, PortChannel) else src.channels()
-        dst_ch = [dst] if isinstance(dst, PortChannel) else dst.channels()
-        if len(src_ch) != len(dst_ch):
-            raise CompositionError(
-                f"width mismatch: {len(src_ch)} source channel(s) vs {len(dst_ch)} target channel(s)")
-        for s, d in zip(src_ch, dst_ch):
-            self._connect_channels(s, d)
-
     def build(self) -> ReactorTopology:
         self._check_open()
         self._built = True
         return ReactorTopology(self.name, self._instances, self._connections)
-
-
-def build_topology(program: Callable[[Builder], None], name: str = "main") -> ReactorTopology:
-    """Run a builder program and return the frozen topology."""
-    b = Builder(name)
-    program(b)
-    return b.build()
 

@@ -1,9 +1,13 @@
-"""Scalable connection patterns: banks, unfolding, broadcast, interleaving.
+"""Wiring: the one connection operator, banks, unfolding, broadcast,
+interleaving.
 
-A bank is a statically sized array of structurally identical reactors, each
-built by the same definition function and told its own index. The connection
-operator works over flat lists of port channels; `unfold` produces those
-lists from ports, bank ports, or mixes of both:
+`connect` is the only way to wire outputs to inputs, as Lingua Franca's one
+connection statement is: a single channel, a port or multiport, a bank port,
+a list of these, broadcast and interleaved. A bank is a statically sized
+array of structurally identical reactors, each built by the same definition
+function and told its own index; plain ports need no bank. `connect` works
+over flat lists of port channels, which `unfold` produces from ports, bank
+ports, or mixes of both:
 
 * default order lists all channels of the first bank member, then all of the
   second, and so on (bank-major);
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import Builder, Port, PortChannel, ReactorInstance
+from .core import Builder, Port, PortChannel, ReactorInstance, _as_width
 from .errors import CompositionError
 
 
@@ -30,16 +34,6 @@ class Bank:
     def __init__(self, name: str, members: list[ReactorInstance]):
         self.name = name
         self.members = members
-
-    @property
-    def width(self) -> int:
-        return len(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i: int) -> ReactorInstance:
-        return self.members[i]
 
     def port(self, name: str) -> "BankPort":
         ports = []
@@ -75,8 +69,7 @@ def bank(builder: Builder, name: str, width: int,
     **params)`` builds each one, so members can differentiate their behavior
     by index.
     """
-    if width < 1:
-        raise CompositionError(f"bank {name!r}: width must be >= 1, got {width}")
+    width = _as_width(width, f"bank {name!r}")
     members = []
     for i in range(width):
         inst = builder.reactor(f"{name}[{i}]")
@@ -93,7 +86,7 @@ def _ref_channels(ref) -> list[PortChannel]:
     if isinstance(ref, PortChannel):
         return [ref]
     if isinstance(ref, Port):
-        return ref.channels()
+        return [PortChannel(ref, i) for i in range(ref.width)]
     if isinstance(ref, BankPort):
         ports = ref.ports
         if interleaved:
@@ -102,19 +95,19 @@ def _ref_channels(ref) -> list[PortChannel]:
                 raise CompositionError(
                     f"bank port {ref.bank.name}.{ref.name}: members disagree on width")
             return [PortChannel(p, c) for c in range(width) for p in ports]
-        return [ch for p in ports for ch in p.channels()]
+        return [PortChannel(p, i) for p in ports for i in range(p.width)]
     raise CompositionError(f"cannot unfold {ref!r}")
 
 
 def unfold(refs) -> list[PortChannel]:
     """Flatten port references into a concrete channel list.
 
-    ``refs`` is a single reference or a sequence of them; each may be a
-    Port, a PortChannel, a BankPort, or any of those wrapped in
+    ``refs`` is a single reference or a list or tuple of them; each may be
+    a Port, a PortChannel, a BankPort, or any of those wrapped in
     ``Interleaved``. Lists concatenate in the order given.
     """
-    if isinstance(refs, (Port, PortChannel, BankPort, Interleaved)):
-        refs = [refs]
+    if isinstance(refs, PortChannel) or not isinstance(refs, (list, tuple)):
+        refs = [refs]  # one reference, unfolded or named by the error below
     out: list[PortChannel] = []
     for ref in refs:
         out.extend(_ref_channels(ref))
@@ -122,7 +115,8 @@ def unfold(refs) -> list[PortChannel]:
 
 
 def connect(lhs, rhs, broadcast: bool = False) -> list[tuple[PortChannel, PortChannel]]:
-    """Create connections from unfolded ``lhs`` outputs to ``rhs`` inputs.
+    """Wire unfolded ``lhs`` outputs to ``rhs`` inputs: the one wiring
+    operator. Each side is anything :func:`unfold` takes.
 
     Pairwise by default, which requires equal widths. With ``broadcast`` the
     left side repeats cyclically until the right side is covered, so the

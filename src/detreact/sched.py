@@ -30,14 +30,17 @@ queue, so a one-worker run is a plain loop on the calling thread, in one
 call of ``_coordinate``.
 
 The event queue has two parts. An event at a microstep above 0 can only come
-from a zero-delay ``ctx.schedule`` in the tag just before it, so the tag
-advance moves those into ``_micro``, a plain dict that precedes everything
-else; every other event (startup, a timer, a delayed schedule, a physical
-action) is at microstep 0 and goes to a heap of tags with a map of their
-triggers. The one lock, ``_evlock``, guards what other threads touch (the
-event heap, the stop tag, the run-once flag, the end of the run) and the tag
-advance that reads it; ``_micro`` is the coordinator's alone, and the fold
-takes the lock only to record a failure.
+from a zero-delay ``ctx.schedule`` in the tag just before it, so all of them
+share one tag; the tag advance moves them into ``_micro``, a plain dict. It
+precedes every other pending event, all of which are at a later time, and
+physical time has already passed it, so it is selected first and without a
+wait; written and consumed only by the coordinator between tags, it needs no
+heap and no lock of its own. Every other event (startup, a timer, a delayed
+schedule, a physical action) is at microstep 0 and goes to ``_event_heap``,
+with its triggers in ``_event_map``. The one lock, ``_evlock``, guards what
+other threads touch (the event heap, the stop tag, the run-once flag, the end
+of the run) and the tag advance that reads it; ``_micro`` is the
+coordinator's alone, and the fold takes the lock only to record a failure.
 
 In normal mode, a tag with time value t is not processed before the physical
 clock passes t (logical time chases physical time); fast mode skips the
@@ -106,7 +109,7 @@ class ReactionContext:
     raises is logged here and folded at the level barrier."""
 
     __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
-                 "_fx_log", "_sched_log", "_ev_log", "_rx", "_exc")
+                 "_fx_log", "_sched_log", "_rx", "_exc")
 
     def __init__(self, rt, reaction):
         self._rt = rt
@@ -120,15 +123,13 @@ class ReactionContext:
         self.state = reaction.owner.state
         # Logs, each only where a declared effect can fill it: the channels
         # made present and the (tag, action, value) schedules, and when
-        # traced, the text of each set ("label:digest") and of each schedule
-        # ("label@time.microstep").
+        # traced, the text of each set ("label:digest").
         tr = rt._tr
         sets = any(isinstance(e, Port) for e in reaction.effects)
         schedules = any(isinstance(e, Action) for e in reaction.effects)
         self._set_log: list[int] | None = [] if sets else None
         self._sched_log: list[tuple] | None = [] if schedules else None
         self._fx_log: list[str] | None = [] if sets and tr is not None else None
-        self._ev_log: list[str] | None = [] if schedules and tr is not None else None
         # what follows the tag prefix in this reaction's trace lines
         self._rx = (tr.reaction_prefix(reaction.owner.name, reaction.index)
                     if tr is not None else None)
@@ -223,8 +224,6 @@ class ReactionContext:
         else:
             g = Tag(cur.time, cur.microstep + 1)
         self._sched_log.append((g, action, value))
-        if self._ev_log is not None:
-            self._ev_log.append(self._rt._slot_part[action.base] % g)
         return g
 
     def request_stop(self) -> None:
@@ -366,19 +365,23 @@ class Environment:
         """Append the canonical line of each reaction of the bucket that
         completed, in canonical order: levels are folded in ascending order,
         so sorting one level's reactions by their rank orders the tag's
-        lines by (level, reactor path, index)."""
-        ctxs, append = self._ctxs, self._lines.append
+        lines by (level, reactor path, index). Runs before the fold, which
+        clears the schedule logs it reads."""
+        ctxs, append, slot_part = self._ctxs, self._lines.append, self._slot_part
         tag, sep = self._tag_prefix, self._tr.SCHED
         for rid in sorted(bucket, key=self._rank.__getitem__) if len(bucket) > 1 else bucket:
             ctx = ctxs[rid]
-            fx, ev = ctx._fx_log, ctx._ev_log
+            fx, sched = ctx._fx_log, ctx._sched_log
             if ctx._exc is None:  # a body that raised leaves no line
-                append(tag + ctx._rx + (",".join(fx) if fx else "") + sep
-                       + (",".join(ev) if ev else ""))
+                line = tag + ctx._rx + (",".join(fx) if fx else "") + sep
+                if sched:  # a loop: a comprehension would cost a call per line
+                    comma = ""
+                    for g, action, _ in sched:
+                        line += comma + slot_part[action.base] % g
+                        comma = ","
+                append(line)
             if fx:
                 fx.clear()
-            if ev:
-                ev.clear()
 
     # -- tag lifecycle ------------------------------------------------------
 
@@ -389,21 +392,8 @@ class Environment:
     def _advance_and_stage(self) -> bool:
         """Enqueue the closed tag's logical schedules, select the next tag
         (waiting for physical time unless in fast mode) and stage its
-        triggered reactions. False when execution is over.
-
-        The event queue has two parts. ``_micro`` holds the events at the
-        next microstep of the tag that just closed: an event at a microstep
-        above 0 can only come from a zero-delay ``ctx.schedule`` in the tag
-        just before it, so these events all share one tag. It precedes every
-        other pending event, all of which are at a later time, and physical
-        time has already passed it, so it is selected first and without a
-        wait. ``_micro`` is a plain dict, written and consumed only here by
-        the coordinator between tags, so it needs no heap and no lock of its
-        own. Every other event (startup, a timer, a physical action, a
-        schedule with a positive total delay) is at microstep 0 and goes to
-        ``_event_heap``, with its triggers in ``_event_map``; other threads
-        write these, so the lock is taken for them and the stop tag, once
-        per advance."""
+        triggered reactions. False when execution is over. The lock is taken
+        once per advance; the module docstring describes the event queue."""
         topo, levels, level_of = self.topology, self._levels, self.apg.level
         micro = self._micro
         with self._evlock:
@@ -575,20 +565,18 @@ class Environment:
             self._evcv.notify_all()
         self._sem.release(self.workers)
 
-    def _execute(self, rid: int) -> None:
-        ctx = self._ctxs[rid]
-        ctx.tag = self._current_tag
-        try:
-            ctx._reaction.body(ctx)
-        except BaseException as exc:  # recorded by the fold, like the body's other effects
-            ctx._exc = exc
-
     def _drain(self) -> bool:
+        ctxs = self._ctxs
         while True:
             rid = self._ready.pop()
             if rid is None:
                 return True  # level exhausted from this worker's view: park
-            self._execute(rid)
+            ctx = ctxs[rid]
+            ctx.tag = self._current_tag
+            try:
+                ctx._reaction.body(ctx)
+            except BaseException as exc:  # recorded by the fold, like the body's other effects
+                ctx._exc = exc
             if next(self._pending) == 0:
                 if not self._coordinate():
                     return False

@@ -296,17 +296,23 @@ def diff(a: list[str], b: list[str]) -> list[str]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
+def _guard_stdout(run, argv: list[str] | None) -> int:
+    """Return ``run(argv)``, the exit code of a command-line entry point,
+    or 1 without a word on stderr when the reader of stdout is gone."""
     try:
         try:
-            return _main(argv)
+            return run(argv)
         finally:  # also when --help or a usage error leaves through SystemExit
             sys.stdout.flush()
     except BrokenPipeError:
-        # The reader of stdout is gone. Point stdout at os.devnull, so that
-        # the interpreter's own flush at exit has nothing left to fail on.
+        # Point stdout at os.devnull, so that the interpreter's own flush at
+        # exit has nothing left to fail on.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    return _guard_stdout(_main, argv)
 
 
 def _main(argv: list[str] | None) -> int:

@@ -70,8 +70,8 @@ def two_user_bank():
 
         return out
 
-    b.connect(user("userA", 1 * SEC, +20.0), deposit_in)
-    b.connect(user("userB", 2 * SEC, -10.0), withdraw_in)
+    connect(user("userA", 1 * SEC, +20.0), deposit_in)
+    connect(user("userB", 2 * SEC, -10.0), withdraw_in)
     return b.build(), acct
 
 
@@ -122,9 +122,9 @@ def proxied_bank(proxy_delay_ns=2 * SEC):
 
         return out
 
-    b.connect(user("userA", 1 * SEC, +20.0), proxy_in)
-    b.connect(proxy_out, deposit_in)
-    b.connect(user("userB", 2 * SEC, -10.0), withdraw_in)
+    connect(user("userA", 1 * SEC, +20.0), proxy_in)
+    connect(proxy_out, deposit_in)
+    connect(user("userB", 2 * SEC, -10.0), withdraw_in)
     return b.build(), acct
 
 

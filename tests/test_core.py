@@ -1,5 +1,6 @@
 """Core semantics: tags, builder validation, port/action access rules."""
 
+import re
 import threading
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import pytest
 
 from detreact import (MSEC, SEC, STARTUP, Builder, CompositionError,
                       ContractViolationError, Environment, ExecutionError,
-                      ShutdownError, Tag, build_topology)
+                      ShutdownError, Tag, connect)
 from programs import two_user_bank
 
 
@@ -39,7 +40,7 @@ def test_two_user_bank_shape():
 
 
 def test_empty_builder_is_valid():
-    topo = build_topology(lambda b: None)
+    topo = Builder().build()
     assert topo.stats()["reactors"] == 0
     report = run_env(topo)
     assert report.events == 0
@@ -54,9 +55,9 @@ def test_two_writers_per_input_rejected():
     o2 = r2.output("out")
     sink = b.reactor("sink")
     inp = sink.input("in")
-    b.connect(o1, inp)
+    connect(o1, inp)
     with pytest.raises(CompositionError, match="multiple writers"):
-        b.connect(o2, inp)
+        connect(o2, inp)
 
 
 def test_connection_direction_checked():
@@ -67,9 +68,9 @@ def test_connection_direction_checked():
     i2 = r2.input("in")
     o2 = r2.output("out")
     with pytest.raises(CompositionError, match="input"):
-        b.connect(i1, i2)
+        connect(i1, i2)
     with pytest.raises(CompositionError, match="output"):
-        b.connect(o2, o2)
+        connect(o2, o2)
 
 
 def test_duplicate_names_rejected():
@@ -81,6 +82,30 @@ def test_duplicate_names_rejected():
     r.input("p")
     with pytest.raises(CompositionError, match="duplicate element"):
         r.output("p")
+
+
+@pytest.mark.parametrize("declare,message", [
+    (lambda r: r.input("x", width=2.0), "must be an integer, got 2.0"),
+    (lambda r: r.output("x", width=1.5), "must be an integer, got 1.5"),
+    (lambda r: r.input("x", width="2"), "must be an integer, got '2'"),
+    (lambda r: r.output("x", width=0), "must be >= 1, got 0"),
+], ids=["input-float", "output-float", "input-str", "output-zero"])
+def test_bad_port_width_rejected_at_declaration(declare, message):
+    b = Builder()
+    r = b.reactor("r")
+    with pytest.raises(CompositionError, match=r"port r\.x: width " + re.escape(message)):
+        declare(r)
+    assert not r.ports
+
+
+def test_channel_index_must_be_an_integer():
+    b = Builder()
+    o = b.reactor("r").output("o", width=2)
+    with pytest.raises(TypeError, match=r"r\.o: channel index must be an integer, got 1\.0"):
+        o[1.0]
+    with pytest.raises(IndexError, match="out of range"):
+        o[2]
+    assert o[True] == (o, 1)  # an integer in all but name is accepted
 
 
 def test_timer_period_zero_rejected():
@@ -155,7 +180,7 @@ def test_last_write_wins_within_one_body():
     def _(ctx):
         ctx.state.got = ctx.get(inp)
 
-    b.connect(out, inp)
+    connect(out, inp)
     run_env(b.build())
     assert sink.state.got == 2
 
@@ -181,7 +206,7 @@ def _exclusive_writers_program():
     def _(ctx):
         ctx.state.got = ctx.get(inp)
 
-    b.connect(out, inp)
+    connect(out, inp)
     return b.build(), sink
 
 
@@ -227,7 +252,7 @@ def test_get_absent_and_clearing_across_tags():
         if ctx.tag.time >= 2 * MSEC:
             ctx.request_stop()
 
-    b.connect(out, inp)
+    connect(out, inp)
     run_env(b.build())
     # Oracle: two tags run; the value written at tag 0 must not survive into
     # the next timer tick.
@@ -263,7 +288,7 @@ def test_undeclared_trigger_read_fails_fast():
     sink = b.reactor("sink")
     inp = sink.input("in")
     other = sink.input("other")
-    b.connect(out, inp)
+    connect(out, inp)
 
     @sink.reaction(inp)
     def _(ctx):
@@ -318,7 +343,7 @@ def test_channel_of_a_single_port_reads_and_writes():
     inp = sink.input("in")
     sink.reaction(inp, body=lambda ctx: setattr(ctx.state, "seen", (
         ctx.get(inp[0]), ctx.is_present(inp[0]), ctx.get(inp, index=0), ctx.get(inp))))
-    b.connect(out, inp)
+    connect(out, inp)
     env = Environment(b.build(), fast=True, trace=True)
     env.run()
     assert sink.state.seen == (7, True, 7, 7)

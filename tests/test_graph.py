@@ -5,7 +5,7 @@ import random
 import pytest
 
 from detreact import (Builder, CausalityCycleError,
-                      build_precedence_graph, max_level_width, to_dot)
+                      build_precedence_graph, connect, max_level_width, to_dot)
 from programs import fork_join_pattern, proxied_bank
 
 
@@ -122,8 +122,8 @@ def _two_reactor_loop():
     def _(ctx):
         pass
 
-    b.connect(a_out, b_in)
-    b.connect(b_out, a_in)
+    connect(a_out, b_in)
+    connect(b_out, a_in)
     return b.build()
 
 
@@ -169,8 +169,8 @@ def test_action_breaks_the_cycle():
     def _(ctx):
         pass
 
-    b.connect(a_out, b_in)
-    b.connect(b_out, a_in)
+    connect(a_out, b_in)
+    connect(b_out, a_in)
     graph = build_precedence_graph(b.build())  # must not raise
     assert max(graph.level) == 2
 
@@ -188,7 +188,7 @@ def test_max_level_width_chain():
         else:
             r.reaction(inp, effects=[out], body=lambda ctx: None)
         if prev_out is not None:
-            b.connect(prev_out, inp)
+            connect(prev_out, inp)
         prev_out = out
     graph = build_precedence_graph(b.build())
     assert max_level_width(graph) == 1
@@ -251,7 +251,7 @@ def random_topology(rng: random.Random):
     rng.shuffle(all_inputs)
     for inp in all_inputs:
         if all_outputs and rng.random() < 0.7:
-            b.connect(rng.choice(all_outputs), inp)
+            connect(rng.choice(all_outputs), inp)
     return b.build()
 
 

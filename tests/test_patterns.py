@@ -1,5 +1,6 @@
 """Connection patterns: unfolding orders, widths, broadcast, sparse access."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,47 @@ def test_broadcast_cycles_the_left_side():
                         ("src.out[1]", "dst.in[1]"),
                         ("src.out[0]", "dst.in[2]"),
                         ("src.out[1]", "dst.in[3]")]
+
+
+def _wired_builder():
+    """A builder with one connection, and a free output and input."""
+    b = Builder()
+    src, dst = b.reactor("src"), b.reactor("dst")
+    connect(src.output("a"), dst.input("a"))
+    return b, src.output("out"), dst.input("in")
+
+
+@pytest.mark.parametrize("wire,message", [
+    (lambda out, inp: connect(out, Builder().reactor("other").input("in")),
+     "connection endpoints belong to a different topology"),
+    (lambda out, inp: connect(Builder().reactor("other").output("out"), inp),
+     "connection endpoints belong to a different topology"),
+    (lambda out, inp: connect([], inp), "connect: empty side"),
+    (lambda out, inp: connect(out, []), "connect: empty side"),
+    (lambda out, inp: connect("x", inp), "cannot unfold 'x'"),
+    (lambda out, inp: connect(out, [inp, "x"]), "cannot unfold 'x'"),
+    (lambda out, inp: connect("out", inp), "cannot unfold 'out'"),
+    (lambda out, inp: connect(out.owner.timer("t"), inp), "cannot unfold <Timer src.t>"),
+], ids=["foreign-target", "foreign-source", "empty-left", "empty-right",
+        "not-a-port", "not-a-port-in-list", "a-name", "a-timer"])
+def test_connect_errors_leave_the_connections_unchanged(wire, message):
+    b, out, inp = _wired_builder()
+    before = list(b._connections)
+    with pytest.raises(CompositionError, match=message):
+        wire(out, inp)
+    assert b._connections == before
+
+
+@pytest.mark.parametrize("width,message", [
+    (2.0, "must be an integer, got 2.0"),
+    ("2", "must be an integer, got '2'"),
+    (0, "must be >= 1, got 0"),
+], ids=["float", "str", "zero"])
+def test_bad_bank_width_rejected(width, message):
+    b = Builder()
+    with pytest.raises(CompositionError, match=r"bank 'n': width " + re.escape(message)):
+        bank(b, "n", width, lambda r, bank_index: None)
+    assert not b._instances
 
 
 # -- golden edge sets ---------------------------------------------------------
@@ -241,6 +283,6 @@ def test_bank_members_know_their_index():
 
     nodes = bank(b, "n", 4, member)
     assert [m.bank_index for m in nodes.members] == [0, 1, 2, 3]
-    assert nodes[2].name == "n[2]"
+    assert nodes.members[2].name == "n[2]"
     Environment(b.build(), fast=True).run()
     assert sorted(seen) == [0, 1, 2, 3]

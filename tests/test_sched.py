@@ -13,7 +13,7 @@ import pytest
 
 import detreact.sched as sched
 from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, USEC, Builder, Environment, ExecutionError,
-                      ReadyQueue, ShutdownError, Tag, trace_digest)
+                      ReadyQueue, ShutdownError, Tag, connect, trace_digest)
 from detreact.bench.registry import get_benchmark
 from programs import jittered, proxied_bank, two_user_bank
 
@@ -166,8 +166,8 @@ def _diamond_program(probe):
             ctx.set(m_out, ctx.get(m_in))
 
         m.reaction(m_in, effects=[m_out], body=probe.wrap(f"mid{i}", 1, mid_body))
-        b.connect(out, m_in)
-        b.connect(m_out, sink_in[i])
+        connect(out, m_in)
+        connect(m_out, sink_in[i])
         mids.append(m)
 
     sink.reaction(sink_in, body=probe.wrap("sink", 2))
@@ -242,7 +242,7 @@ def test_worker_count_soundness():
         w = b.reactor(f"w{i}")
         w_in = w.input("in")
         w.reaction(w_in, body=probe.wrap(f"w{i}", 1, hold_ms=1.0))
-        b.connect(out[i], w_in)
+        connect(out[i], w_in)
     Environment(b.build(), workers=2, fast=True).run()
     assert probe.high_water <= 2
     assert len(probe.records) == 9
@@ -287,8 +287,8 @@ def test_level_bucket_publishes_both_reactions_together():
         "acct.apply", 1, lambda ctx: setattr(
             ctx.state, "total", ctx.state.total + ctx.get(a_in))))
 
-    b.connect(u_out, p_in)
-    b.connect(p_out, a_in)
+    connect(u_out, p_in)
+    connect(p_out, a_in)
     Environment(b.build(), workers=2, fast=True).run()
     # At (3s,0) the user's second deposit and the proxy's release of the
     # first one coincide: proxy.hold and acct.apply share the level-1 bucket.
@@ -330,7 +330,7 @@ def test_no_channel_lost_under_contention():
         t = s.timer("t", offset=0, period=MSEC)
         out = s.output("out")
         s.reaction(t, effects=[out], body=lambda ctx, out=out: ctx.set(out, ctx.tag.time))
-        b.connect(out, sink_in[i])
+        connect(out, sink_in[i])
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -773,7 +773,7 @@ def test_staging_at_or_below_the_running_level_fails_the_run(workers):
     z = b.reactor("z")
     z_in = z.input("in")
     reader = z.reaction(z_in, body=lambda ctx: None)
-    b.connect(out, z_in)
+    connect(out, z_in)
     env = Environment(b.build(), workers=workers, fast=True)
     level = list(env.apg.level)
     assert level[reader.rid] == 1
@@ -879,7 +879,7 @@ def test_failing_reaction_stops_before_the_next_level(workers):
     def _(ctx):
         ctx.state.seen.append(ctx.get(z_in))
 
-    b.connect(out, z_in)
+    connect(out, z_in)
     with pytest.raises(ExecutionError, match=r"a\.1"):
         Environment(b.build(), workers=workers, fast=True).run()
     assert z.state.seen == []
@@ -957,7 +957,7 @@ def test_physical_scheduling_after_a_reaction_failure(workers):
 # is interrupted about 100 ms into a 3 s run.
 _INTERRUPTED_RUN = """
 import _thread, json, sys, threading, time
-from detreact import MSEC, SEC, Builder, Environment, ExecutionError
+from detreact import MSEC, SEC, Builder, Environment, ExecutionError, connect
 
 b = Builder()
 src = b.reactor("src")
@@ -968,7 +968,7 @@ for i in range(2):
     sink = b.reactor(f"sink{i}")
     sink_in = sink.input("in")
     sink.reaction(sink_in, body=lambda ctx: None)
-    b.connect(out, sink_in)
+    connect(out, sink_in)
 env = Environment(b.build(), workers=int(sys.argv[1]), stop_time=3 * SEC)
 threading.Timer(0.1, _thread.interrupt_main).start()
 t0 = time.monotonic()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from detreact import (MSEC, SEC, Builder, Environment, ExecutionError, TraceRecord,
-                      trace_digest, value_digest)
+                      connect, trace_digest, value_digest)
 from detreact import trace as trace_module
 from detreact.bench import get_benchmark, list_benchmarks, run_once
 from detreact.trace import _encode_value, diff
@@ -67,7 +67,7 @@ def test_digest_differs_when_one_value_differs():
         sink = b.reactor("sink")
         inp = sink.input("in")
         sink.reaction(inp, body=lambda ctx: ctx.get(inp))
-        b.connect(out, inp)
+        connect(out, inp)
         return b.build()
 
     t1, _ = traced_run(build(1.0))
@@ -110,7 +110,7 @@ def test_swapped_completion_order_same_digest():
             w.reaction(w_in, effects=[w_out],
                        body=lambda ctx, w_in=w_in, w_out=w_out:
                            ctx.set(w_out, ctx.get(w_in) * 3))
-            b.connect(out[i], w_in)
+            connect(out[i], w_in)
         return b.build()
 
     digests = set()
@@ -258,7 +258,7 @@ def _shape_program(failing=()):
         t = r.timer("t")
         out = r.output("out")
         act = r.action("act")
-        b.connect(out, ins[i])
+        connect(out, ins[i])
 
         def first(ctx, out=out, act=act, name=name, value=i * 10):
             ctx.set(out, value)
@@ -416,7 +416,7 @@ def _odd_names_program():
     sink = b.reactor("sink @1.2")
     inp = sink.input("in. @:", width=2)
     sink.reaction(inp, body=lambda ctx: list(ctx.present(inp)))
-    b.connect(out, inp)
+    connect(out, inp)
     return b.build()
 
 
