@@ -89,11 +89,10 @@ class Port:
     """A declared port. Multiports have ``width > 1``; ``port[i]`` addresses
     one channel."""
 
-    __slots__ = ("owner", "pid", "name", "is_input", "width", "base")
+    __slots__ = ("owner", "name", "is_input", "width", "base")
 
-    def __init__(self, owner, pid, name, is_input, width):
+    def __init__(self, owner, name, is_input, width):
         self.owner = owner
-        self.pid = pid
         self.name = name
         self.is_input = is_input
         self.width = width
@@ -226,7 +225,7 @@ class ReactorInstance:
         self.builder._check_open()
         self._claim_name(name)
         width = _as_width(width, f"port {self.name}.{name}")
-        port = Port(self, len(self.ports), name, is_input, width)
+        port = Port(self, name, is_input, width)
         self.ports.append(port)
         return port
 
@@ -325,39 +324,36 @@ class ReactorTopology:
         self.timers: tuple[Timer, ...] = tuple(t for inst in instances for t in inst.timers)
         self.actions: tuple[Action, ...] = tuple(a for inst in instances for a in inst.actions)
 
+        # Trigger fan-out: each port, STARTUP, SHUTDOWN, each timer and each
+        # action -> reaction ids.
+        fanout: dict = {t: [] for t in (STARTUP, SHUTDOWN, *self.ports, *self.timers,
+                                        *self.actions)}
+        for r in self.reactions:
+            for t in r.triggers:
+                fanout[t].append(r.rid)
+
         # One dense slot space: every port channel, then one slot for each
-        # timer and each action.
+        # timer and each action. An output channel's slot holds no value: it
+        # indexes conn_targets and the trace's slot parts. Every channel of a
+        # port shares the port's fan-out tuple.
         base = 0
-        chan_owner = []
-        for gpid, p in enumerate(self.ports):
-            p.pid = gpid
+        channel_reactions: list[tuple[int, ...]] = []
+        for p in self.ports:
             p.base = base
-            chan_owner.extend((gpid, i) for i in range(p.width))
             base += p.width
+            channel_reactions += [tuple(fanout.pop(p))] * p.width
         self.channel_count = base
-        self.chan_owner: tuple[tuple[int, int], ...] = tuple(chan_owner)
+        self.channel_reactions = tuple(channel_reactions)
         for slot, t in enumerate(self.timers + self.actions, start=base):
             t.base = slot
         self.slot_count = base + len(self.timers) + len(self.actions)
+        self.trigger_reactions = {t: tuple(x) for t, x in fanout.items()}
 
         conn_targets: list[list[int]] = [[] for _ in range(self.channel_count)]
         for src, dst in connections:
             conn_targets[src.port.base + src.index].append(dst.port.base + dst.index)
         self.conn_targets = tuple(tuple(t) for t in conn_targets)
         self.connections = tuple(connections)
-
-        # Trigger fan-out: port id -> reaction ids, and STARTUP, SHUTDOWN,
-        # each timer and each action -> reaction ids.
-        port_reactions: list[list[int]] = [[] for _ in self.ports]
-        trigger_reactions: dict = {t: [] for t in (STARTUP, SHUTDOWN, *self.timers, *self.actions)}
-        for r in self.reactions:
-            for t in r.triggers:
-                if isinstance(t, Port):
-                    port_reactions[t.pid].append(r.rid)
-                else:
-                    trigger_reactions[t].append(r.rid)
-        self.port_reactions = tuple(tuple(x) for x in port_reactions)
-        self.trigger_reactions = {t: tuple(x) for t, x in trigger_reactions.items()}
 
     def stats(self) -> dict:
         return {
@@ -377,7 +373,7 @@ class Builder:
         self._instances: list[ReactorInstance] = []
         self._instance_names: set[str] = set()
         self._connections: list[tuple[PortChannel, PortChannel]] = []
-        self._writers: set[int] = set()  # (port id, channel) pairs already driven
+        self._writers: set[tuple[int, int]] = set()  # (id(port), channel) pairs already driven
         self._built = False
 
     def _check_open(self) -> None:

@@ -3,7 +3,8 @@
 Two kinds of edges order reactions within a tag:
 
 * data edges: a reaction whose effects include an output port precedes every
-  reaction triggered by a connected input port;
+  reaction triggered by a connected input port, itself included, so a
+  reaction wired to its own trigger is a cycle;
 * priority edges: within one reactor, each reaction precedes the lexically
   next one (transitivity supplies the rest), which makes same-reactor
   reactions mutually exclusive.
@@ -53,12 +54,9 @@ def _derive_edges(topology):
         for eff in r.effects:
             if not isinstance(eff, Port):
                 continue  # actions do not add edges
-            for local in range(eff.width):
-                for dst_gid in topology.conn_targets[eff.base + local]:
-                    pid = topology.chan_owner[dst_gid][0]
-                    for vid in topology.port_reactions[pid]:
-                        if vid != r.rid:
-                            succ[r.rid].add(vid)
+            for slot in range(eff.base, eff.base + eff.width):
+                for dst in topology.conn_targets[slot]:
+                    succ[r.rid].update(topology.channel_reactions[dst])
     for inst in topology.instances:
         for a, b in zip(inst.reactions, inst.reactions[1:]):
             succ[a.rid].add(b.rid)

@@ -8,19 +8,21 @@ reactions of one level may execute on any worker in parallel; no reaction of
 level k starts before every triggered reaction below k has completed, and no
 reaction of a later tag starts before the whole tag is done.
 
-Every port channel, timer and action owns one slot of a dense value and
-presence array, which is all a reaction reads or writes within a tag. Each
-reaction owns one :class:`ReactionContext`, built with the Environment: it
-maps the reaction's declared triggers and effects to their slots, so a
-``ctx`` call finds its slot with one dict lookup, and it logs what the body
-makes present, schedules and raises.
+Every port channel, timer and action owns one slot of a dense value array
+and presence bytearray, the whole per-tag state a reaction reads or writes.
+An output channel's slot holds no value, since no reaction can read an
+output: a set writes the input channels it feeds. Each reaction owns one
+:class:`ReactionContext`, built with the Environment: it maps the reaction's
+declared triggers and effects to their slots, so a ``ctx`` call finds its
+slot with one dict lookup, and it logs what the body makes present,
+schedules and raises.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it. A body
-writes only its own context and the slots of the channels it sets (each has
+writes only its own context and the input channels its sets feed (each has
 one writer per tag). The last worker to finish a level becomes the
 coordinator while every other worker is parked, and it alone writes run
 state: it folds the contexts of the level that just ran, recording the
-channels they made present, staging the reactions those ports trigger,
+input channels they made present, staging the reactions they trigger,
 collecting their logical schedules for the tag advance, tracing each
 completed reaction and recording the failure of the first declared reaction
 that raised; then it goes on to the next level, or ends the tag and advances
@@ -121,9 +123,9 @@ class ReactionContext:
         self._effects = {e: e.base for e in reaction.effects}
         self.tag = None  # the running tag
         self.state = reaction.owner.state
-        # Logs, each only where a declared effect can fill it: the channels
-        # made present and the (tag, action, value) schedules, and when
-        # traced, the text of each set ("label:digest").
+        # Logs, each only where a declared effect can fill it: the input
+        # channels made present, the (tag, action, value) schedules and,
+        # when traced, the text of each set ("label:digest").
         tr = rt._tr
         sets = any(isinstance(e, Port) for e in reaction.effects)
         schedules = any(isinstance(e, Action) for e in reaction.effects)
@@ -156,26 +158,30 @@ class ReactionContext:
                     f"{self._reaction.label()}: {target.label()} is a multiport, "
                     "pass an index or a channel")
             return base
+        if type(index) is not int:
+            try:
+                index = operator.index(index)
+            except TypeError:
+                raise ContractViolationError(
+                    f"{self._reaction.label()}: index {index!r} for {target.label()} "
+                    "is not an integer") from None
         if not 0 <= index < target.width:
             raise ContractViolationError(
                 f"{self._reaction.label()}: index {index} out of range for {target.label()}")
         return base + index
 
     def set(self, target, value, index: int | None = None) -> None:
-        """Make a declared output port present with ``value`` for the rest of
-        the current tag. Within one body, the last write to a channel wins."""
+        """Make the inputs a declared output channel feeds present with
+        ``value`` for the rest of the current tag; the output holds no value.
+        Within one body, the last write to a channel wins."""
         slot = self._slot(target, index, self._effects, "sets undeclared effect")
         rt = self._rt
         topo = rt.topology
         if slot >= topo.channel_count:
             raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
-        # One writer per channel and tag (an output's reactions never overlap,
-        # an input has one source), so nothing here races.
+        # An input has one source and an output's reactions never overlap, so
+        # each input channel has one writer per tag and nothing here races.
         values, present, log = rt._value, rt._present, self._set_log
-        values[slot] = value
-        if not present[slot]:
-            present[slot] = 1
-            log.append(slot)
         for dst in topo.conn_targets[slot]:
             values[dst] = value
             if not present[dst]:
@@ -196,13 +202,17 @@ class ReactionContext:
     def present(self, port: Port):
         """Iterate (index, value) over the channels of a declared multiport
         trigger that are present at this tag, in ascending index order. Cost
-        is proportional to the number of present channels, not the width."""
+        is one C scan of the port's presence bytes plus one step per present
+        channel."""
         if not isinstance(port, Port):
             raise ContractViolationError(f"{self._reaction.label()}: {port!r} is not a port")
         base = self._slot(port, 0, self._triggers, "reads undeclared trigger")
         rt = self._rt
-        for local in sorted(rt._touched.get(port.pid, ())):
-            yield local, rt._value[base + local]
+        present, values, end = rt._present, rt._value, base + port.width
+        i = present.find(1, base, end)
+        while i >= 0:
+            yield i - base, values[i]
+            i = present.find(1, i + 1, end)
 
     def schedule(self, action: Action, value=None, delay: int = 0) -> Tag:
         """Enqueue an event on a declared logical action at a strictly later
@@ -264,13 +274,12 @@ class Environment:
         self.started = threading.Event()
 
         # Per-tag state of every slot (port channels, then timers and
-        # actions); a value is None wherever its presence byte is 0.
+        # actions); a value is None wherever its presence byte is 0, as at
+        # every output channel.
         self._value: list = [None] * topology.slot_count
         self._present = bytearray(topology.slot_count)
-        # written only at the coordinator moment: the present slots, and the
-        # present channels of each port touched in this tag
+        # the present slots, written only at the coordinator moment
         self._live: list[int] = []
-        self._touched: dict[int, list[int]] = {}
 
         # The one lock. It guards the event heap and map, the run-once flag,
         # the stop tag and the tag it is derived from, the failure and the end
@@ -470,17 +479,18 @@ class Environment:
         Returns False once the run has terminated.
 
         The fold empties the bucket that ran: it traces each reaction that
-        completed, records the channels its context made present and stages
-        the reactions those ports trigger, collects its logical schedules for
-        the tag advance, and records the failure of the first declared
-        (lowest rid) reaction that raised. Bucket order cannot matter: a
-        level holds at most one reaction per reactor, so no two contexts
-        schedule the same action, and the trace puts a level's lines in
-        canonical order itself."""
+        completed, records the input channels its context made present and
+        stages the reactions each one triggers (a reaction staged by several
+        channels of a port is one key of its level's dict, so it runs once),
+        collects its logical schedules for the tag advance, and records the
+        failure of the first declared (lowest rid) reaction that raised.
+        Bucket order cannot matter: a level holds at most one reaction per
+        reactor, so no two contexts schedule the same action, and the trace
+        puts a level's lines in canonical order itself."""
         topo = self.topology
-        chan_owner, port_reactions, level_of = topo.chan_owner, topo.port_reactions, self.apg.level
+        channel_reactions, level_of = topo.channel_reactions, self.apg.level
         levels, nlevels = self._levels, len(self._levels)
-        ctxs, touched, live, schedules = self._ctxs, self._touched, self._live, self._schedules
+        ctxs, live, schedules = self._ctxs, self._live, self._schedules
         values, present = self._value, self._present
         alone = self.workers == 1
         traced = self._tr is not None
@@ -495,19 +505,14 @@ class Environment:
                     ctx = ctxs[rid]
                     log = ctx._set_log
                     if log:
-                        for gid in log:
-                            pid, local = chan_owner[gid]
-                            chans = touched.get(pid)
-                            if chans is None:
-                                touched[pid] = chans = []
-                                for r in port_reactions[pid]:
-                                    lvl = level_of[r]
-                                    if lvl <= running:
-                                        raise RuntimeError(
-                                            f"{topo.reactions[r].label()} staged at level {lvl}, "
-                                            f"at or below the running level {running}")
-                                    levels[lvl][r] = None
-                            chans.append(local)
+                        for slot in log:
+                            for r in channel_reactions[slot]:
+                                lvl = level_of[r]
+                                if lvl <= running:
+                                    raise RuntimeError(
+                                        f"{topo.reactions[r].label()} staged at level {lvl}, "
+                                        f"at or below the running level {running}")
+                                levels[lvl][r] = None
                         live += log
                         log.clear()
                     sched = ctx._sched_log
@@ -549,7 +554,6 @@ class Environment:
                 values[slot] = None
                 present[slot] = 0
             live.clear()
-            touched.clear()
             if not self._advance_and_stage():
                 self._terminate()
                 return False

@@ -322,10 +322,12 @@ def _misuse_program(misuse):
     (lambda ctx, h: ctx.set(h.out[0], 1), "r.1 sets undeclared effect r.out"),
     (lambda ctx, h: ctx.is_present(h.solo), "r.1 reads undeclared trigger r.solo"),
     (lambda ctx, h: ctx.set(h.fx, 1), "r.1 sets undeclared effect r.fx"),
+    (lambda ctx, h: ctx.get(h.inp, index=1.0), "index 1.0 for r.inp is not an integer"),
+    (lambda ctx, h: ctx.is_present(h.inp, index="1"), "index '1' for r.inp is not an integer"),
 ], ids=["set-action", "get-startup", "timer-index", "multiport-no-index",
         "port-index-range", "undeclared-trigger", "undeclared-effect", "get-unhashable",
         "set-unhashable", "undeclared-channel-effect", "other-reactions-trigger",
-        "other-reactions-effect"])
+        "other-reactions-effect", "float-index", "str-index"])
 def test_one_contract_for_every_slot_kind(misuse, message):
     with pytest.raises(ExecutionError, match="r.1") as exc_info:
         run_env(_misuse_program(misuse))
@@ -348,6 +350,26 @@ def test_channel_of_a_single_port_reads_and_writes():
     env.run()
     assert sink.state.seen == (7, True, 7, 7)
     assert env.trace.records[0].effects[0][0] == "src.out"
+
+
+def test_an_index_like_integer_addresses_a_channel():
+    # As in as_time, True and any type with __index__ are integers.
+    class Two:
+        def __index__(self):
+            return 2
+
+    b = Builder()
+    src = b.reactor("src")
+    out = src.output("out", width=3)
+    src.reaction(STARTUP, effects=[out], body=lambda ctx: (
+        ctx.set(out, "b", index=True), ctx.set(out, "c", index=Two())))
+    sink = b.reactor("sink")
+    inp = sink.input("in", width=3)
+    sink.reaction(inp, body=lambda ctx: setattr(ctx.state, "seen", (
+        list(ctx.present(inp)), ctx.get(inp, index=True), ctx.is_present(inp, index=Two()))))
+    connect(out, inp)
+    run_env(b.build())
+    assert sink.state.seen == ([(1, "b"), (2, "c")], "b", True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

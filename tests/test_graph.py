@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from detreact import (Builder, CausalityCycleError,
+from detreact import (STARTUP, Builder, CausalityCycleError, Environment,
                       build_precedence_graph, connect, max_level_width, to_dot)
 from programs import fork_join_pattern, proxied_bank
 
@@ -24,7 +24,7 @@ def oracle_edges(topology):
         for src, dst in topology.connections:
             if src.port in out_ports:
                 for v in topology.reactions:
-                    if dst.port in v.triggers and v is not u:
+                    if dst.port in v.triggers:
                         edges.add((u.rid, v.rid))
     for inst in topology.instances:
         for a, b in zip(inst.reactions, inst.reactions[1:]):
@@ -142,6 +142,20 @@ def test_cycle_diagnostic():
     edges = oracle_edges(topo)
     for u, v in zip(cycle, cycle[1:]):
         assert (u.rid, v.rid) in edges
+
+
+def test_a_reaction_wired_to_its_own_trigger_is_a_cycle():
+    # The output of r.1 feeds the input that triggers r.1: a data edge from
+    # r.1 to itself, rejected when the graph is built, before any run.
+    b = Builder()
+    r = b.reactor("r")
+    i, o = r.input("i"), r.output("o")
+    r.reaction(STARTUP, i, effects=[o], body=lambda ctx: ctx.set(o, 1))
+    connect(o, i)
+    topo = b.build()
+    assert oracle_analysis(topo) == (False, None)
+    with pytest.raises(CausalityCycleError, match=r"^causality cycle: r\.1 -> r\.1$"):
+        Environment(topo)
 
 
 def test_action_breaks_the_cycle():

@@ -340,6 +340,41 @@ def test_no_channel_lost_under_contention():
     assert sink.state.seen == [list(range(width))] * ticks
 
 
+@pytest.mark.parametrize("low_first", [True, False], ids=["low-first", "high-first"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_multiport_fed_from_two_levels(workers, low_first):
+    # w.1 (level 0, every 2 ms) and w.2 (level 1, every ms) each feed one
+    # channel of the reader's multiport, so the folds of two levels stage
+    # the reader; at 1 ms only w.2 fires. p.1 shares level 0 with w.1, which
+    # is then published at two workers. The reader runs once per tag and
+    # sees the present channels in ascending order, whichever level wrote
+    # the lower one.
+    early, late = (0, 2) if low_first else (2, 0)
+    b = Builder()
+    w = b.reactor("w")
+    every_2ms, every_ms = w.timer("a", period=2 * MSEC), w.timer("c", period=MSEC)
+    o1, o2 = w.output("o1"), w.output("o2")
+    w.reaction(every_2ms, effects=[o1], body=lambda ctx: ctx.set(o1, (early, ctx.tag.time)))
+    w.reaction(every_ms, effects=[o2], body=lambda ctx: ctx.set(o2, (late, ctx.tag.time)))
+    p = b.reactor("p")
+    p.reaction(p.timer("t", period=MSEC), body=lambda ctx: None)
+    r = b.reactor("r")
+    inp = r.input("in", width=3)
+    r.state.seen = []
+    r.reaction(inp, body=lambda ctx: ctx.state.seen.append((ctx.tag.time, list(ctx.present(inp)))))
+    connect(o1, inp[early])
+    connect(o2, inp[late])
+    report = Environment(b.build(), workers=workers, fast=True, stop_time=2 * MSEC).run()
+
+    def both(t):
+        return [(0, (0, t)), (2, (2, t))]
+
+    assert r.state.seen == [(0, both(0)), (MSEC, [(late, (late, MSEC))]),
+                            (2 * MSEC, both(2 * MSEC))]
+    assert report.reactions == 2 + 3 + 3 + 3  # w.1, w.2, p.1, r.1
+    assert report.events == 2 + 3 + 3
+
+
 # -- who runs a level ---------------------------------------------------------
 
 
