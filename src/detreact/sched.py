@@ -12,10 +12,13 @@ Every port channel, timer and action owns one slot of a dense value array
 and presence bytearray, the whole per-tag state a reaction reads or writes.
 An output channel's slot holds no value, since no reaction can read an
 output: a set writes the input channels it feeds. Each reaction owns one
-:class:`ReactionContext`, built with the Environment: it maps the reaction's
-declared triggers and effects to their slots, so a ``ctx`` call finds its
-slot with one dict lookup, and it logs what the body makes present,
-schedules and raises.
+:class:`ReactionContext`, built with the Environment. Its three tables are
+the only record of what the body may touch: ``_reads`` and ``_writes`` map
+each declared trigger and output channel to its slot, and ``_delays`` each
+declared logical action to its min_delay. A ``ctx`` call is one hit in one
+table; a miss goes to the cold ``_miss``, which accepts an index-like integer
+or names the misuse. The context logs what the body makes present, schedules
+and raises.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it. A body
 writes only its own context and the input channels its sets feed (each has
@@ -104,85 +107,92 @@ class ReadyQueue:
         return self._buf[i]
 
 
+def _channel_slots(targets) -> dict:
+    """Each channel's slot, keyed (target, i) and, at width 1, by the target."""
+    table = {(t, i): t.base + i for t in targets for i in range(t.width)}
+    return table | {t: slot for (t, _), slot in table.items() if t.width == 1}
+
+
+def _present_channels(present: bytearray, values: list, base: int, end: int):
+    i = present.find(1, base, end)
+    while i >= 0:
+        yield i - base, values[i]
+        i = present.find(1, i + 1, end)
+
+
 class ReactionContext:
     """One reaction's view of the runtime, built once with its Environment
     and handed to every invocation of the reaction's body; valid only for
     the duration of that call. What the body makes present, schedules or
     raises is logged here and folded at the level barrier."""
 
-    __slots__ = ("_rt", "_reaction", "_triggers", "_effects", "tag", "state", "_set_log",
-                 "_fx_log", "_sched_log", "_rx", "_exc")
+    __slots__ = ("_rt", "_reaction", "_reads", "_writes", "_delays", "tag", "state",
+                 "_set_log", "_fx_log", "_sched_log", "_rx", "_exc")
 
     def __init__(self, rt, reaction):
         self._rt = rt
         self._reaction = reaction
-        # the declared ports, timers and actions, as triggers and as
-        # effects, mapped to their first slot
-        self._triggers = {t: t.base for t in reaction.triggers
-                          if isinstance(t, (Port, Timer, Action))}
-        self._effects = {e: e.base for e in reaction.effects}
+        # What the body may touch, the only record of it: each declared trigger
+        # and output channel's slot, and each declared action's min_delay.
+        self._reads = _channel_slots(t for t in reaction.triggers
+                                     if isinstance(t, (Port, Timer, Action)))
+        self._writes = _channel_slots(e for e in reaction.effects if isinstance(e, Port))
+        self._delays = {e: e.min_delay for e in reaction.effects if isinstance(e, Action)}
         self.tag = None  # the running tag
         self.state = reaction.owner.state
         # Logs, each only where a declared effect can fill it: the input
         # channels made present, the (tag, action, value) schedules and,
         # when traced, the text of each set ("label:digest").
         tr = rt._tr
-        sets = any(isinstance(e, Port) for e in reaction.effects)
-        schedules = any(isinstance(e, Action) for e in reaction.effects)
-        self._set_log: list[int] | None = [] if sets else None
-        self._sched_log: list[tuple] | None = [] if schedules else None
-        self._fx_log: list[str] | None = [] if sets and tr is not None else None
+        self._set_log: list[int] | None = [] if self._writes else None
+        self._sched_log: list[tuple] | None = [] if self._delays else None
+        self._fx_log: list[str] | None = [] if self._writes and tr is not None else None
         # what follows the tag prefix in this reaction's trace lines
         self._rx = (tr.reaction_prefix(reaction.owner.name, reaction.index)
                     if tr is not None else None)
         self._exc: BaseException | None = None  # what the body raised
 
-    def _slot(self, target, index, declared: dict, misuse: str) -> int:
-        """Slot of one channel of a port, or of a timer or an action (one
-        slot each), that is a key of ``declared``: this reaction's map from
-        each declared trigger or effect to its first slot."""
+    def _miss(self, target, index, table: dict, misuse: str) -> int:
+        """Slot of an access that missed ``table`` only because its index is an
+        integer of a type other than int (True, a numpy integer, any
+        ``__index__`` type); any other miss is a misuse, raised and named."""
+        label = self._reaction.label()
         if isinstance(target, PortChannel):
             target, index = target.port, target.index
-        try:
-            base = declared[target]
-        except (KeyError, TypeError):  # undeclared, or unhashable
-            if not isinstance(target, (Port, Timer, Action)):
-                raise ContractViolationError(
-                    f"{self._reaction.label()}: {target!r} is not a port, timer or action"
-                ) from None
+        if not isinstance(target, (Port, Timer, Action)):
+            raise ContractViolationError(f"{label}: {target!r} is not a port, timer or action")
+        if (target, 0) not in table:
+            if table is self._writes and target in self._delays:
+                raise ContractViolationError(f"{label}: {target!r} is not a port")
+            raise ContractViolationError(f"{label} {misuse} {target.label()}")
+        if index is None:  # a declared target of width 1 is a key itself
             raise ContractViolationError(
-                f"{self._reaction.label()} {misuse} {target.label()}") from None
-        if index is None:
-            if target.width != 1:
-                raise ContractViolationError(
-                    f"{self._reaction.label()}: {target.label()} is a multiport, "
-                    "pass an index or a channel")
-            return base
-        if type(index) is not int:
-            try:
-                index = operator.index(index)
-            except TypeError:
-                raise ContractViolationError(
-                    f"{self._reaction.label()}: index {index!r} for {target.label()} "
-                    "is not an integer") from None
+                f"{label}: {target.label()} is a multiport, pass an index or a channel")
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise ContractViolationError(
+                f"{label}: index {index!r} for {target.label()} is not an integer") from None
         if not 0 <= index < target.width:
             raise ContractViolationError(
-                f"{self._reaction.label()}: index {index} out of range for {target.label()}")
-        return base + index
+                f"{label}: index {index} out of range for {target.label()}")
+        return table[target, index]
 
     def set(self, target, value, index: int | None = None) -> None:
         """Make the inputs a declared output channel feeds present with
         ``value`` for the rest of the current tag; the output holds no value.
         Within one body, the last write to a channel wins."""
-        slot = self._slot(target, index, self._effects, "sets undeclared effect")
+        # 1.0 hashes like 1: any other index takes the key None, which no table has
+        key = target if index is None else (target, index) if type(index) is int else None
+        try:
+            slot = self._writes[key]
+        except (KeyError, TypeError):  # a miss, or an unhashable target
+            slot = self._miss(target, index, self._writes, "sets undeclared effect")
         rt = self._rt
-        topo = rt.topology
-        if slot >= topo.channel_count:
-            raise ContractViolationError(f"{self._reaction.label()}: {target!r} is not a port")
         # An input has one source and an output's reactions never overlap, so
         # each input channel has one writer per tag and nothing here races.
         values, present, log = rt._value, rt._present, self._set_log
-        for dst in topo.conn_targets[slot]:
+        for dst in rt.topology.conn_targets[slot]:
             values[dst] = value
             if not present[dst]:
                 present[dst] = 1
@@ -192,47 +202,51 @@ class ReactionContext:
 
     def get(self, target, index: int | None = None):
         """Value of a declared trigger at the current tag, or None if absent."""
-        return self._rt._value[self._slot(target, index, self._triggers,
-                                          "reads undeclared trigger")]
+        key = target if index is None else (target, index) if type(index) is int else None
+        try:
+            slot = self._reads[key]
+        except (KeyError, TypeError):
+            slot = self._miss(target, index, self._reads, "reads undeclared trigger")
+        return self._rt._value[slot]
 
     def is_present(self, target, index: int | None = None) -> bool:
-        return bool(self._rt._present[self._slot(target, index, self._triggers,
-                                                 "reads undeclared trigger")])
+        key = target if index is None else (target, index) if type(index) is int else None
+        try:
+            slot = self._reads[key]
+        except (KeyError, TypeError):
+            slot = self._miss(target, index, self._reads, "reads undeclared trigger")
+        return bool(self._rt._present[slot])
 
     def present(self, port: Port):
         """Iterate (index, value) over the channels of a declared multiport
-        trigger that are present at this tag, in ascending index order. Cost
-        is one C scan of the port's presence bytes plus one step per present
-        channel."""
+        trigger that are present at this tag, in ascending index order. The
+        port is checked at the call; the cost is one C scan of the port's
+        presence bytes plus one step per present channel."""
         if not isinstance(port, Port):
             raise ContractViolationError(f"{self._reaction.label()}: {port!r} is not a port")
-        base = self._slot(port, 0, self._triggers, "reads undeclared trigger")
-        rt = self._rt
-        present, values, end = rt._present, rt._value, base + port.width
-        i = present.find(1, base, end)
-        while i >= 0:
-            yield i - base, values[i]
-            i = present.find(1, i + 1, end)
+        try:
+            base = self._reads[port, 0]
+        except KeyError:
+            base = self._miss(port, 0, self._reads, "reads undeclared trigger")
+        return _present_channels(self._rt._present, self._rt._value, base, base + port.width)
 
     def schedule(self, action: Action, value=None, delay: int = 0) -> Tag:
         """Enqueue an event on a declared logical action at a strictly later
         tag: (now + delay, 0) for a positive total delay, otherwise the next
         microstep. Returns the assigned tag. The event reaches the queue when
         the current tag closes, and the later of two calls for one tag wins."""
-        if not isinstance(action, Action) or action not in self._reaction.effects:
+        try:
+            min_delay = self._delays[action]
+        except (KeyError, TypeError):
             label = action.label() if isinstance(action, Action) else repr(action)
             raise ContractViolationError(
-                f"{self._reaction.label()} schedules undeclared action {label}")
+                f"{self._reaction.label()} schedules undeclared action {label}") from None
         if type(delay) is not int:
             delay = as_time(delay, ContractViolationError, f"{self._reaction.label()}: delay")
         if delay < 0:
             raise ContractViolationError(f"{self._reaction.label()}: negative delay")
-        total = checked_time_add(delay, action.min_delay)
-        cur = self.tag
-        if total > 0:
-            g = Tag(checked_time_add(cur.time, total), 0)
-        else:
-            g = Tag(cur.time, cur.microstep + 1)
+        total = checked_time_add(delay, min_delay)
+        g = Tag(checked_time_add(self.tag.time, total), 0) if total > 0 else self._rt._successor
         self._sched_log.append((g, action, value))
         return g
 
@@ -303,6 +317,7 @@ class Environment:
 
         # None until the first tag is selected; the run ends after the stop tag
         self._current_tag: Tag | None = None
+        self._successor = Tag(0, 0)  # the running tag's next microstep; before it, (0, 0)
         self._stop_tag: Tag | None = Tag(stop_time, 0) if stop_time is not None else None
         self._terminated = False
         self._failure: tuple | None = None
@@ -363,9 +378,8 @@ class Environment:
         at (0, 0). The earliest stop tag wins, ``stop_time`` included, so
         this is idempotent."""
         with self._evcv:
-            tag = self._next_stop_tag()
-            if self._stop_tag is None or tag < self._stop_tag:
-                self._stop_tag = tag
+            if self._stop_tag is None or self._successor < self._stop_tag:
+                self._stop_tag = self._successor
                 self._evcv.notify_all()
 
     # -- tracing ----------------------------------------------------------
@@ -394,10 +408,6 @@ class Environment:
 
     # -- tag lifecycle ------------------------------------------------------
 
-    def _next_stop_tag(self) -> Tag:
-        ct = self._current_tag
-        return Tag(ct.time, ct.microstep + 1) if ct is not None else Tag(0, 0)
-
     def _advance_and_stage(self) -> bool:
         """Enqueue the closed tag's logical schedules, select the next tag
         (waiting for physical time unless in fast mode) and stage its
@@ -409,7 +419,6 @@ class Environment:
             for g, action, value in self._schedules:
                 if g.microstep:
                     micro[action] = value  # same action: the later call wins
-                    upnext = g
                 else:
                     self._enqueue(g, action, value)
             self._schedules.clear()
@@ -418,7 +427,7 @@ class Environment:
                 if (ct is not None and ct == self._stop_tag) or self._failure is not None:
                     return False  # shutdown has run, or (re-checked after a wait) a failure
                 if micro:  # never beyond the stop tag, which is later than ct
-                    g = upnext
+                    g = self._successor
                     trigmap = micro
                     break
                 heap = self._event_heap
@@ -427,7 +436,7 @@ class Environment:
                     g = None  # beyond the stop tag: dropped
                 if g is None:
                     if self._stop_tag is None:
-                        self._stop_tag = self._next_stop_tag()
+                        self._stop_tag = self._successor
                     g = self._stop_tag
                     trigmap = None
                     break
@@ -444,6 +453,7 @@ class Environment:
                                       trigger, None)
                 break
             self._current_tag = g
+            self._successor = Tag(g.time, g.microstep + 1)
             shutdown_now = g == self._stop_tag
 
         if self._tr is not None:

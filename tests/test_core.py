@@ -298,6 +298,23 @@ def test_undeclared_trigger_read_fails_fast():
         run_env(b.build())
 
 
+def test_present_checks_when_called():
+    # The body never iterates what present returns: the check is at the call.
+    b = Builder()
+    src = b.reactor("src")
+    out = src.output("out")
+    src.reaction(STARTUP, effects=[out], body=lambda ctx: ctx.set(out, 1))
+    r = b.reactor("r")
+    inp, j = r.input("inp"), r.input("j", width=2)
+    r.reaction(inp, body=lambda ctx: ctx.present(j))
+    connect(out, inp)
+    with pytest.raises(ExecutionError, match="r.1") as exc_info:
+        run_env(b.build())
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, ContractViolationError)
+    assert str(cause) == "r.1 reads undeclared trigger r.j"
+
+
 def _misuse_program(misuse):
     b = Builder()
     r = b.reactor("r")
@@ -324,10 +341,15 @@ def _misuse_program(misuse):
     (lambda ctx, h: ctx.set(h.fx, 1), "r.1 sets undeclared effect r.fx"),
     (lambda ctx, h: ctx.get(h.inp, index=1.0), "index 1.0 for r.inp is not an integer"),
     (lambda ctx, h: ctx.is_present(h.inp, index="1"), "index '1' for r.inp is not an integer"),
+    (lambda ctx, h: ctx.schedule([1]), "r.1 schedules undeclared action [1]"),
+    (lambda ctx, h: ctx.schedule(h.inp), "r.1 schedules undeclared action <Port r.inp"),
+    (lambda ctx, h: ctx.present(h.t), "r.1: <Timer r.t> is not a port"),
+    (lambda ctx, h: ctx.present(h.solo), "r.1 reads undeclared trigger r.solo"),
 ], ids=["set-action", "get-startup", "timer-index", "multiport-no-index",
         "port-index-range", "undeclared-trigger", "undeclared-effect", "get-unhashable",
         "set-unhashable", "undeclared-channel-effect", "other-reactions-trigger",
-        "other-reactions-effect", "float-index", "str-index"])
+        "other-reactions-effect", "float-index", "str-index", "schedule-unhashable",
+        "schedule-port", "present-timer", "present-other-reactions-trigger"])
 def test_one_contract_for_every_slot_kind(misuse, message):
     with pytest.raises(ExecutionError, match="r.1") as exc_info:
         run_env(_misuse_program(misuse))
@@ -353,7 +375,10 @@ def test_channel_of_a_single_port_reads_and_writes():
 
 
 def test_an_index_like_integer_addresses_a_channel():
-    # As in as_time, True and any type with __index__ are integers.
+    # As in as_time, True, numpy integers and any type with __index__ are
+    # integers.
+    import numpy as np
+
     class Two:
         def __index__(self):
             return 2
@@ -362,14 +387,16 @@ def test_an_index_like_integer_addresses_a_channel():
     src = b.reactor("src")
     out = src.output("out", width=3)
     src.reaction(STARTUP, effects=[out], body=lambda ctx: (
-        ctx.set(out, "b", index=True), ctx.set(out, "c", index=Two())))
+        ctx.set(out, "a", index=np.int64(0)), ctx.set(out, "b", index=True),
+        ctx.set(out, "c", index=Two())))
     sink = b.reactor("sink")
     inp = sink.input("in", width=3)
     sink.reaction(inp, body=lambda ctx: setattr(ctx.state, "seen", (
-        list(ctx.present(inp)), ctx.get(inp, index=True), ctx.is_present(inp, index=Two()))))
+        list(ctx.present(inp)), ctx.get(inp, index=True), ctx.is_present(inp, index=Two()),
+        ctx.get(inp, index=np.intp(2)))))
     connect(out, inp)
     run_env(b.build())
-    assert sink.state.seen == ([(1, "b"), (2, "c")], "b", True)
+    assert sink.state.seen == ([(0, "a"), (1, "b"), (2, "c")], "b", True, "c")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

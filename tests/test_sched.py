@@ -779,6 +779,26 @@ def test_microstep_chain_takes_no_heap_operation(name, params, workers, monkeypa
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_the_running_tags_successor_is_made_once_per_tag(workers, monkeypatch):
+    # Big's zero-delay schedules (12 a tag) all return the one successor that
+    # the tag advance makes; run() makes the startup tag.
+    spec = get_benchmark("Big")
+    instance = spec.build(spec.resolve_params())
+    env = Environment(instance.topology, workers=workers, fast=True)
+    made = Counter()
+
+    def counting(*args, _real=sched.Tag):
+        made["Tag"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(sched, "Tag", counting)
+    report = env.run()
+    instance.validate(report)
+    assert report.last_tag.time == 0  # so the tags run are microsteps 0..last
+    assert made["Tag"] <= report.last_tag.microstep + 1 + 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name, counts", [
     ("PingPong", (1000, 3000, (0, 1000))),
     ("ThreadRing", (2001, 4101, (0, 2001))),
@@ -1037,13 +1057,23 @@ def test_interrupt_stops_a_real_time_run(workers):
 # Runs in its own interpreter under ``python -O``, which strips asserts.
 _OPTIMIZED_RUN = """
 import json, sys
-from detreact import Environment, trace_digest
+from detreact import STARTUP, Builder, Environment, ExecutionError, trace_digest
 from programs import two_user_bank
 
 topo, _ = two_user_bank()
 env = Environment(topo, workers=2, fast=True, trace=True)
 env.run()
-print(json.dumps({"optimize": sys.flags.optimize, "digest": trace_digest(env.trace)}))
+b = Builder()
+r = b.reactor("r")
+other = r.input("other")
+r.reaction(STARTUP, body=lambda ctx: ctx.get(other))
+contract = None
+try:
+    Environment(b.build(), fast=True).run()
+except ExecutionError as exc:
+    contract = repr(exc.__cause__)
+print(json.dumps({"optimize": sys.flags.optimize, "digest": trace_digest(env.trace),
+                  "contract": contract}))
 """
 
 
@@ -1056,6 +1086,8 @@ def test_traced_run_under_python_O_has_the_same_digest():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["optimize"] == 1
+    # an undeclared read is caught by a check that -O keeps
+    assert result["contract"] == "ContractViolationError('r.1 reads undeclared trigger r.other')"
 
     topo, _ = two_user_bank()
     normal = Environment(topo, workers=2, fast=True, trace=True)
