@@ -114,6 +114,23 @@ def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
     return BenchmarkInstance(topo, validate)
 
 
+def _barber_balks(gaps: list[int], cut_lengths: list[int], capacity: int) -> int:
+    """Customers turned away, replayed in the runtime's tag order: customer k
+    arrives at sum(gaps[:k]), and an arrival is handled before a cut that
+    ends at the same time."""
+    ends = deque()  # when the running cut and each waiting customer's cut end
+    lengths, arrival, balked = iter(cut_lengths), 0, 0
+    for gap in gaps:
+        while ends and ends[0] < arrival:
+            ends.popleft()
+        if len(ends) > capacity:  # the barber is busy and the room full
+            balked += 1
+        else:  # a cut starts as the one before it ends
+            ends.append((ends[-1] if ends else arrival) + next(lengths))
+        arrival += gap
+    return balked
+
+
 @register("SleepingBarber", "Sleeping Barber", GROUP_CONCURRENCY)
 def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstance:
     at_least("SleepingBarber", customers=(customers, 1), capacity=(capacity, 0))
@@ -122,6 +139,10 @@ def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstan
     gaps = [1 + arrival_rng.next_below(3) for _ in range(customers)]
     cut_rng = Lcg64(seed * 69697 + 1)
     cut_lengths = [1 + cut_rng.next_below(4) for _ in range(customers)]
+    expected_balked = _barber_balks(gaps, cut_lengths, capacity)
+    if not expected_balked:
+        raise ValueError(f"benchmark SleepingBarber: customers={customers}, capacity={capacity} "
+                         f"and seed={seed} turn no customer away, so nothing contends")
 
     gen = b.reactor("generator")
     cust_out = gen.output("customer")
@@ -206,7 +227,7 @@ def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstan
               f"served {served} + balked {balked} != {customers}")
         check(barber.state.cuts == served, "barber cut count diverges from dispatches")
         check(not room.state.queue, "waiting room not drained")
-        check(balked > 0, "parameters produced no contention (no balked customers)")
+        check(balked == expected_balked, f"balked {balked}, the replay balks {expected_balked}")
 
     return BenchmarkInstance(topo, validate)
 

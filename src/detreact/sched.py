@@ -20,19 +20,21 @@ table; a miss goes to the cold ``_miss``, which accepts an index-like integer
 or names the misuse. The context logs what the body makes present, schedules
 and raises.
 
-The calling thread is worker 0 and ``workers - 1`` threads join it. A body
-writes only its own context and the input channels its sets feed (each has
-one writer per tag). The last worker to finish a level becomes the
+The calling thread is worker 0 and ``workers - 1`` threads join it; each
+runs ``_worker_loop`` until ``_terminated`` is set, running the published
+level's next reaction or parking when none is left. A body writes only its
+own context and the input channels its sets feed (each has one writer per
+tag). The worker that finishes a level's last reaction becomes the
 coordinator while every other worker is parked, and it alone writes run
-state: it folds the contexts of the level that just ran, recording the
-input channels they made present, staging the reactions they trigger,
-collecting their logical schedules for the tag advance, tracing each
-completed reaction and recording the failure of the first declared reaction
-that raised; then it goes on to the next level, or ends the tag and advances
-logical time. It runs a level itself when no other worker could share it
-(one reaction, or one worker); only a wider level is published to the ready
-queue, so a one-worker run is a plain loop on the calling thread, in one
-call of ``_coordinate``.
+state: it folds the contexts of the level that just ran, recording the input
+channels they made present, staging the reactions they trigger, collecting
+their logical schedules for the tag advance, tracing each completed reaction
+and recording the failure of the first declared reaction that raised; then
+it goes on to the next level, or ends the tag and advances logical time. It
+runs a level itself when no other worker could share it (one reaction, or
+one worker); only a wider level is published to the ready queue, so a
+one-worker run is a plain loop on the calling thread, in one call of
+``_coordinate``, that touches neither the queue nor a semaphore.
 
 The event queue has two parts. An event at a microstep above 0 can only come
 from a zero-delay ``ctx.schedule`` in the tag just before it, so all of them
@@ -121,12 +123,12 @@ def _present_channels(present: bytearray, values: list, base: int, end: int):
 
 
 class ReactionContext:
-    """One reaction's view of the runtime, built once with its Environment
-    and handed to every invocation of the reaction's body; valid only for
-    the duration of that call. What the body makes present, schedules or
+    """One reaction's view of the runtime, built with its Environment and
+    handed to every call of its body; all but ``tag``, the running tag, is
+    valid only during that call. What the body makes present, schedules or
     raises is logged here and folded at the level barrier."""
 
-    __slots__ = ("_rt", "_reaction", "_reads", "_writes", "_delays", "tag", "state",
+    __slots__ = ("_rt", "_reaction", "_reads", "_writes", "_delays", "state",
                  "_set_log", "_fx_log", "_sched_log", "_rx", "_exc")
 
     def __init__(self, rt, reaction):
@@ -138,7 +140,6 @@ class ReactionContext:
                                      if isinstance(t, (Port, Timer, Action)))
         self._writes = _channel_slots(e for e in reaction.effects if isinstance(e, Port))
         self._delays = {e: e.min_delay for e in reaction.effects if isinstance(e, Action)}
-        self.tag = None  # the running tag
         self.state = reaction.owner.state
         # Logs, each only where a declared effect can fill it: the input
         # channels made present, the (tag, action, value) schedules and,
@@ -151,6 +152,11 @@ class ReactionContext:
         self._rx = (tr.reaction_prefix(reaction.owner.name, reaction.index)
                     if tr is not None else None)
         self._exc: BaseException | None = None  # what the body raised
+
+    @property
+    def tag(self) -> Tag:
+        """The running tag."""
+        return self._rt._current_tag
 
     def _miss(self, target, index, table: dict, misuse: str) -> int:
         """Slot of an access that missed ``table`` only because its index is an
@@ -245,8 +251,8 @@ class ReactionContext:
             delay = as_time(delay, ContractViolationError, f"{self._reaction.label()}: delay")
         if delay < 0:
             raise ContractViolationError(f"{self._reaction.label()}: negative delay")
-        total = checked_time_add(delay, min_delay)
-        g = Tag(checked_time_add(self.tag.time, total), 0) if total > 0 else self._rt._successor
+        rt, total = self._rt, delay + min_delay  # one check: the running time is >= 0
+        g = Tag(checked_time_add(rt._current_tag.time, total), 0) if total > 0 else rt._successor
         self._sched_log.append((g, action, value))
         return g
 
@@ -300,7 +306,6 @@ class Environment:
         # of the run.
         self._evlock = threading.Lock()
         self._evcv = threading.Condition(self._evlock)
-        self._ran = False
         self._event_heap: list[Tag] = []  # microstep-0 tags only
         self._event_map: dict[Tag, dict] = {}
         self._schedules: list[tuple] = []  # this tag's, enqueued by the tag advance
@@ -308,8 +313,7 @@ class Environment:
 
         # one bucket per level: its staged rids, each once, in staging order
         self._levels: list[dict[int, None]] = [{} for _ in range(self.apg.num_levels)]
-        self._current_level = -1
-        self._bucket: dict[int, None] = {}  # the level that ran last, folded next
+        self._current_level = -1  # the level that ran last, folded next
 
         self._ready = ReadyQueue(max_level_width(self.apg))
         self._pending = itertools.count(-1, -1)
@@ -478,15 +482,14 @@ class Environment:
 
     # -- worker protocol ----------------------------------------------------
 
-    def _coordinate(self) -> bool:
-        """The tag loop. Runs on the last worker to finish a level (worker 0
-        at startup) while every other worker is parked: folds the level that
-        just ran, then runs or publishes the next non-empty level, or closes
-        the tag and advances. A level no other worker could share, one
-        reaction or a one-worker run, runs right here, so a one-worker run
-        never leaves this loop; only a wider level is published to the ready
-        queue. Runs and publishes nothing once a reaction has failed.
-        Returns False once the run has terminated.
+    def _coordinate(self) -> None:
+        """The tag loop, run by the worker that finishes a level's last
+        reaction (worker 0 at startup) while every other worker is parked:
+        folds the level that just ran, then runs or publishes the next
+        non-empty level, or closes the tag and advances. It runs a level
+        itself when no other worker could share it (one reaction, or one
+        worker), and returns when it publishes a wider one or the run ends.
+        Runs and publishes nothing once a reaction has failed.
 
         The fold empties the bucket that ran: it traces each reaction that
         completed, records the input channels its context made present and
@@ -504,7 +507,7 @@ class Environment:
         values, present = self._value, self._present
         alone = self.workers == 1
         traced = self._tr is not None
-        bucket = self._bucket
+        bucket = levels[self._current_level] if self._current_level >= 0 else None
         while True:
             if bucket:  # fold the level that ran
                 if traced:
@@ -541,15 +544,13 @@ class Environment:
             while lvl < nlevels and not levels[lvl]:
                 lvl += 1
             if lvl < nlevels and self._failure is None:
-                self._bucket = bucket = levels[lvl]  # emptied by its fold
+                bucket = levels[lvl]  # emptied by its fold
                 self._current_level = lvl
                 count = len(bucket)
                 self._reactions_run += count  # every reaction of a bucket runs
                 if count == 1 or alone:
-                    tag = self._current_tag
                     for rid in reversed(bucket):  # the order the ready queue pops
                         ctx = ctxs[rid]
-                        ctx.tag = tag
                         try:
                             ctx._reaction.body(ctx)
                         except BaseException as exc:  # recorded by the fold
@@ -558,7 +559,7 @@ class Environment:
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(list(bucket))
                 self._sem.release(min(count, self.workers) - 1)  # the coordinator drains too
-                return True
+                return
             # close the tag: what it made present is absent in the next
             for slot in live:
                 values[slot] = None
@@ -566,7 +567,7 @@ class Environment:
             live.clear()
             if not self._advance_and_stage():
                 self._terminate()
-                return False
+                return
             bucket = None  # the new tag's buckets are staged, none has run
 
     def _terminate(self, exc: BaseException | None = None) -> None:
@@ -579,32 +580,27 @@ class Environment:
             self._evcv.notify_all()
         self._sem.release(self.workers)
 
-    def _drain(self) -> bool:
-        ctxs = self._ctxs
-        while True:
-            rid = self._ready.pop()
-            if rid is None:
-                return True  # level exhausted from this worker's view: park
-            ctx = ctxs[rid]
-            ctx.tag = self._current_tag
-            try:
-                ctx._reaction.body(ctx)
-            except BaseException as exc:  # recorded by the fold, like the body's other effects
-                ctx._exc = exc
-            if next(self._pending) == 0:
-                if not self._coordinate():
-                    return False
-
     def _worker_loop(self, first: bool = False) -> None:
         """The ``first`` worker is the calling thread: it coordinates first,
-        and at one worker it never parks. The others start parked."""
+        and at one worker returns only once the run is over. The others park."""
+        ctxs, ready, sem = self._ctxs, self._ready, self._sem
         try:
-            if first and not (self._coordinate() and self._drain()):
-                return
-            while True:
-                self._sem.acquire()
-                if self._terminated or not self._drain():
-                    return
+            if first:
+                self._coordinate()
+            else:
+                sem.acquire()
+            while not self._terminated:
+                rid = ready.pop()
+                if rid is None:  # level exhausted from this worker's view: park
+                    sem.acquire()
+                    continue
+                ctx = ctxs[rid]
+                try:
+                    ctx._reaction.body(ctx)
+                except BaseException as exc:  # recorded by the fold, like the body's other effects
+                    ctx._exc = exc
+                if next(self._pending) == 0:
+                    self._coordinate()
         except BaseException as exc:  # broken invariant or interrupt: do not hang;
             self._terminate(exc)      # run() raises it once every worker is joined
 
@@ -619,24 +615,23 @@ class Environment:
         the one declared first; an interrupt is re-raised as is. Either is
         raised once every worker thread has been joined.
         """
-        with self._evlock:
-            if self._ran:
-                raise RuntimeError("an Environment runs exactly once; build a fresh one")
-            self._ran = True
         topo = self.topology
-        self._epoch = time.monotonic_ns()
-        if topo.trigger_reactions[STARTUP]:
-            self._enqueue(Tag(0, 0), STARTUP, None)
-        for timer in topo.timers:
-            if topo.trigger_reactions[timer]:
-                self._enqueue(Tag(timer.offset, 0), timer, None)
+        with self._evlock:
+            if self.started.is_set():
+                raise RuntimeError("an Environment runs exactly once; build a fresh one")
+            self._epoch = time.monotonic_ns()
+            if topo.trigger_reactions[STARTUP]:
+                self._enqueue(Tag(0, 0), STARTUP, None)
+            for timer in topo.timers:
+                if topo.trigger_reactions[timer]:
+                    self._enqueue(Tag(timer.offset, 0), timer, None)
+            self.started.set()
 
         threads = [threading.Thread(target=self._worker_loop,
                                     name=f"detreact-worker-{w}", daemon=True)
                    for w in range(1, self.workers)]
         for t in threads:
             t.start()
-        self.started.set()
 
         t0 = time.perf_counter_ns()
         try:

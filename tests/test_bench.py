@@ -287,6 +287,16 @@ def test_a_count_below_its_least_is_rejected_and_the_least_runs(name, key, least
     run_once(spec, spec.resolve_params({**SMALL[name], key: least}))  # validates
 
 
+def test_a_sleeping_barber_that_turns_no_customer_away_fails_at_build():
+    # whether anyone balks depends on customers, capacity and seed together;
+    # the builder replays the fixed schedule to tell
+    spec = get_benchmark("SleepingBarber")
+    with pytest.raises(ValueError, match=r"^benchmark SleepingBarber: customers=12, capacity=5 "
+                                         r"and seed=1 turn no customer away"):
+        spec.build(spec.resolve_params({"customers": 12}))
+    run_once(spec, spec.resolve_params({"customers": 19}))  # the fewest that balk: validates
+
+
 def test_every_default_is_an_int():
     for spec in list_benchmarks():
         for key, value in spec.defaults.items():

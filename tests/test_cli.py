@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 from detreact import MSEC, Builder
-from detreact.bench import BenchmarkInstance, BenchmarkSpec, registry
+from detreact.bench import BenchmarkInstance, BenchmarkSpec, BenchmarkValidationError, registry
 from detreact.cli import main
 from detreact.trace import diff
 
@@ -144,13 +144,23 @@ def test_sweep_names_the_first_divergent_record(tmp_path, monkeypatch):
         assert line in result.output
 
 
-def test_validator_failure_exit_1():
-    # A waiting room big enough for everyone removes all contention, which
-    # the sleeping-barber validator treats as a broken workload.
-    result = invoke("-b", "SleepingBarber", "--iterations", "2", "--warmup", "1",
-                    "--param", "customers=40", "--param", "capacity=100000")
+def test_validator_failure_exit_1(monkeypatch):
+    def build(params):
+        b = Builder("AlwaysWrong")
+        r = b.reactor("r")
+        r.reaction(r.timer("t"), body=lambda ctx: None)
+
+        def validate(report):
+            raise BenchmarkValidationError("deliberately wrong")
+
+        return BenchmarkInstance(b.build(), validate)
+
+    spec = BenchmarkSpec(name="AlwaysWrong", title="Always Wrong", group="micro",
+                         defaults={}, build=build)
+    monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+    result = invoke("-b", "AlwaysWrong", "--iterations", "2", "--warmup", "1")
     assert result.exit_code == 1
-    assert "FAIL" in result.output
+    assert "FAIL" in result.output and "deliberately wrong" in result.output
 
 
 def test_workers_env_var_default():
@@ -189,7 +199,10 @@ def test_malformed_number_exit_2(args, named):
     # ForkJoin accepts 0 rounds and would run first
     (["ForkJoin", "CigaretteSmokers"], "rounds=0",
      "CigaretteSmokers: parameter 'rounds' must be at least 1, got 0"),
-], ids=["ThreadRing", "PingPong", "Chameneos", "second-benchmark"])
+    # at the default capacity and seed, 19 customers are the fewest that balk
+    (["SleepingBarber"], "customers=12", "SleepingBarber: customers=12, capacity=5 and seed=1 "
+                                         "turn no customer away, so nothing contends"),
+], ids=["ThreadRing", "PingPong", "Chameneos", "second-benchmark", "SleepingBarber"])
 def test_count_below_its_least_exit_2_on_one_line(benchmarks, param, message, monkeypatch):
     def run(*args, **kwargs):
         raise AssertionError("a run started")

@@ -9,6 +9,7 @@ import pytest
 from detreact import (MSEC, SEC, STARTUP, Builder, CompositionError,
                       ContractViolationError, Environment, ExecutionError,
                       ShutdownError, Tag, connect)
+from detreact.core import TIME_MAX
 from programs import two_user_bank
 
 
@@ -531,6 +532,23 @@ def test_fractional_delay_rejected():
     cause = exc_info.value.__cause__
     assert isinstance(cause, ContractViolationError)
     assert "r.1: delay must be integer nanoseconds" in str(cause)
+
+
+@pytest.mark.parametrize("offset, min_delay", [(MSEC, 0), (0, 1)],
+                         ids=["past-the-running-time", "past-the-min-delay"])
+def test_schedule_beyond_64_bit_time_fails_the_run(offset, min_delay):
+    b = Builder()
+    r = b.reactor("r")
+    t = r.timer("t", offset=offset)
+    act = r.action("a", min_delay=min_delay)
+    r.reaction(t, effects=[act], body=lambda ctx: ctx.schedule(act, delay=TIME_MAX))
+    r.reaction(act, body=lambda ctx: None)
+
+    with pytest.raises(ExecutionError, match="r.1") as exc_info:
+        run_env(b.build())
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, CompositionError)
+    assert "overflows" in str(cause)
 
 
 def test_numpy_integer_times_accepted():

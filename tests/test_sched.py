@@ -391,6 +391,16 @@ def _counted_refills(env):
     return widths
 
 
+class _CountingSemaphore(threading.Semaphore):
+    """A semaphore that counts its acquisitions."""
+
+    acquired = 0
+
+    def acquire(self, *args, **kwargs):
+        self.acquired += 1
+        return super().acquire(*args, **kwargs)
+
+
 @pytest.mark.parametrize("name, params", [
     ("PingPong", {"messages": 50}),
     ("ThreadRing", {"actors": 10, "hops": 100}),  # its startup level is 10 wide
@@ -400,6 +410,9 @@ def test_one_worker_publishes_no_level_and_starts_no_thread(name, params, monkey
     instance = spec.build(spec.resolve_params(params))
     env = Environment(instance.topology, workers=1, fast=True)
     widths = _counted_refills(env)
+    env._sem = sem = _CountingSemaphore(0)
+    pops = []
+    env._ready.pop = lambda: pops.append(1)
     started = []
     start = threading.Thread.start
 
@@ -412,6 +425,7 @@ def test_one_worker_publishes_no_level_and_starts_no_thread(name, params, monkey
     instance.validate(report)
     assert report.reactions > 0
     assert widths == []
+    assert sem.acquired == 0 and pops == []  # a plain loop: no semaphore, no ready queue
     assert started == []
 
 
