@@ -26,10 +26,11 @@ level's next reaction or parking when none is left. A body writes only its
 own context and the input channels its sets feed (each has one writer per
 tag). The worker that finishes a level's last reaction becomes the
 coordinator while every other worker is parked, and it alone writes run
-state: it folds the contexts of the level that just ran, recording the input
-channels they made present, staging the reactions they trigger, collecting
-their logical schedules for the tag advance, tracing each completed reaction
-and recording the failure of the first declared reaction that raised; then
+state: it folds the contexts of the level that just ran, in one loop that
+records the input channels they made present, stages the reactions they
+trigger, collects their logical schedules for the tag advance, writes the
+trace line of each completed reaction (in canonical order, when traced) and
+records the failure of the first declared reaction that raised; then
 it goes on to the next level, or ends the tag and advances logical time. It
 runs a level itself when no other worker could share it (one reaction, or
 one worker); only a wider level is published to the ready queue, so a
@@ -386,30 +387,6 @@ class Environment:
                 self._stop_tag = self._successor
                 self._evcv.notify_all()
 
-    # -- tracing ----------------------------------------------------------
-
-    def _trace_level(self, bucket: dict) -> None:
-        """Append the canonical line of each reaction of the bucket that
-        completed, in canonical order: levels are folded in ascending order,
-        so sorting one level's reactions by their rank orders the tag's
-        lines by (level, reactor path, index). Runs before the fold, which
-        clears the schedule logs it reads."""
-        ctxs, append, slot_part = self._ctxs, self._lines.append, self._slot_part
-        tag, sep = self._tag_prefix, self._tr.SCHED
-        for rid in sorted(bucket, key=self._rank.__getitem__) if len(bucket) > 1 else bucket:
-            ctx = ctxs[rid]
-            fx, sched = ctx._fx_log, ctx._sched_log
-            if ctx._exc is None:  # a body that raised leaves no line
-                line = tag + ctx._rx + (",".join(fx) if fx else "") + sep
-                if sched:  # a loop: a comprehension would cost a call per line
-                    comma = ""
-                    for g, action, _ in sched:
-                        line += comma + slot_part[action.base] % g
-                        comma = ","
-                append(line)
-            if fx:
-                fx.clear()
-
     # -- tag lifecycle ------------------------------------------------------
 
     def _advance_and_stage(self) -> bool:
@@ -491,30 +468,32 @@ class Environment:
         worker), and returns when it publishes a wider one or the run ends.
         Runs and publishes nothing once a reaction has failed.
 
-        The fold empties the bucket that ran: it traces each reaction that
-        completed, records the input channels its context made present and
-        stages the reactions each one triggers (a reaction staged by several
-        channels of a port is one key of its level's dict, so it runs once),
-        collects its logical schedules for the tag advance, and records the
-        failure of the first declared (lowest rid) reaction that raised.
-        Bucket order cannot matter: a level holds at most one reaction per
-        reactor, so no two contexts schedule the same action, and the trace
-        puts a level's lines in canonical order itself."""
+        The fold empties the bucket that ran, in one pass over its contexts:
+        it records the input channels each made present and stages the
+        reactions each one triggers (a reaction staged by several channels
+        of a port is one key of its level's dict, so it runs once), collects
+        its logical schedules for the tag advance, in a traced run appends
+        its line unless its body raised, and records the failure of the
+        first declared (lowest rid) reaction that raised. Bucket order
+        cannot matter to the run: a level holds at most one reaction per
+        reactor, so no two contexts schedule the same action. A traced fold
+        walks a wider bucket in rank order, and levels are folded in
+        ascending order, so a tag's lines come in canonical order."""
         topo = self.topology
         channel_reactions, level_of = topo.channel_reactions, self.apg.level
         levels, nlevels = self._levels, len(self._levels)
         ctxs, live, schedules = self._ctxs, self._live, self._schedules
         values, present = self._value, self._present
         alone = self.workers == 1
-        traced = self._tr is not None
+        if traced := self._tr is not None:
+            rank, slot_part, lines, sep = self._rank, self._slot_part, self._lines, self._tr.SCHED
         bucket = levels[self._current_level] if self._current_level >= 0 else None
         while True:
             if bucket:  # fold the level that ran
-                if traced:
-                    self._trace_level(bucket)
                 running = self._current_level
                 failed = None
-                for rid in bucket:
+                for rid in (sorted(bucket, key=rank.__getitem__)
+                            if traced and len(bucket) > 1 else bucket):
                     ctx = ctxs[rid]
                     log = ctx._set_log
                     if log:
@@ -529,6 +508,18 @@ class Environment:
                         live += log
                         log.clear()
                     sched = ctx._sched_log
+                    if traced:
+                        fx = ctx._fx_log
+                        if ctx._exc is None:  # a body that raised leaves no line
+                            line = self._tag_prefix + ctx._rx + (",".join(fx) if fx else "") + sep
+                            if sched:  # a loop: a comprehension would cost a call per line
+                                comma = ""
+                                for g, action, _ in sched:
+                                    line += comma + slot_part[action.base] % g
+                                    comma = ","
+                            lines.append(line)
+                        if fx:
+                            fx.clear()
                     if sched:
                         schedules += sched
                         sched.clear()
@@ -571,14 +562,16 @@ class Environment:
             bucket = None  # the new tag's buckets are staged, none has run
 
     def _terminate(self, exc: BaseException | None = None) -> None:
-        """End the run and release every parked worker; ``exc`` is a broken
-        invariant or an interrupt."""
+        """End the run and release every other worker, which is parked or
+        about to park; the caller leaves its loop without parking. ``exc``
+        is a broken invariant or an interrupt."""
         with self._evcv:
             if exc is not None and self._failure is None:
                 self._failure = (None, exc)
             self._terminated = True
             self._evcv.notify_all()
-        self._sem.release(self.workers)
+        if self.workers > 1:  # release(0) raises
+            self._sem.release(self.workers - 1)
 
     def _worker_loop(self, first: bool = False) -> None:
         """The ``first`` worker is the calling thread: it coordinates first,

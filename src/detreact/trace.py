@@ -15,9 +15,11 @@ each completed reaction's line from parts computed once: a prefix per tag
 per slot (:func:`slot_parts`) for each value it sets and event it
 schedules; :data:`SCHED` separates the two lists. The lines are the trace;
 :attr:`Trace.records` is a parsed view of them as :class:`TraceRecord` s,
-built on access. A traced run keeps no GC-tracked object per line; on the
-benchmark's micro-w1 workload (2-vCPU VM, Python 3.11) it costs about 1.5x
-the plain run, digest included.
+built on access. A traced run keeps no GC-tracked object per line, and the
+digests of small exact values (ints, short strs and flat tuples of them) are
+memoised. On the benchmark's micro-w1 workload (2-vCPU VM, Python 3.11) a
+traced run costs about 1.5x the plain run, digest included (a span run's
+``trace.cost_factor``); a traced Chameneos alone costs about 1.75x.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
@@ -90,11 +92,18 @@ def _array_header(arr) -> bytes:
     return b"a" + str(arr.dtype).encode() + b"|" + repr(arr.shape).encode() + b"|"
 
 
-@functools.lru_cache(maxsize=4096)
-def _int_digest(v: int) -> str:
-    # Exact ints only: True == 1 and 1.0 == 1 would share a cache entry.
-    return _blake2b(b"i%d;" % v, digest_size=8).hexdigest()
+def _encoded_digest(v) -> str:
+    buf = bytearray()
+    _encode_value(v, buf)
+    return _blake2b(buf, digest_size=8).hexdigest()
 
+
+#: The longest exact ``str`` (in characters) and flat ``tuple`` (in items)
+#: whose digest is memoised, so that no memo entry pins a large payload.
+_MEMO_MAX_LEN = 32
+# Small exact values only, each tested by its exact type before the lookup:
+# 1, True and 1.0 are equal and hash alike, so they would share an entry.
+_small_digest = functools.lru_cache(maxsize=4096)(_encoded_digest)
 
 _NONE_DIGEST = _blake2b(b"N;", digest_size=8).hexdigest()
 _TRUE_DIGEST = _blake2b(b"T;", digest_size=8).hexdigest()
@@ -105,16 +114,29 @@ _LITTLE_ENDIAN = ("<", "|", "=") if sys.byteorder == "little" else ("<", "|")
 
 def value_digest(v) -> str:
     """16-hex-digit digest of one payload: BLAKE2b-64 of its canonical
-    encoding. Exact ints are memoised; an ndarray whose buffer already is
-    its encoding (C-contiguous, little-endian or byte-order free, at least
-    one dimension) is hashed in place, without a copy."""
+    encoding. Small exact values are memoised: an exact ``int``, an exact
+    ``str`` of at most ``_MEMO_MAX_LEN`` characters, and a ``tuple`` of at
+    most ``_MEMO_MAX_LEN`` items that are all such ints and strs. An ndarray
+    whose buffer already is its encoding (C-contiguous, little-endian or
+    byte-order free, at least one dimension) is hashed in place, without a
+    copy."""
     t = type(v)
     if t is int:
-        return _int_digest(v)
+        return _small_digest(v)
     if v is None:
         return _NONE_DIGEST
     if t is bool:
         return _TRUE_DIGEST if v else _FALSE_DIGEST
+    if t is str:
+        if len(v) <= _MEMO_MAX_LEN:
+            return _small_digest(v)
+    elif t is tuple and len(v) <= _MEMO_MAX_LEN:
+        for x in v:  # a loop: all() over a generator costs a frame per item
+            tx = type(x)
+            if tx is not int and (tx is not str or len(x) > _MEMO_MAX_LEN):
+                break
+        else:
+            return _small_digest(v)
     np = sys.modules.get("numpy")
     # The encoder gives a 0-d array shape (1,), and memoryview cannot export
     # every dtype (datetime, object): only bool and numeric arrays of at
@@ -124,9 +146,7 @@ def value_digest(v) -> str:
         h = _blake2b(_array_header(v), digest_size=8)
         h.update(memoryview(v))
         return h.hexdigest()
-    buf = bytearray()
-    _encode_value(v, buf)
-    return _blake2b(buf, digest_size=8).hexdigest()
+    return _encoded_digest(v)
 
 
 class TraceRecord(NamedTuple):

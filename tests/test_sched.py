@@ -392,13 +392,17 @@ def _counted_refills(env):
 
 
 class _CountingSemaphore(threading.Semaphore):
-    """A semaphore that counts its acquisitions."""
+    """A semaphore that counts its acquisitions and the permits it releases."""
 
-    acquired = 0
+    acquired = released = 0
 
     def acquire(self, *args, **kwargs):
         self.acquired += 1
         return super().acquire(*args, **kwargs)
+
+    def release(self, n=1):
+        self.released += n
+        return super().release(n)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -425,7 +429,8 @@ def test_one_worker_publishes_no_level_and_starts_no_thread(name, params, monkey
     instance.validate(report)
     assert report.reactions > 0
     assert widths == []
-    assert sem.acquired == 0 and pops == []  # a plain loop: no semaphore, no ready queue
+    # a plain loop: no semaphore, not even at its end, and no ready queue
+    assert sem.acquired == sem.released == 0 and pops == []
     assert started == []
 
 

@@ -216,6 +216,8 @@ def _value_corpus():
         True, False, 1, 0, 1.0, 0.0, -0.0, 2.5,
         _Level.HIGH, 3, _Name("x"), "x", "", "Grüße, 世界",
         (1, (2, "a"), [3.0, None]), [True, 1, (False, 0)], (), [],
+        (1, "x"), (True, "x"), (1.0, "x"), (_Level.HIGH, "x"), (_Name("x"), 1),
+        (np.int64(1), "x"), ("x",), ((1,), "x"), (1,), (True,), [1, "x"],
         None,
         np.int64(3), np.uint8(255), np.float64(2.5), np.float32(0.1), np.bool_(True),
         np.bool_(False),
@@ -242,6 +244,29 @@ def test_value_digest_matches_the_canonical_encoding():
         assert value_digest(v) == _reference_digest(v), repr(v)
     import numpy as np
     assert len({value_digest(v) for v in (1, True, 1.0, np.int64(1), np.bool_(True))}) == 3
+    assert len({value_digest(v) for v in ((1, "x"), (True, "x"), (1.0, "x"))}) == 3
+
+
+def test_the_memo_pins_no_large_payload():
+    long = "y" * (trace_module._MEMO_MAX_LEN + 1)
+    memo = trace_module._small_digest
+    memo.cache_clear()
+    for v in (long, (1, long), (long,), tuple(range(trace_module._MEMO_MAX_LEN + 1))):
+        assert value_digest(v) == _reference_digest(v)
+    info = memo.cache_info()
+    assert info.currsize == info.misses == 0
+
+
+@pytest.mark.parametrize("name", ["Chameneos", "CountingActor"])
+def test_a_warm_memo_gives_the_pinned_digest(name):
+    # The second run finds its small values' digests in the memo.
+    from test_bench import GOLDEN_DIGESTS
+    spec, memo = get_benchmark(name), trace_module._small_digest
+    for _ in range(2):
+        hits = memo.cache_info().hits
+        _inst, env, _report = run_once(spec, spec.resolve_params({}), trace=True)
+        assert f"{trace_digest(env.trace):016x}" == GOLDEN_DIGESTS[name]
+    assert memo.cache_info().hits > hits
 
 
 def _shape_program(failing=()):
