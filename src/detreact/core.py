@@ -71,6 +71,7 @@ def checked_time_add(a: int, b: int) -> int:
 
 class _BuiltinTrigger:
     __slots__ = ("name",)
+    width = 1  # one slot of each topology
 
     def __init__(self, name: str):
         self.name = name
@@ -324,30 +325,28 @@ class ReactorTopology:
         self.timers: tuple[Timer, ...] = tuple(t for inst in instances for t in inst.timers)
         self.actions: tuple[Action, ...] = tuple(a for inst in instances for a in inst.actions)
 
-        # Trigger fan-out: each port, STARTUP, SHUTDOWN, each timer and each
-        # action -> reaction ids.
-        fanout: dict = {t: [] for t in (STARTUP, SHUTDOWN, *self.ports, *self.timers,
-                                        *self.actions)}
+        # Trigger fan-out: each port, timer and action, STARTUP and SHUTDOWN
+        # -> reaction ids.
+        fanout: dict = {t: [] for t in (*self.ports, *self.timers, *self.actions,
+                                        STARTUP, SHUTDOWN)}
         for r in self.reactions:
             for t in r.triggers:
                 fanout[t].append(r.rid)
 
-        # One dense slot space: every port channel, then one slot for each
-        # timer and each action. An output channel's slot holds no value: it
-        # indexes conn_targets and the trace's slot parts. Every channel of a
-        # port shares the port's fan-out tuple.
-        base = 0
-        channel_reactions: list[tuple[int, ...]] = []
-        for p in self.ports:
-            p.base = base
-            base += p.width
-            channel_reactions += [tuple(fanout.pop(p))] * p.width
-        self.channel_count = base
-        self.channel_reactions = tuple(channel_reactions)
-        for slot, t in enumerate(self.timers + self.actions, start=base):
-            t.base = slot
-        self.slot_count = base + len(self.timers) + len(self.actions)
-        self.trigger_reactions = {t: tuple(x) for t, x in fanout.items()}
+        # One dense slot space, the only name a run gives a trigger: every
+        # port channel, then one slot for each timer and each action, then
+        # the startup and the shutdown slot. An output channel's slot holds no
+        # value: it indexes conn_targets and the trace's slot parts. Every
+        # channel of a port shares the port's fan-out tuple.
+        slot_reactions: list[tuple[int, ...]] = []
+        for t, rids in fanout.items():
+            if not isinstance(t, _BuiltinTrigger):  # shared by every topology
+                t.base = len(slot_reactions)
+            slot_reactions += [tuple(rids)] * t.width
+        self.slot_reactions = tuple(slot_reactions)
+        self.slot_count = len(slot_reactions)
+        self.startup_slot, self.shutdown_slot = self.slot_count - 2, self.slot_count - 1
+        self.channel_count = sum(p.width for p in self.ports)
 
         conn_targets: list[list[int]] = [[] for _ in range(self.channel_count)]
         for src, dst in connections:

@@ -56,7 +56,7 @@ def _derive_edges(topology):
                 continue  # actions do not add edges
             for slot in range(eff.base, eff.base + eff.width):
                 for dst in topology.conn_targets[slot]:
-                    succ[r.rid].update(topology.channel_reactions[dst])
+                    succ[r.rid].update(topology.slot_reactions[dst])
     for inst in topology.instances:
         for a, b in zip(inst.reactions, inst.reactions[1:]):
             succ[a.rid].add(b.rid)

@@ -8,17 +8,19 @@ reactions of one level may execute on any worker in parallel; no reaction of
 level k starts before every triggered reaction below k has completed, and no
 reaction of a later tag starts before the whole tag is done.
 
-Every port channel, timer and action owns one slot of a dense value array
-and presence bytearray, the whole per-tag state a reaction reads or writes.
-An output channel's slot holds no value, since no reaction can read an
-output: a set writes the input channels it feeds. Each reaction owns one
-:class:`ReactionContext`, built with the Environment. Its three tables are
-the only record of what the body may touch: ``_reads`` and ``_writes`` map
-each declared trigger and output channel to its slot, and ``_delays`` each
-declared logical action to its min_delay. A ``ctx`` call is one hit in one
-table; a miss goes to the cold ``_miss``, which accepts an index-like integer
-or names the misuse. The context logs what the body makes present, schedules
-and raises.
+Every port channel, timer and action, and startup and shutdown, owns one
+slot of a dense value array and presence bytearray, the whole per-tag state
+a reaction reads or writes. The slot is the only name the run gives a
+trigger: events are keyed by slot, and a slot's fan-out is
+``topology.slot_reactions[slot]``. An output channel's slot holds no value,
+since no reaction can read an output: a set writes the input channels it
+feeds. Each reaction owns one :class:`ReactionContext`, built with the
+Environment. Its three tables are the only record of what the body may
+touch: ``_reads`` and ``_writes`` map each declared trigger and output
+channel to its slot, and ``_delays`` each declared logical action to its
+min_delay. A ``ctx`` call is one hit in one table; a miss goes to the cold
+``_miss``, which accepts an index-like integer or names the misuse. The
+context logs what the body makes present, schedules and raises.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it; each
 runs ``_worker_loop`` until ``_terminated`` is set, running the published
@@ -45,7 +47,8 @@ physical time has already passed it, so it is selected first and without a
 wait; written and consumed only by the coordinator between tags, it needs no
 heap and no lock of its own. Every other event (startup, a timer, a delayed
 schedule, a physical action) is at microstep 0 and goes to ``_event_heap``,
-with its triggers in ``_event_map``. The one lock, ``_evlock``, guards what
+with its slots and values in ``_event_map``; every event, whatever its
+trigger, is staged by the same loop. The one lock, ``_evlock``, guards what
 other threads touch (the event heap, the stop tag, the run-once flag, the end
 of the run) and the tag advance that reads it; ``_micro`` is the
 coordinator's alone, and the fold takes the lock only to record a failure.
@@ -64,8 +67,8 @@ import threading
 import time
 from typing import NamedTuple
 
-from .core import (SHUTDOWN, STARTUP, Action, Port, PortChannel, ReactorTopology, Tag,
-                   Timer, as_time, checked_time_add)
+from .core import (Action, Port, PortChannel, ReactorTopology, Tag, Timer, as_time,
+                   checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
 
@@ -143,7 +146,7 @@ class ReactionContext:
         self._delays = {e: e.min_delay for e in reaction.effects if isinstance(e, Action)}
         self.state = reaction.owner.state
         # Logs, each only where a declared effect can fill it: the input
-        # channels made present, the (tag, action, value) schedules and,
+        # channels made present, the (tag, action slot, value) schedules and,
         # when traced, the text of each set ("label:digest").
         tr = rt._tr
         self._set_log: list[int] | None = [] if self._writes else None
@@ -254,7 +257,7 @@ class ReactionContext:
             raise ContractViolationError(f"{self._reaction.label()}: negative delay")
         rt, total = self._rt, delay + min_delay  # one check: the running time is >= 0
         g = Tag(checked_time_add(rt._current_tag.time, total), 0) if total > 0 else rt._successor
-        self._sched_log.append((g, action, value))
+        self._sched_log.append((g, action.base, value))
         return g
 
     def request_stop(self) -> None:
@@ -290,13 +293,12 @@ class Environment:
         self.apg = build_precedence_graph(topology)
         self.workers = workers
         self.fast = fast
-        self.stop_time = stop_time
         self.trace = None  # populated after a traced run
         self.started = threading.Event()
 
-        # Per-tag state of every slot (port channels, then timers and
-        # actions); a value is None wherever its presence byte is 0, as at
-        # every output channel.
+        # Per-tag state of every slot (port channels, timers, actions, startup
+        # and shutdown); a value is None wherever its presence byte is 0, as
+        # at every output channel.
         self._value: list = [None] * topology.slot_count
         self._present = bytearray(topology.slot_count)
         # the present slots, written only at the coordinator moment
@@ -308,9 +310,10 @@ class Environment:
         self._evlock = threading.Lock()
         self._evcv = threading.Condition(self._evlock)
         self._event_heap: list[Tag] = []  # microstep-0 tags only
-        self._event_map: dict[Tag, dict] = {}
+        self._event_map: dict[Tag, dict[int, object]] = {}  # tag -> {slot: value}
         self._schedules: list[tuple] = []  # this tag's, enqueued by the tag advance
-        self._micro: dict = {}  # the next microstep's events, coordinator only
+        self._micro: dict[int, object] = {}  # the next microstep's events, coordinator only
+        self._periods = {t.base: t.period for t in topology.timers if t.period is not None}
 
         # one bucket per level: its staged rids, each once, in staging order
         self._levels: list[dict[int, None]] = [{} for _ in range(self.apg.num_levels)]
@@ -351,12 +354,12 @@ class Environment:
 
     # -- event queue ------------------------------------------------------
 
-    def _enqueue(self, tag: Tag, trigger, value) -> None:
+    def _enqueue(self, tag: Tag, slot: int, value) -> None:
         m = self._event_map.get(tag)
         if m is None:
             self._event_map[tag] = m = {}
             heapq.heappush(self._event_heap, tag)
-        m[trigger] = value  # same (trigger, tag): the later call wins
+        m[slot] = value  # same (slot, tag): the later call wins
 
     def schedule_physical(self, action: Action, value=None) -> Tag:
         """Enqueue an event on a physical action from any thread while the
@@ -373,7 +376,7 @@ class Environment:
                 raise ShutdownError(f"cannot schedule {action.label()}: environment is not running")
             ct = self._current_tag
             g = Tag(max(self._now(), ct.time + 1 if ct is not None else 0), 0)
-            self._enqueue(g, action, value)
+            self._enqueue(g, action.base, value)
             self._evcv.notify_all()
         return g
 
@@ -395,13 +398,13 @@ class Environment:
         triggered reactions. False when execution is over. The lock is taken
         once per advance; the module docstring describes the event queue."""
         topo, levels, level_of = self.topology, self._levels, self.apg.level
-        micro = self._micro
+        micro, periods, slot_reactions = self._micro, self._periods, topo.slot_reactions
         with self._evlock:
-            for g, action, value in self._schedules:
+            for g, slot, value in self._schedules:
                 if g.microstep:
-                    micro[action] = value  # same action: the later call wins
+                    micro[slot] = value  # same action: the later call wins
                 else:
-                    self._enqueue(g, action, value)
+                    self._enqueue(g, slot, value)
             self._schedules.clear()
             while True:
                 ct = self._current_tag
@@ -428,10 +431,9 @@ class Environment:
                         continue  # re-check: an earlier event may have arrived
                 heapq.heappop(heap)
                 trigmap = self._event_map.pop(g)
-                for trigger in trigmap:
-                    if isinstance(trigger, Timer) and trigger.period is not None:
-                        self._enqueue(Tag(checked_time_add(g.time, trigger.period), 0),
-                                      trigger, None)
+                for slot in trigmap:
+                    if slot in periods:  # a periodic timer
+                        self._enqueue(Tag(checked_time_add(g.time, periods[slot]), 0), slot, None)
                 break
             self._current_tag = g
             self._successor = Tag(g.time, g.microstep + 1)
@@ -443,17 +445,15 @@ class Environment:
         if trigmap:
             self._events_processed += len(trigmap)
             values, present, live = self._value, self._present, self._live
-            for trigger, value in trigmap.items():
-                if trigger is not STARTUP:
-                    slot = trigger.base
-                    values[slot] = value
-                    present[slot] = 1
-                    live.append(slot)
-                for rid in topo.trigger_reactions[trigger]:
+            for slot, value in trigmap.items():
+                values[slot] = value
+                present[slot] = 1
+                live.append(slot)
+                for rid in slot_reactions[slot]:
                     levels[level_of[rid]][rid] = None
             trigmap.clear()  # consumed
-        if shutdown_now:
-            for rid in topo.trigger_reactions[SHUTDOWN]:
+        if shutdown_now:  # not an event: nothing reads the shutdown slot
+            for rid in slot_reactions[topo.shutdown_slot]:
                 levels[level_of[rid]][rid] = None
         return True
 
@@ -480,7 +480,7 @@ class Environment:
         walks a wider bucket in rank order, and levels are folded in
         ascending order, so a tag's lines come in canonical order."""
         topo = self.topology
-        channel_reactions, level_of = topo.channel_reactions, self.apg.level
+        slot_reactions, level_of = topo.slot_reactions, self.apg.level
         levels, nlevels = self._levels, len(self._levels)
         ctxs, live, schedules = self._ctxs, self._live, self._schedules
         values, present = self._value, self._present
@@ -498,7 +498,7 @@ class Environment:
                     log = ctx._set_log
                     if log:
                         for slot in log:
-                            for r in channel_reactions[slot]:
+                            for r in slot_reactions[slot]:
                                 lvl = level_of[r]
                                 if lvl <= running:
                                     raise RuntimeError(
@@ -514,8 +514,8 @@ class Environment:
                             line = self._tag_prefix + ctx._rx + (",".join(fx) if fx else "") + sep
                             if sched:  # a loop: a comprehension would cost a call per line
                                 comma = ""
-                                for g, action, _ in sched:
-                                    line += comma + slot_part[action.base] % g
+                                for g, slot, _ in sched:
+                                    line += comma + slot_part[slot] % g
                                     comma = ","
                             lines.append(line)
                         if fx:
@@ -613,11 +613,11 @@ class Environment:
             if self.started.is_set():
                 raise RuntimeError("an Environment runs exactly once; build a fresh one")
             self._epoch = time.monotonic_ns()
-            if topo.trigger_reactions[STARTUP]:
-                self._enqueue(Tag(0, 0), STARTUP, None)
+            if topo.slot_reactions[topo.startup_slot]:
+                self._enqueue(Tag(0, 0), topo.startup_slot, None)
             for timer in topo.timers:
-                if topo.trigger_reactions[timer]:
-                    self._enqueue(Tag(timer.offset, 0), timer, None)
+                if topo.slot_reactions[timer.base]:
+                    self._enqueue(Tag(timer.offset, 0), timer.base, None)
             self.started.set()
 
         threads = [threading.Thread(target=self._worker_loop,

@@ -187,10 +187,15 @@ def slot_parts(topology: ReactorTopology) -> list[str]:
     """For every slot of the topology, the part of a line it writes: for a
     port channel, the prefix of a value digest (``<label>:``); for a timer
     or an action, the format that a scheduled tag fills
-    (``<label>@%s.%s``)."""
-    return ([PortChannel(p, i).label() + ":" for p in topology.ports for i in range(p.width)]
-            + [t.label().replace("%", "%%") + "@%s.%s"
-               for t in (*topology.timers, *topology.actions)])
+    (``<label>@%s.%s``); ``""`` for the startup and the shutdown slot, which
+    no set or schedule indexes. Each part is placed at its trigger's slot."""
+    parts = [""] * topology.slot_count
+    for p in topology.ports:
+        for i in range(p.width):
+            parts[p.base + i] = PortChannel(p, i).label() + ":"
+    for t in (*topology.timers, *topology.actions):
+        parts[t.base] = t.label().replace("%", "%%") + "@%s.%s"
+    return parts
 
 
 def canonical_ranks(topology: ReactorTopology) -> list[int]:

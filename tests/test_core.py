@@ -6,10 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from detreact import (MSEC, SEC, STARTUP, Builder, CompositionError,
+from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, Builder, CompositionError,
                       ContractViolationError, Environment, ExecutionError,
                       ShutdownError, Tag, connect)
-from detreact.core import TIME_MAX
+from detreact.bench import get_benchmark, list_benchmarks
+from detreact.core import TIME_MAX, PortChannel
+from detreact.trace import slot_parts
 from programs import two_user_bank
 
 
@@ -121,6 +123,53 @@ def test_time_overflow_rejected():
     r = b.reactor("r")
     with pytest.raises(CompositionError, match="overflow"):
         r.timer("t", offset=2**62, period=2**62)
+
+
+def _interleaved_slots_topology():
+    # Timers and actions declared in interleaved reactors, a multiport, and
+    # reactions on STARTUP and SHUTDOWN.
+    b = Builder()
+    a, c = b.reactor("a"), b.reactor("c")
+    out = a.output("out", width=3)
+    t1 = a.timer("t1", period=MSEC)
+    act1 = c.action("act1")
+    inp = c.input("inp", width=3)
+    t2 = c.timer("t2")
+    act2 = a.physical_action("act2")
+    a.reaction(STARTUP, t1, act2, effects=[out], body=lambda ctx: None)
+    c.reaction(inp, t2, body=lambda ctx: None)
+    c.reaction(STARTUP, SHUTDOWN, act1, effects=[act1], body=lambda ctx: None)
+    a.reaction(SHUTDOWN, body=lambda ctx: None)
+    connect(out, inp)
+    return b.build()
+
+
+@pytest.mark.parametrize("name", ["interleaved", *(spec.name for spec in list_benchmarks())])
+def test_slot_tables_match_the_declarations(name):
+    if name == "interleaved":
+        topo = _interleaved_slots_topology()
+    else:
+        spec = get_benchmark(name)
+        topo = spec.build(spec.resolve_params()).topology
+    # The slot is the only name a run gives a trigger: each slot's fan-out and
+    # trace part must be those of the channel, timer or action declared there.
+    expected = {}  # slot -> (the label its trace part starts with, its trigger)
+    for p in topo.ports:
+        for i in range(p.width):
+            expected[p.base + i] = (PortChannel(p, i).label(), p)
+    for t in (*topo.timers, *topo.actions):
+        expected[t.base] = (t.label(), t)
+    expected[topo.startup_slot] = (None, STARTUP)
+    expected[topo.shutdown_slot] = (None, SHUTDOWN)
+    assert sorted(expected) == list(range(topo.slot_count))
+    assert (topo.startup_slot, topo.shutdown_slot) == (topo.slot_count - 2, topo.slot_count - 1)
+    assert len(topo.slot_reactions) == topo.slot_count
+    parts = slot_parts(topo)
+    assert len(parts) == topo.slot_count
+    for slot, (label, trigger) in expected.items():
+        assert topo.slot_reactions[slot] == tuple(
+            r.rid for r in topo.reactions if trigger in r.triggers), (name, slot)
+        assert parts[slot] == "" if label is None else parts[slot].startswith(label), (name, slot)
 
 
 def test_frozen_after_build():
@@ -404,7 +453,8 @@ def test_an_index_like_integer_addresses_a_channel():
 def test_timer_and_action_presence_is_per_tag(workers):
     # The timer ticks every millisecond; the action fires with it at 1 ms,
     # alone at 2.5 ms and alone at the microstep after 3 ms. Each slot must
-    # read absent at every other tag.
+    # read absent at every other tag. Startup shares (0, 0) with the timer and
+    # is staged by the same loop: the second reaction runs there once.
     b = Builder()
     r = b.reactor("r")
     t = r.timer("t", offset=0, period=MSEC)
@@ -418,12 +468,12 @@ def test_timer_and_action_presence_is_per_tag(workers):
         if tick in delays:
             ctx.schedule(act, f"a{tick}", delay=delays[tick])
 
-    @r.reaction(t, act)
+    @r.reaction(STARTUP, t, act)
     def _(ctx):
         ctx.state.seen.append((ctx.tag, ctx.get(t), ctx.is_present(t),
                                ctx.get(act), ctx.is_present(act)))
 
-    run_env(b.build(), workers=workers, stop_time=4 * MSEC)
+    report = run_env(b.build(), workers=workers, stop_time=4 * MSEC)
     assert r.state.seen == [
         (Tag(0, 0), None, True, None, False),
         (Tag(MSEC, 0), None, True, "a0", True),
@@ -433,6 +483,9 @@ def test_timer_and_action_presence_is_per_tag(workers):
         (Tag(3 * MSEC, 1), None, False, "a3", True),
         (Tag(4 * MSEC, 0), None, True, None, False),
     ]
+    # startup, the timer at 0, 1, 2, 3 and 4 ms, the action at 1 ms, 2.5 ms
+    # and (3 ms, 1)
+    assert report.events == 1 + 5 + 3
 
 
 # -- schedule_logical -----------------------------------------------------
