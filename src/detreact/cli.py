@@ -3,11 +3,12 @@
 Selects benchmarks, sweeps worker counts, prints a human-readable table and
 optionally writes CSV and canonical trace files. ``main(argv)`` returns the
 exit code: 0 when every validator passed (and, with ``--trace``, every
-benchmark gave one trace digest across the worker sweep), 1 otherwise. Usage
-errors, malformed numbers included (``--param`` values are integers), exit 2
-through argparse before any run starts; so does, on one stderr line, a
-parameter that a builder rejects as out of its range. When a sweep's digests
-differ, the trace diff names the first divergent record.
+benchmark gave one trace digest across the worker sweep), 1 otherwise. A run
+whose validator or reaction fails prints a ``FAIL`` row, and the sweep goes
+on. Usage errors, malformed numbers included (``--param`` values are
+integers), exit 2 through argparse before any run starts; so does, on one
+stderr line, a parameter that a builder rejects as out of its range. When a
+sweep's digests differ, the trace diff names the first divergent record.
 
 CSV layout: per-iteration rows ``benchmark,workers,iteration,millis`` for the
 retained (post-warmup) iterations, followed by summary rows
@@ -24,6 +25,7 @@ from pathlib import Path
 
 from .bench import (BenchmarkValidationError, UnknownBenchmarkError,
                     get_benchmark, list_benchmarks, run_benchmark, run_once)
+from .errors import ExecutionError
 from .trace import Trace, _guard_stdout, diff, trace_digest
 
 WORKERS_ENV_VAR = "DETREACT_WORKERS"
@@ -63,6 +65,14 @@ def _trace_one(spec, params, workers: int, fast: bool, trace_dir: Path) -> Trace
     path = trace_dir / f"{spec.name}_w{workers}.trace"
     path.write_text(env.trace.to_text(), encoding="utf-8")
     return env.trace
+
+
+def _fail(failures: list, spec, workers: int, exc: Exception) -> None:
+    """Record a run that failed its validator or a reaction, as a FAIL row;
+    the sweep goes on and the exit code is 1."""
+    failures.append(str(exc))
+    print(f"{spec.name:24s} {workers:7d} {'-':>4s} {'-':>10s} "
+          f"{'-':>9s} {'-':>9s} {'-':>9s}  FAIL: {exc}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -143,10 +153,8 @@ def _main(argv: list[str] | None) -> int:
             try:
                 stats = run_benchmark(spec, params, workers=workers,
                                       iterations=iterations, warmup=warmup, fast=args.fast)
-            except BenchmarkValidationError as exc:
-                failures.append(str(exc))
-                print(f"{spec.name:24s} {workers:7d} {'-':>4s} {'-':>10s} "
-                      f"{'-':>9s} {'-':>9s} {'-':>9s}  FAIL: {exc}", flush=True)
+            except (BenchmarkValidationError, ExecutionError) as exc:
+                _fail(failures, spec, workers, exc)
                 continue
             samples = stats.samples_ms
             print(f"{spec.name:24s} {workers:7d} {len(samples):4d} {stats.mean_ms:10.3f} "
@@ -155,7 +163,11 @@ def _main(argv: list[str] | None) -> int:
                 iteration_rows.append(f"{spec.name},{workers},{warmup + i},{ms:.6f}")
             summary_rows.append(f"{spec.name},{workers},{stats.mean_ms:.6f},{stats.ci99_ms:.6f}")
             if args.trace is not None:
-                trace = _trace_one(spec, params, workers, args.fast, args.trace)
+                try:
+                    trace = _trace_one(spec, params, workers, args.fast, args.trace)
+                except (BenchmarkValidationError, ExecutionError) as exc:
+                    _fail(failures, spec, workers, exc)
+                    continue
                 digest = trace_digest(trace)
                 print(f"{'':24s} trace digest {digest:016x} -> "
                       f"{args.trace / f'{spec.name}_w{workers}.trace'}", flush=True)

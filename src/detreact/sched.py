@@ -20,7 +20,9 @@ touch: ``_reads`` and ``_writes`` map each declared trigger and output
 channel to its slot, and ``_delays`` each declared logical action to its
 min_delay. A ``ctx`` call is one hit in one table; a miss goes to the cold
 ``_miss``, which accepts an index-like integer or names the misuse. The
-context logs what the body makes present, schedules and raises.
+context logs what the body makes present, schedules and raises, and holds
+its body and its level's bucket, so staging is one store and the tag loop
+reads no level table; the build checks that a set's readers sit above it.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it; each
 runs ``_worker_loop`` until ``_terminated`` is set, running the published
@@ -33,11 +35,11 @@ records the input channels they made present, stages the reactions they
 trigger, collects their logical schedules for the tag advance, writes the
 trace line of each completed reaction (in canonical order, when traced) and
 records the failure of the first declared reaction that raised; then
-it goes on to the next level, or ends the tag and advances logical time. It
-runs a level itself when no other worker could share it (one reaction, or
-one worker); only a wider level is published to the ready queue, so a
-one-worker run is a plain loop on the calling thread, in one call of
-``_coordinate``, that touches neither the queue nor a semaphore.
+it goes on to the next level, or ends the tag and advances logical time, in
+the same loop. It runs a level itself when no other worker could share it
+(one reaction, or one worker); only a wider level is published to the ready
+queue, so a one-worker run is one call of ``_coordinate`` on the calling
+thread, with no call per tag, that touches neither the queue nor a semaphore.
 
 The event queue has two parts. An event at a microstep above 0 can only come
 from a zero-delay ``ctx.schedule`` in the tag just before it, so all of them
@@ -73,6 +75,10 @@ from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
 
 
+_new_tuple = tuple.__new__  # makes the successor tag without Tag's Python-level __new__
+_by_rank = operator.attrgetter("_rank")
+
+
 class TerminationReport(NamedTuple):
     """Outcome of one run. Counts are exact: ``events`` is the number of
     event-queue entries processed (timers, actions, startup), ``reactions``
@@ -85,7 +91,8 @@ class TerminationReport(NamedTuple):
 
 
 class ReadyQueue:
-    """Fixed-size buffer drained through a decrementing counter.
+    """Fixed-size buffer of a published level's reaction contexts, drained
+    through a decrementing counter.
 
     ``pop`` consumes one counter value; a negative value means empty,
     otherwise it is the buffer index to read. The counter is an
@@ -132,12 +139,17 @@ class ReactionContext:
     valid only during that call. What the body makes present, schedules or
     raises is logged here and folded at the level barrier."""
 
-    __slots__ = ("_rt", "_reaction", "_reads", "_writes", "_delays", "state",
-                 "_set_log", "_fx_log", "_sched_log", "_rx", "_exc")
+    __slots__ = ("_rt", "_reaction", "_body", "_bucket", "_value", "_present", "_targets",
+                 "_reads", "_writes", "_delays", "state",
+                 "_set_log", "_fx_log", "_sched_log", "_rx", "_rank", "_exc")
 
     def __init__(self, rt, reaction):
         self._rt = rt
         self._reaction = reaction
+        # objects the Environment holds: the level's bucket, and what set and get use
+        self._body = reaction.body
+        self._bucket = rt._levels[rt.apg.level[reaction.rid]]
+        self._value, self._present, self._targets = rt._value, rt._present, rt.topology.conn_targets
         # What the body may touch, the only record of it: each declared trigger
         # and output channel's slot, and each declared action's min_delay.
         self._reads = _channel_slots(t for t in reaction.triggers
@@ -155,6 +167,7 @@ class ReactionContext:
         # what follows the tag prefix in this reaction's trace lines
         self._rx = (tr.reaction_prefix(reaction.owner.name, reaction.index)
                     if tr is not None else None)
+        self._rank = rt._rank[reaction.rid] if tr is not None else None  # a traced fold's sort key
         self._exc: BaseException | None = None  # what the body raised
 
     @property
@@ -198,17 +211,16 @@ class ReactionContext:
             slot = self._writes[key]
         except (KeyError, TypeError):  # a miss, or an unhashable target
             slot = self._miss(target, index, self._writes, "sets undeclared effect")
-        rt = self._rt
         # An input has one source and an output's reactions never overlap, so
         # each input channel has one writer per tag and nothing here races.
-        values, present, log = rt._value, rt._present, self._set_log
-        for dst in rt.topology.conn_targets[slot]:
+        values, present, log = self._value, self._present, self._set_log
+        for dst in self._targets[slot]:
             values[dst] = value
             if not present[dst]:
                 present[dst] = 1
                 log.append(dst)
         if self._fx_log is not None:
-            self._fx_log.append(rt._slot_part[slot] + rt._tr.value_digest(value))
+            self._fx_log.append(self._rt._slot_part[slot] + self._rt._tr.value_digest(value))
 
     def get(self, target, index: int | None = None):
         """Value of a declared trigger at the current tag, or None if absent."""
@@ -217,7 +229,7 @@ class ReactionContext:
             slot = self._reads[key]
         except (KeyError, TypeError):
             slot = self._miss(target, index, self._reads, "reads undeclared trigger")
-        return self._rt._value[slot]
+        return self._value[slot]
 
     def is_present(self, target, index: int | None = None) -> bool:
         key = target if index is None else (target, index) if type(index) is int else None
@@ -225,7 +237,7 @@ class ReactionContext:
             slot = self._reads[key]
         except (KeyError, TypeError):
             slot = self._miss(target, index, self._reads, "reads undeclared trigger")
-        return bool(self._rt._present[slot])
+        return bool(self._present[slot])
 
     def present(self, port: Port):
         """Iterate (index, value) over the channels of a declared multiport
@@ -238,7 +250,7 @@ class ReactionContext:
             base = self._reads[port, 0]
         except KeyError:
             base = self._miss(port, 0, self._reads, "reads undeclared trigger")
-        return _present_channels(self._rt._present, self._rt._value, base, base + port.width)
+        return _present_channels(self._present, self._value, base, base + port.width)
 
     def schedule(self, action: Action, value=None, delay: int = 0) -> Tag:
         """Enqueue an event on a declared logical action at a strictly later
@@ -315,8 +327,8 @@ class Environment:
         self._micro: dict[int, object] = {}  # the next microstep's events, coordinator only
         self._periods = {t.base: t.period for t in topology.timers if t.period is not None}
 
-        # one bucket per level: its staged rids, each once, in staging order
-        self._levels: list[dict[int, None]] = [{} for _ in range(self.apg.num_levels)]
+        # one bucket per level: its staged contexts, each once, in staging order
+        self._levels: list[dict] = [{} for _ in range(self.apg.num_levels)]
         self._current_level = -1  # the level that ran last, folded next
 
         self._ready = ReadyQueue(max_level_width(self.apg))
@@ -348,6 +360,18 @@ class Environment:
             self._slot_part = tr.slot_parts(topology)
             self._rank = tr.canonical_ranks(topology)
         self._ctxs = [ReactionContext(self, r) for r in topology.reactions]  # by rid
+        # The fold stages a set's readers unchecked: each sits above its writer's
+        # level unless the graph misses a data edge, which is checked here, once.
+        level_of, slot_reactions = self.apg.level, topology.slot_reactions
+        for ctx in self._ctxs:
+            running = level_of[ctx._reaction.rid]
+            for slot in ctx._writes.values():
+                for dst in topology.conn_targets[slot]:
+                    for r in slot_reactions[dst]:
+                        if level_of[r] <= running:
+                            raise RuntimeError(
+                                f"{topology.reactions[r].label()} staged at level "
+                                f"{level_of[r]}, at or below the running level {running}")
 
     def _now(self) -> int:
         return time.monotonic_ns() - self._epoch
@@ -390,83 +414,16 @@ class Environment:
                 self._stop_tag = self._successor
                 self._evcv.notify_all()
 
-    # -- tag lifecycle ------------------------------------------------------
-
-    def _advance_and_stage(self) -> bool:
-        """Enqueue the closed tag's logical schedules, select the next tag
-        (waiting for physical time unless in fast mode) and stage its
-        triggered reactions. False when execution is over. The lock is taken
-        once per advance; the module docstring describes the event queue."""
-        topo, levels, level_of = self.topology, self._levels, self.apg.level
-        micro, periods, slot_reactions = self._micro, self._periods, topo.slot_reactions
-        with self._evlock:
-            for g, slot, value in self._schedules:
-                if g.microstep:
-                    micro[slot] = value  # same action: the later call wins
-                else:
-                    self._enqueue(g, slot, value)
-            self._schedules.clear()
-            while True:
-                ct = self._current_tag
-                if (ct is not None and ct == self._stop_tag) or self._failure is not None:
-                    return False  # shutdown has run, or (re-checked after a wait) a failure
-                if micro:  # never beyond the stop tag, which is later than ct
-                    g = self._successor
-                    trigmap = micro
-                    break
-                heap = self._event_heap
-                g = heap[0] if heap else None
-                if g is not None and self._stop_tag is not None and g > self._stop_tag:
-                    g = None  # beyond the stop tag: dropped
-                if g is None:
-                    if self._stop_tag is None:
-                        self._stop_tag = self._successor
-                    g = self._stop_tag
-                    trigmap = None
-                    break
-                if not self.fast:
-                    now = self._now()
-                    if now <= g.time:
-                        self._evcv.wait((g.time - now + 1) / 1e9)
-                        continue  # re-check: an earlier event may have arrived
-                heapq.heappop(heap)
-                trigmap = self._event_map.pop(g)
-                for slot in trigmap:
-                    if slot in periods:  # a periodic timer
-                        self._enqueue(Tag(checked_time_add(g.time, periods[slot]), 0), slot, None)
-                break
-            self._current_tag = g
-            self._successor = Tag(g.time, g.microstep + 1)
-            shutdown_now = g == self._stop_tag
-
-        if self._tr is not None:
-            self._tag_prefix = self._tr.tag_prefix(g)
-        self._current_level = -1
-        if trigmap:
-            self._events_processed += len(trigmap)
-            values, present, live = self._value, self._present, self._live
-            for slot, value in trigmap.items():
-                values[slot] = value
-                present[slot] = 1
-                live.append(slot)
-                for rid in slot_reactions[slot]:
-                    levels[level_of[rid]][rid] = None
-            trigmap.clear()  # consumed
-        if shutdown_now:  # not an event: nothing reads the shutdown slot
-            for rid in slot_reactions[topo.shutdown_slot]:
-                levels[level_of[rid]][rid] = None
-        return True
-
     # -- worker protocol ----------------------------------------------------
 
     def _coordinate(self) -> None:
         """The tag loop, run by the worker that finishes a level's last
         reaction (worker 0 at startup) while every other worker is parked:
         folds the level that just ran, then runs or publishes the next
-        non-empty level, or closes the tag and advances. It runs a level
-        itself when no other worker could share it (one reaction, or one
-        worker), and returns when it publishes a wider one or the run ends.
-        Runs and publishes nothing once a reaction has failed.
+        non-empty level, or closes the tag and advances, inline. It runs a
+        level itself when no other worker could share it (one reaction, or
+        one worker), and returns when it publishes a wider one or the run
+        ends. Runs and publishes nothing once a reaction has failed.
 
         The fold empties the bucket that ran, in one pass over its contexts:
         it records the input channels each made present and stages the
@@ -478,33 +435,31 @@ class Environment:
         cannot matter to the run: a level holds at most one reaction per
         reactor, so no two contexts schedule the same action. A traced fold
         walks a wider bucket in rank order, and levels are folded in
-        ascending order, so a tag's lines come in canonical order."""
-        topo = self.topology
-        slot_reactions, level_of = topo.slot_reactions, self.apg.level
+        ascending order, so a tag's lines come in canonical order.
+
+        The advance enqueues the closed tag's schedules, selects the next tag
+        (waiting for physical time unless in fast mode) and stages it, taking
+        the lock once; the module docstring describes the event queue."""
+        slot_reactions = self.topology.slot_reactions
         levels, nlevels = self._levels, len(self._levels)
         ctxs, live, schedules = self._ctxs, self._live, self._schedules
         values, present = self._value, self._present
-        alone = self.workers == 1
+        micro, periods, heap = self._micro, self._periods, self._event_heap
+        alone, new_tag = self.workers == 1, _new_tuple
         if traced := self._tr is not None:
-            rank, slot_part, lines, sep = self._rank, self._slot_part, self._lines, self._tr.SCHED
+            slot_part, lines, sep = self._slot_part, self._lines, self._tr.SCHED
         bucket = levels[self._current_level] if self._current_level >= 0 else None
         while True:
             if bucket:  # fold the level that ran
-                running = self._current_level
                 failed = None
-                for rid in (sorted(bucket, key=rank.__getitem__)
+                for ctx in (sorted(bucket, key=_by_rank)
                             if traced and len(bucket) > 1 else bucket):
-                    ctx = ctxs[rid]
                     log = ctx._set_log
                     if log:
                         for slot in log:
                             for r in slot_reactions[slot]:
-                                lvl = level_of[r]
-                                if lvl <= running:
-                                    raise RuntimeError(
-                                        f"{topo.reactions[r].label()} staged at level {lvl}, "
-                                        f"at or below the running level {running}")
-                                levels[lvl][r] = None
+                                c = ctxs[r]
+                                c._bucket[c] = None  # above this level: checked at build
                         live += log
                         log.clear()
                     sched = ctx._sched_log
@@ -523,14 +478,14 @@ class Environment:
                     if sched:
                         schedules += sched
                         sched.clear()
-                    if ctx._exc is not None and (failed is None or rid < failed):
-                        failed = rid
+                    if ctx._exc is not None and (
+                            failed is None or ctx._reaction.rid < failed._reaction.rid):
+                        failed = ctx
                 bucket.clear()
                 if failed is not None:
-                    ctx = ctxs[failed]
                     with self._evlock:  # an interrupt recorded by _terminate comes first
                         if self._failure is None:
-                            self._failure = (ctx._reaction, ctx._exc)
+                            self._failure = (failed._reaction, failed._exc)
             lvl = self._current_level + 1
             while lvl < nlevels and not levels[lvl]:
                 lvl += 1
@@ -540,10 +495,9 @@ class Environment:
                 count = len(bucket)
                 self._reactions_run += count  # every reaction of a bucket runs
                 if count == 1 or alone:
-                    for rid in reversed(bucket):  # the order the ready queue pops
-                        ctx = ctxs[rid]
+                    for ctx in reversed(bucket):  # the order the ready queue pops
                         try:
-                            ctx._reaction.body(ctx)
+                            ctx._body(ctx)
                         except BaseException as exc:  # recorded by the fold
                             ctx._exc = exc
                     continue
@@ -556,9 +510,68 @@ class Environment:
                 values[slot] = None
                 present[slot] = 0
             live.clear()
-            if not self._advance_and_stage():
+            # advance: None once the run is over
+            with self._evlock:
+                for g, slot, value in schedules:
+                    if g.microstep:
+                        micro[slot] = value  # same action: the later call wins
+                    else:
+                        self._enqueue(g, slot, value)
+                schedules.clear()
+                while True:
+                    ct = self._current_tag
+                    if (ct is not None and ct == self._stop_tag) or self._failure is not None:
+                        g = None  # shutdown has run, or (re-checked after a wait) a failure
+                        break
+                    if micro:  # never beyond the stop tag, which is later than ct
+                        g = self._successor
+                        trigmap = micro
+                        break
+                    g = heap[0] if heap else None
+                    if g is not None and self._stop_tag is not None and g > self._stop_tag:
+                        g = None  # beyond the stop tag: dropped
+                    if g is None:
+                        if self._stop_tag is None:
+                            self._stop_tag = self._successor
+                        g = self._stop_tag
+                        trigmap = None
+                        break
+                    if not self.fast:
+                        now = self._now()
+                        if now <= g.time:
+                            self._evcv.wait((g.time - now + 1) / 1e9)
+                            continue  # re-check: an earlier event may have arrived
+                    heapq.heappop(heap)
+                    trigmap = self._event_map.pop(g)
+                    for slot in trigmap:
+                        if slot in periods:  # a periodic timer
+                            self._enqueue(Tag(checked_time_add(g.time, periods[slot]), 0),
+                                          slot, None)
+                    break
+                if g is not None:
+                    self._current_tag = g
+                    self._successor = new_tag(Tag, (g.time, g.microstep + 1))
+                    shutdown_now = g == self._stop_tag
+            if g is None:
                 self._terminate()
                 return
+            if traced:
+                self._tag_prefix = self._tr.tag_prefix(g)
+            self._current_level = -1
+            if trigmap:
+                self._events_processed += len(trigmap)
+                for slot, value in trigmap.items():
+                    values[slot] = value
+                    present[slot] = 1
+                    live.append(slot)
+                    for r in slot_reactions[slot]:
+                        c = ctxs[r]
+                        c._bucket[c] = None
+                trigmap.clear()  # consumed
+            if shutdown_now:  # not an event: nothing reads the shutdown slot
+                for r in slot_reactions[self.topology.shutdown_slot]:
+                    c = ctxs[r]
+                    c._bucket[c] = None
             bucket = None  # the new tag's buckets are staged, none has run
 
     def _terminate(self, exc: BaseException | None = None) -> None:
@@ -576,20 +589,19 @@ class Environment:
     def _worker_loop(self, first: bool = False) -> None:
         """The ``first`` worker is the calling thread: it coordinates first,
         and at one worker returns only once the run is over. The others park."""
-        ctxs, ready, sem = self._ctxs, self._ready, self._sem
+        ready, sem = self._ready, self._sem
         try:
             if first:
                 self._coordinate()
             else:
                 sem.acquire()
             while not self._terminated:
-                rid = ready.pop()
-                if rid is None:  # level exhausted from this worker's view: park
+                ctx = ready.pop()
+                if ctx is None:  # level exhausted from this worker's view: park
                     sem.acquire()
                     continue
-                ctx = ctxs[rid]
                 try:
-                    ctx._reaction.body(ctx)
+                    ctx._body(ctx)
                 except BaseException as exc:  # recorded by the fold, like the body's other effects
                     ctx._exc = exc
                 if next(self._pending) == 0:

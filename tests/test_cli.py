@@ -163,6 +163,56 @@ def test_validator_failure_exit_1(monkeypatch):
     assert "FAIL" in result.output and "deliberately wrong" in result.output
 
 
+def test_a_failing_reaction_fails_its_row_and_the_sweep_goes_on(tmp_path, monkeypatch):
+    def build(params):
+        b = Builder("Boom")
+        r = b.reactor("r")
+
+        def explode(ctx):
+            raise ValueError("deliberately raised")
+
+        r.reaction(r.timer("t"), body=explode)
+        return BenchmarkInstance(b.build(), lambda report: None)
+
+    spec = BenchmarkSpec(name="Boom", title="Boom", group="micro", defaults={}, build=build)
+    monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+    csv = tmp_path / "out.csv"
+    result = invoke("-b", "Boom", "-b", "PingPong",
+                    "--iterations", "2", "--warmup", "1", "--csv", str(csv))
+    assert result.exit_code == 1, result.output
+    assert re.search(r"Boom\s+1 .*FAIL: reaction r\.1 failed: ValueError", result.output)
+    assert re.search(r"PingPong\s+1\s.*ok", result.output)
+    assert "Traceback" not in result.output
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "benchmark,workers,iteration,millis"
+    assert {row.split(",")[0] for row in rows[1:]} == {"PingPong", "benchmark"}
+
+
+def test_a_reaction_that_fails_only_when_traced_fails_its_row(tmp_path, monkeypatch):
+    builds = []
+
+    def build(params):  # the two timed runs pass; the third build is the traced run
+        builds.append(1)
+        b = Builder("TracedBoom")
+        r = b.reactor("r")
+
+        def body(ctx, _fail=len(builds) == 3):
+            if _fail:
+                raise ValueError("deliberately raised")
+
+        r.reaction(r.timer("t"), body=body)
+        return BenchmarkInstance(b.build(), lambda report: None)
+
+    spec = BenchmarkSpec(name="TracedBoom", title="Traced Boom", group="micro",
+                         defaults={}, build=build)
+    monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+    result = invoke("-b", "TracedBoom", "-b", "PingPong",
+                    "--iterations", "2", "--warmup", "1", "--trace", str(tmp_path))
+    assert result.exit_code == 1, result.output
+    assert "FAIL: reaction r.1 failed: ValueError" in result.output
+    assert (tmp_path / "PingPong_w1.trace").is_file()
+
+
 def test_workers_env_var_default():
     result = invoke("-b", "PingPong", "--iterations", "3", "--warmup", "1",
                     "--param", "messages=10", env={"DETREACT_WORKERS": "2"})

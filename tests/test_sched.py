@@ -15,6 +15,7 @@ import detreact.sched as sched
 from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, USEC, Builder, Environment, ExecutionError,
                       ReadyQueue, ShutdownError, Tag, connect, trace_digest)
 from detreact.bench.registry import get_benchmark
+from detreact.graph import build_precedence_graph
 from programs import jittered, proxied_bank, two_user_bank
 
 
@@ -810,11 +811,45 @@ def test_the_running_tags_successor_is_made_once_per_tag(workers, monkeypatch):
         made["Tag"] += 1
         return _real(*args)
 
+    def counting_new(cls, fields, _real=sched.Tag):  # cls is the patched Tag
+        made["tuple.__new__"] += 1
+        return tuple.__new__(_real, fields)
+
     monkeypatch.setattr(sched, "Tag", counting)
+    monkeypatch.setattr(sched, "_new_tuple", counting_new)
     report = env.run()
     instance.validate(report)
     assert report.last_tag.time == 0  # so the tags run are microsteps 0..last
-    assert made["Tag"] <= report.last_tag.microstep + 1 + 2
+    assert made["tuple.__new__"] >= report.last_tag.microstep  # the successors
+    assert made["Tag"] + made["tuple.__new__"] <= report.last_tag.microstep + 1 + 2
+
+
+class _CountingLevels(tuple):
+    """A level table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, counts", [
+    ("Big", (2401, 6412, (0, 201))),
+    ("Chameneos", (4001, 8421, (0, 401))),
+])
+def test_the_tag_loop_reads_no_level_table(name, counts, workers):
+    # Each context holds its level's bucket from the build on, so neither
+    # staging nor the fold looks a level up.
+    spec = get_benchmark(name)
+    instance = spec.build(spec.resolve_params())
+    env = Environment(instance.topology, workers=workers, fast=True)
+    env.apg.level = levels = _CountingLevels(env.apg.level)
+    report = env.run()
+    instance.validate(report)
+    assert levels.reads == 0
+    assert (report.events, report.reactions, tuple(report.last_tag)) == counts
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -834,11 +869,24 @@ def test_micro_programs_count_events_reactions_and_last_tag(name, counts, worker
     assert (report.events, report.reactions, tuple(report.last_tag)) == counts
 
 
+def _lowered(monkeypatch, reaction, level):
+    """Build every Environment with ``reaction`` moved down to ``level``, as
+    a precedence graph that misses a data edge would place it."""
+    def build(topology, _real=sched.build_precedence_graph):
+        apg = _real(topology)
+        lowered = list(apg.level)
+        lowered[reaction.rid] = level
+        apg.level = tuple(lowered)
+        return apg
+
+    monkeypatch.setattr(sched, "build_precedence_graph", build)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_staging_at_or_below_the_running_level_fails_the_run(workers):
+def test_staging_at_or_below_the_running_level_fails_the_run(workers, monkeypatch):
     # Two writers at level 0 (published at workers=2) and a reader of the
-    # first, moved down to its writer's level: the fold that sees the write
-    # cannot stage the reader, and the run stops with every worker joined.
+    # first, moved down to its writer's level: no fold could stage the
+    # reader, so the Environment is refused before any worker starts.
     b = Builder()
     a, c = b.reactor("a"), b.reactor("c")
     out = a.output("out")
@@ -848,16 +896,37 @@ def test_staging_at_or_below_the_running_level_fails_the_run(workers):
     z_in = z.input("in")
     reader = z.reaction(z_in, body=lambda ctx: None)
     connect(out, z_in)
-    env = Environment(b.build(), workers=workers, fast=True)
-    level = list(env.apg.level)
-    assert level[reader.rid] == 1
-    level[reader.rid] = 0
-    env.apg.level = tuple(level)
-    with pytest.raises(ExecutionError, match=r"z\.1 staged at level 0, at or below the "
-                                             r"running level 0") as failure:
-        env.run()
-    assert isinstance(failure.value.__cause__, RuntimeError)
+    topology = b.build()
+    assert build_precedence_graph(topology).level[reader.rid] == 1
+    _lowered(monkeypatch, reader, 0)
+    with pytest.raises(RuntimeError, match=r"z\.1 staged at level 0, at or below the "
+                                           r"running level 0"):
+        Environment(topology, workers=workers, fast=True)
     assert _worker_threads() == []
+
+
+def test_the_staging_check_names_the_reader_of_a_multiport_fan_in(monkeypatch):
+    # Three writers at levels 0, 1 and 2 feed one channel each of a width-3
+    # multiport; its reader, at level 3, is moved down to level 1, so the
+    # writer at level 1 is the first that could not stage it.
+    b = Builder()
+    sink = b.reactor("sink")
+    port = sink.input("in", width=3)
+    reader = sink.reaction(port, body=lambda ctx: None)
+    writers = [b.reactor(f"w{i}") for i in range(3)]
+    triggers = [STARTUP] + [w.input("in") for w in writers[1:]]
+    for i, w in enumerate(writers):
+        out = w.output("out")
+        w.reaction(triggers[i], effects=[out], body=lambda ctx: None)
+        connect(out, port[i])
+        if i < 2:
+            connect(out, triggers[i + 1])
+    topology = b.build()
+    assert build_precedence_graph(topology).level[reader.rid] == 3
+    _lowered(monkeypatch, reader, 1)
+    with pytest.raises(RuntimeError, match=r"^sink\.1 staged at level 1, at or below the "
+                                           r"running level 1$"):
+        Environment(topology, fast=True)
 
 
 # -- what takes the lock -------------------------------------------------------
@@ -897,16 +966,11 @@ def test_the_lock_is_taken_once_per_tag_advance(name, params, workers):
     env = Environment(instance.topology, workers=workers, fast=True)
     env._evlock = lock = _CountingLock()
     env._evcv = threading.Condition(lock)
-    advances = 0
-    advance = env._advance_and_stage
-
-    def counting_advance():
-        nonlocal advances
-        advances += 1
-        return advance()
-
-    env._advance_and_stage = counting_advance
-    instance.validate(env.run())
+    report = env.run()
+    instance.validate(report)
+    # one advance per tag run, every tag at time 0 here, and the final one
+    assert report.last_tag.time == 0
+    advances = report.last_tag.microstep + 1 + 1
     assert advances > 100
     assert lock.acquired <= advances + 3
 
