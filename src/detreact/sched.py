@@ -445,7 +445,7 @@ class Environment:
         ctxs, live, schedules = self._ctxs, self._live, self._schedules
         values, present = self._value, self._present
         micro, periods, heap = self._micro, self._periods, self._event_heap
-        alone, new_tag = self.workers == 1, _new_tuple
+        alone = self.workers == 1
         if traced := self._tr is not None:
             slot_part, lines, sep = self._slot_part, self._lines, self._tr.SCHED
         bucket = levels[self._current_level] if self._current_level >= 0 else None
@@ -550,7 +550,7 @@ class Environment:
                     break
                 if g is not None:
                     self._current_tag = g
-                    self._successor = new_tag(Tag, (g.time, g.microstep + 1))
+                    self._successor = _new_tuple(Tag, (g.time, g.microstep + 1))
                     shutdown_now = g == self._stop_tag
             if g is None:
                 self._terminate()
