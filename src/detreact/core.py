@@ -184,7 +184,7 @@ class Reaction:
         self.triggers = tuple(triggers)
         self.effects = frozenset(effects)
         self.body = body
-        self.level = -1  # assigned by the precedence graph
+        self.level = -1  # the precedence graph's published copy; a run reads apg.level
 
     def label(self) -> str:
         return f"{self.owner.name}.{self.index}"
@@ -312,7 +312,9 @@ class ReactorInstance:
 
 
 class ReactorTopology:
-    """A frozen composition of reactors. Produced by :meth:`Builder.build`."""
+    """A frozen composition of reactors, produced by :meth:`Builder.build`: the
+    one record of the declarations (``ports``, ``timers``, ``actions``,
+    ``reactions``); an instance keeps none, so none points back up through it."""
 
     def __init__(self, name, instances, connections):
         self.name = name
@@ -324,6 +326,8 @@ class ReactorTopology:
         self.ports: tuple[Port, ...] = tuple(p for inst in instances for p in inst.ports)
         self.timers: tuple[Timer, ...] = tuple(t for inst in instances for t in inst.timers)
         self.actions: tuple[Action, ...] = tuple(a for inst in instances for a in inst.actions)
+        for inst in self.instances:
+            inst.ports = inst.timers = inst.actions = inst.reactions = ()
 
         # Trigger fan-out: each port, timer and action, STARTUP and SHUTDOWN
         # -> reaction ids.
@@ -369,8 +373,7 @@ class Builder:
 
     def __init__(self, name: str = "main"):
         self.name = name
-        self._instances: list[ReactorInstance] = []
-        self._instance_names: set[str] = set()
+        self._instances: dict[str, ReactorInstance] = {}  # by name
         self._connections: list[tuple[PortChannel, PortChannel]] = []
         self._writers: set[tuple[int, int]] = set()  # (id(port), channel) pairs already driven
         self._built = False
@@ -381,11 +384,9 @@ class Builder:
 
     def reactor(self, name: str) -> ReactorInstance:
         self._check_open()
-        if name in self._instance_names:
+        if name in self._instances:
             raise CompositionError(f"duplicate reactor name {name!r}")
-        self._instance_names.add(name)
-        inst = ReactorInstance(self, name)
-        self._instances.append(inst)
+        inst = self._instances[name] = ReactorInstance(self, name)
         return inst
 
     def _connect_channels(self, src: PortChannel, dst: PortChannel) -> None:
@@ -409,5 +410,7 @@ class Builder:
     def build(self) -> ReactorTopology:
         self._check_open()
         self._built = True
-        return ReactorTopology(self.name, self._instances, self._connections)
+        topology = ReactorTopology(self.name, self._instances.values(), self._connections)
+        self._instances, self._connections = {}, []  # handed over: instances point here
+        return topology
 

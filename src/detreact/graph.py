@@ -57,8 +57,9 @@ def _derive_edges(topology):
             for slot in range(eff.base, eff.base + eff.width):
                 for dst in topology.conn_targets[slot]:
                     succ[r.rid].update(topology.slot_reactions[dst])
-    for inst in topology.instances:
-        for a, b in zip(inst.reactions, inst.reactions[1:]):
+    # each reactor's reactions are consecutive, in declaration order
+    for a, b in zip(topology.reactions, topology.reactions[1:]):
+        if a.owner is b.owner:
             succ[a.rid].add(b.rid)
     return succ
 

@@ -36,6 +36,7 @@ class Bank:
         self.members = members
 
     def port(self, name: str) -> "BankPort":
+        self.members[0].builder._check_open()  # built members hold no ports
         ports = []
         for m in self.members:
             match = [p for p in m.ports if p.name == name]

@@ -358,7 +358,7 @@ class Environment:
             self._lines = []
             self._tag_prefix = ""
             self._slot_part = tr.slot_parts(topology)
-            self._rank = tr.canonical_ranks(topology)
+            self._rank = tr.canonical_ranks(self.apg)
         self._ctxs = [ReactionContext(self, r) for r in topology.reactions]  # by rid
         # The fold stages a set's readers unchecked: each sits above its writer's
         # level unless the graph misses a data edge, which is checked here, once.
@@ -650,7 +650,10 @@ class Environment:
             self.trace = self._tr.Trace(
                 header={"program": topo.name, "workers": self.workers},
                 lines=tuple(self._lines),
-                levels={ctx._rx: ctx._reaction.level for ctx in self._ctxs})
+                levels={ctx._rx: self.apg.level[ctx._reaction.rid] for ctx in self._ctxs})
+        # A context points back at its Environment; with the contexts dropped,
+        # a finished run is freed by reference count.
+        del self._ctxs, self._ready
         if self._failure is not None:
             reaction, exc = self._failure
             if not isinstance(exc, Exception):

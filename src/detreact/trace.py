@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import PortChannel, ReactorTopology, Tag
+from .graph import PrecedenceGraph
 
 _blake2b = hashlib.blake2b
 
@@ -198,11 +199,11 @@ def slot_parts(topology: ReactorTopology) -> list[str]:
     return parts
 
 
-def canonical_ranks(topology: ReactorTopology) -> list[int]:
-    """For every reaction (by rid), its rank in (level, reactor path, index)
-    order: the order of the lines of one tag."""
-    rank = [0] * len(topology.reactions)
-    order = sorted(topology.reactions, key=lambda r: (r.level, r.owner.name, r.index))
+def canonical_ranks(graph: PrecedenceGraph) -> list[int]:
+    """For every reaction (by rid), its rank in (graph level, reactor path,
+    index) order: the order of the lines of one tag."""
+    rank = [0] * len(graph.reactions)
+    order = sorted(graph.reactions, key=lambda r: (graph.level[r.rid], r.owner.name, r.index))
     for n, r in enumerate(order):
         rank[r.rid] = n
     return rank
@@ -272,7 +273,7 @@ class Trace:
 
     header: dict
     lines: tuple
-    #: the level of each reaction, keyed by its reaction prefix
+    #: the level each reaction ran in (its graph level), keyed by its reaction prefix
     levels: dict = field(repr=False)
 
     @property
@@ -281,7 +282,7 @@ class Trace:
         The view is exact whenever the canonical text is unambiguous: no
         label holds a ``,``, and no name holds `` FX=`` or `` SCHED=``. Then
         ``record.to_line()`` gives back the line it was parsed from, and
-        ``record.level`` is its reaction's level."""
+        ``record.level`` is the level its reaction ran in."""
         return TraceRecords(self.lines, self.levels)
 
     def to_text(self) -> str:

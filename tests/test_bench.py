@@ -1,10 +1,12 @@
 """Benchmark registry, harness statistics, and per-benchmark validators."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -224,6 +226,39 @@ def test_default_trace_digest_is_pinned(name):
     assert len(digests) == 1, f"{name}: behavior varies with worker count"
     if name not in FLOAT_TRACED:
         assert digests == {GOLDEN_DIGESTS[name]}
+
+
+# -- a finished run is freed by reference count --------------------------------
+
+
+def _run_and_drop(spec, workers, trace):
+    """Build, run and validate one instance, drop it, and return weak
+    references to its Environment and its topology."""
+    instance, env, _report = run_once(spec, small_params(spec), workers=workers, trace=trace)
+    return weakref.ref(env), weakref.ref(instance.topology)
+
+
+def test_a_finished_run_leaves_nothing_to_the_cycle_collector():
+    # A built program holds no reference back up (an instance keeps no
+    # declaration lists, the builder no instance), and run() drops the
+    # contexts that point at their Environment: the last reference to a
+    # finished run frees it, with the collector switched off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in list_benchmarks():  # a program's first run imports what it uses
+            _run_and_drop(spec, 1, False)
+        gc.collect()
+        for spec in list_benchmarks():
+            for workers in (1, 2):
+                for trace in (False, True):
+                    env, topology = _run_and_drop(spec, workers, trace)
+                    run = (spec.name, workers, trace)
+                    assert env() is None and topology() is None, run
+                    assert gc.collect() == 0, run
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- parameters are integers --------------------------------------------------

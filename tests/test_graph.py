@@ -10,11 +10,12 @@ from programs import fork_join_pattern, proxied_bank
 
 
 # -- independent oracle -----------------------------------------------------
-# Edges are re-derived straight from the declaration lists (reaction effect
-# ports crossed with connections and trigger ports, plus adjacent lexical
-# pairs), then levels come from a memoized depth-first longest path and the
-# cycle verdict from three-color DFS. No code is shared with the graph
-# module, which works on flattened channel tables instead.
+# Edges are re-derived straight from the declarations (reaction effect ports
+# crossed with connections and trigger ports, plus adjacent lexical pairs of
+# each reactor, grouped by owner and ordered by index), then levels come from
+# a memoized depth-first longest path and the cycle verdict from three-color
+# DFS. No code is shared with the graph module, which works on flattened
+# channel tables instead.
 
 
 def oracle_edges(topology):
@@ -26,8 +27,12 @@ def oracle_edges(topology):
                 for v in topology.reactions:
                     if dst.port in v.triggers:
                         edges.add((u.rid, v.rid))
-    for inst in topology.instances:
-        for a, b in zip(inst.reactions, inst.reactions[1:]):
+    by_owner = {}
+    for r in topology.reactions:
+        by_owner.setdefault(r.owner, []).append(r)
+    for group in by_owner.values():
+        group.sort(key=lambda r: r.index)
+        for a, b in zip(group, group[1:]):
             edges.add((a.rid, b.rid))
     return edges
 

@@ -155,6 +155,16 @@ def test_bad_bank_width_rejected(width, message):
     assert not b._instances
 
 
+def test_bank_port_after_build_is_refused():
+    # Built members hold no ports, the topology does: a bank port is taken
+    # while the builder is open, and after build() the bank says so.
+    b, nodes = _bank_with_multiport()
+    b.build()
+    with pytest.raises(CompositionError, match=r"^topology is frozen; no structural change "
+                                               r"after build\(\)$"):
+        nodes.port("p")
+
+
 # -- golden edge sets ---------------------------------------------------------
 
 

@@ -869,17 +869,38 @@ def test_micro_programs_count_events_reactions_and_last_tag(name, counts, worker
     assert (report.events, report.reactions, tuple(report.last_tag)) == counts
 
 
-def _lowered(monkeypatch, reaction, level):
-    """Build every Environment with ``reaction`` moved down to ``level``, as
-    a precedence graph that misses a data edge would place it."""
+def _moved(monkeypatch, reaction, level):
+    """Build every Environment with ``reaction`` moved to ``level`` in the
+    graph's level table alone (``Reaction.level`` keeps its old copy): down,
+    as a precedence graph that misses a data edge would place it, or up."""
     def build(topology, _real=sched.build_precedence_graph):
         apg = _real(topology)
-        lowered = list(apg.level)
-        lowered[reaction.rid] = level
-        apg.level = tuple(lowered)
+        moved = list(apg.level)
+        moved[reaction.rid] = level
+        apg.level = tuple(moved)
         return apg
 
     monkeypatch.setattr(sched, "build_precedence_graph", build)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_trace_record_names_the_level_its_reaction_ran_in(workers, monkeypatch):
+    # A reaction that writes nothing, moved up from level 0 to its peer's
+    # level 1, runs there; the trace orders and labels it by the graph's level.
+    b = Builder()
+    a, c, z = b.reactor("a"), b.reactor("c"), b.reactor("z")
+    out, z_in = a.output("out"), z.input("in")
+    a.reaction(STARTUP, effects=[out], body=lambda ctx: ctx.set(out, 1))
+    idle = c.reaction(STARTUP, body=lambda ctx: None)
+    z.reaction(z_in, body=lambda ctx: None)
+    connect(out, z_in)
+    topology = b.build()
+    assert build_precedence_graph(topology).level[idle.rid] == 0
+    _moved(monkeypatch, idle, 1)
+    env = Environment(topology, workers=workers, fast=True, trace=True)
+    env.run()
+    assert [(rec.reactor_path, rec.level) for rec in env.trace.records] == [
+        ("a", 0), ("c", 1), ("z", 1)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -898,7 +919,7 @@ def test_staging_at_or_below_the_running_level_fails_the_run(workers, monkeypatc
     connect(out, z_in)
     topology = b.build()
     assert build_precedence_graph(topology).level[reader.rid] == 1
-    _lowered(monkeypatch, reader, 0)
+    _moved(monkeypatch, reader, 0)
     with pytest.raises(RuntimeError, match=r"z\.1 staged at level 0, at or below the "
                                            r"running level 0"):
         Environment(topology, workers=workers, fast=True)
@@ -923,7 +944,7 @@ def test_the_staging_check_names_the_reader_of_a_multiport_fan_in(monkeypatch):
             connect(out, triggers[i + 1])
     topology = b.build()
     assert build_precedence_graph(topology).level[reader.rid] == 3
-    _lowered(monkeypatch, reader, 1)
+    _moved(monkeypatch, reader, 1)
     with pytest.raises(RuntimeError, match=r"^sink\.1 staged at level 1, at or below the "
                                            r"running level 1$"):
         Environment(topology, fast=True)
