@@ -5,10 +5,12 @@ optionally writes CSV and canonical trace files. ``main(argv)`` returns the
 exit code: 0 when every validator passed (and, with ``--trace``, every
 benchmark gave one trace digest across the worker sweep), 1 otherwise. A run
 whose validator or reaction fails prints a ``FAIL`` row, and the sweep goes
-on. Usage errors, malformed numbers included (``--param`` values are
-integers), exit 2 through argparse before any run starts; so does, on one
-stderr line, a parameter that a builder rejects as out of its range. When a
-sweep's digests differ, the trace diff names the first divergent record.
+on. Usage errors exit 2 through argparse before any run starts, among them
+malformed numbers (``--param`` values are integers), a ``--csv`` file whose
+directory does not exist and a ``--trace`` directory under a file; so does,
+on one stderr line, a parameter that a builder rejects as out of its range.
+When a sweep's digests differ, the trace diff names the first divergent
+record.
 
 CSV layout: per-iteration rows ``benchmark,workers,iteration,millis`` for the
 retained (post-warmup) iterations, followed by summary rows
@@ -104,8 +106,12 @@ def _main(argv: list[str] | None) -> int:
     args = parser.parse_args(argv)
     if args.csv is not None and args.csv.is_dir():
         parser.error(f"argument --csv: {str(args.csv)!r} is a directory")
-    if args.trace is not None and args.trace.is_file():
-        parser.error(f"argument --trace: {str(args.trace)!r} is a file")
+    if args.csv is not None and not args.csv.parent.is_dir():
+        parser.error(f"argument --csv: {str(args.csv.parent)!r} is not a directory")
+    if args.trace is not None:  # the nearest existing path must be a directory to mkdir under
+        existing = next(p for p in (args.trace, *args.trace.parents) if p.exists())
+        if not existing.is_dir():
+            parser.error(f"argument --trace: {str(existing)!r} is not a directory")
     if args.list:
         _print_listing()
         return 0

@@ -4,9 +4,10 @@ A program is assembled through a :class:`Builder`: declare reactor instances,
 give them ports, timers, actions and reactions, and freeze the result into a
 :class:`ReactorTopology`. Wiring lives in :mod:`detreact.patterns`, whose
 ``connect`` is the one operator that connects outputs to inputs, from a
-single channel up to banks of multiports; it records each channel pair
-through :meth:`Builder._connect_channels`. This module is composition only;
-a :class:`detreact.sched.Environment` runs a topology.
+single channel up to banks of multiports; it records the channel pairs of
+one call, all or none, through :meth:`Builder._connect_channels`. This
+module is composition only; a :class:`detreact.sched.Environment` runs a
+topology.
 
 Logical time is superdense: a :class:`Tag` is a (nanoseconds, microstep)
 pair, totally ordered lexicographically. Delay-free scheduling advances the
@@ -197,14 +198,13 @@ class ReactorInstance:
     """One reactor in a topology. Declaration methods return handles used to
     declare reactions and wire connections."""
 
-    __slots__ = ("builder", "name", "state", "bank_index", "ports", "timers",
-                 "actions", "reactions", "_names")
+    __slots__ = ("builder", "name", "state", "ports", "timers", "actions",
+                 "reactions", "_names")
 
     def __init__(self, builder: "Builder", name: str):
         self.builder = builder
         self.name = name
         self.state = SimpleNamespace()
-        self.bank_index: int | None = None
         self.ports: list[Port] = []
         self.timers: list[Timer] = []
         self.actions: list[Action] = []
@@ -389,23 +389,26 @@ class Builder:
         inst = self._instances[name] = ReactorInstance(self, name)
         return inst
 
-    def _connect_channels(self, src: PortChannel, dst: PortChannel) -> None:
-        """Check one output-to-input channel pair and record it: the one place
-        a connection enters the topology."""
+    def _connect_channels(self, pairs: list[tuple[PortChannel, PortChannel]]) -> None:
+        """Check output-to-input channel pairs and record them all, in order,
+        or none: the one place a connection enters the topology."""
         self._check_open()
-        if src.port.owner.builder is not self or dst.port.owner.builder is not self:
-            raise CompositionError("connection endpoints belong to a different topology")
-        if src.port.is_input:
-            raise CompositionError(
-                f"connection source {src.label()} is an input (outputs feed inputs)")
-        if not dst.port.is_input:
-            raise CompositionError(
-                f"connection target {dst.label()} is an output (outputs feed inputs)")
-        key = (id(dst.port), dst.index)
-        if key in self._writers:
-            raise CompositionError(f"multiple writers: input {dst.label()} already has a connection")
-        self._writers.add(key)
-        self._connections.append((src, dst))
+        keys = set()
+        for src, dst in pairs:
+            if src.port.owner.builder is not self or dst.port.owner.builder is not self:
+                raise CompositionError("connection endpoints belong to a different topology")
+            if src.port.is_input:
+                raise CompositionError(
+                    f"connection source {src.label()} is an input (outputs feed inputs)")
+            if not dst.port.is_input:
+                raise CompositionError(
+                    f"connection target {dst.label()} is an output (outputs feed inputs)")
+            key = (id(dst.port), dst.index)
+            if key in self._writers or key in keys:
+                raise CompositionError(f"multiple writers: input {dst.label()} already has a connection")
+            keys.add(key)
+        self._writers |= keys
+        self._connections.extend(pairs)
 
     def build(self) -> ReactorTopology:
         self._check_open()

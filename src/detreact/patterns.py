@@ -2,22 +2,23 @@
 interleaving.
 
 `connect` is the only way to wire outputs to inputs, as Lingua Franca's one
-connection statement is: a single channel, a port or multiport, a bank port,
-a list of these, broadcast and interleaved. A bank is a statically sized
-array of structurally identical reactors, each built by the same definition
-function and told its own index; plain ports need no bank. `connect` works
-over flat lists of port channels, which `unfold` produces from ports, bank
-ports, or mixes of both:
+connection statement is. A bank is a statically sized array of structurally
+identical reactors, each built by the same definition function and told its
+own index; plain ports need no bank. `bank.port(name)` is a plain list of
+ports, the members' ports of that name in bank order. `connect` works over
+flat lists of port channels, which `unfold` produces from four kinds of
+reference:
 
-* default order lists all channels of the first bank member, then all of the
-  second, and so on (bank-major);
-* `Interleaved(...)` flips that to port-index-major: first every member's
-  channel 0, then every member's channel 1, ... which wires the fully
-  connected pattern when used on one side of a self-connection.
-
-Several references in one `unfold` call concatenate in the order given,
-which is how a cascade is wired: offset the left side with the source and
-append the sink on the right.
+* a channel ``port[i]``, which is itself;
+* a port or multiport, which is its channels in index order;
+* a list or tuple of references, concatenated in the order given, so a bank
+  port lists all channels of its first member, then all of the second, and
+  so on (bank-major). This is also how a cascade is wired: offset the left
+  side with the source and append the sink on the right;
+* `Interleaved(ports)`, which flips a list of same-width ports to
+  port-index-major: first every port's channel 0, then every port's
+  channel 1, ... which wires the fully connected pattern when used on one
+  side of a self-connection.
 """
 
 from __future__ import annotations
@@ -35,28 +36,17 @@ class Bank:
         self.name = name
         self.members = members
 
-    def port(self, name: str) -> "BankPort":
+    def port(self, name: str) -> list[Port]:
+        """The members' ports named ``name``, in bank order."""
         self.members[0].builder._check_open()  # built members hold no ports
-        ports = []
-        for m in self.members:
-            match = [p for p in m.ports if p.name == name]
-            if not match:
-                raise CompositionError(f"bank {self.name!r}: member has no port {name!r}")
-            ports.append(match[0])
-        return BankPort(self, name, ports)
-
-
-class BankPort:
-    """The same-named port across every member of a bank."""
-
-    def __init__(self, bank: Bank, name: str, ports: list[Port]):
-        self.bank = bank
-        self.name = name
-        self.ports = ports
+        ports = [next((p for p in m.ports if p.name == name), None) for m in self.members]
+        if None in ports:
+            raise CompositionError(f"bank {self.name!r}: member has no port {name!r}")
+        return ports
 
 
 class Interleaved:
-    """Marks one reference for port-index-major unfolding."""
+    """Marks a list of same-width ports for port-index-major unfolding."""
 
     def __init__(self, ref):
         self.ref = ref
@@ -74,45 +64,37 @@ def bank(builder: Builder, name: str, width: int,
     members = []
     for i in range(width):
         inst = builder.reactor(f"{name}[{i}]")
-        inst.bank_index = i
         define(inst, bank_index=i, **params)
         members.append(inst)
     return Bank(name, members)
 
 
-def _ref_channels(ref) -> list[PortChannel]:
-    interleaved = isinstance(ref, Interleaved)
-    if interleaved:
-        ref = ref.ref
-    if isinstance(ref, PortChannel):
+def unfold(ref) -> list[PortChannel]:
+    """Flatten a port reference into a concrete channel list.
+
+    ``ref`` is a PortChannel, a Port, a list or tuple of references
+    (concatenated in the order given), or ``Interleaved`` over a list of
+    ports of one width (or over one port or channel, which is unchanged).
+    """
+    if isinstance(ref, PortChannel):  # a NamedTuple: tested before tuple
         return [ref]
     if isinstance(ref, Port):
         return [PortChannel(ref, i) for i in range(ref.width)]
-    if isinstance(ref, BankPort):
-        ports = ref.ports
-        if interleaved:
-            width = ports[0].width
-            if any(p.width != width for p in ports):
+    if isinstance(ref, (list, tuple)):
+        return [ch for r in ref for ch in unfold(r)]
+    if isinstance(ref, Interleaved):
+        ports = ref.ref
+        if isinstance(ports, (Port, PortChannel)):
+            return unfold(ports)
+        if not isinstance(ports, (list, tuple)) or not all(isinstance(p, Port) for p in ports):
+            raise CompositionError(f"cannot interleave {ports!r}: expected a list of ports")
+        for p in ports:
+            if p.width != ports[0].width:
                 raise CompositionError(
-                    f"bank port {ref.bank.name}.{ref.name}: members disagree on width")
-            return [PortChannel(p, c) for c in range(width) for p in ports]
-        return [PortChannel(p, i) for p in ports for i in range(p.width)]
+                    f"cannot interleave ports of different widths: {ports[0].label()} "
+                    f"has {ports[0].width}, {p.label()} has {p.width}")
+        return [PortChannel(p, c) for c in range(ports[0].width if ports else 0) for p in ports]
     raise CompositionError(f"cannot unfold {ref!r}")
-
-
-def unfold(refs) -> list[PortChannel]:
-    """Flatten port references into a concrete channel list.
-
-    ``refs`` is a single reference or a list or tuple of them; each may be
-    a Port, a PortChannel, a BankPort, or any of those wrapped in
-    ``Interleaved``. Lists concatenate in the order given.
-    """
-    if isinstance(refs, PortChannel) or not isinstance(refs, (list, tuple)):
-        refs = [refs]  # one reference, unfolded or named by the error below
-    out: list[PortChannel] = []
-    for ref in refs:
-        out.extend(_ref_channels(ref))
-    return out
 
 
 def connect(lhs, rhs, broadcast: bool = False) -> list[tuple[PortChannel, PortChannel]]:
@@ -122,7 +104,8 @@ def connect(lhs, rhs, broadcast: bool = False) -> list[tuple[PortChannel, PortCh
     Pairwise by default, which requires equal widths. With ``broadcast`` the
     left side repeats cyclically until the right side is covered, so the
     right width must be a multiple of the left width. Width mismatches are
-    hard errors, never truncation. Returns the created channel pairs.
+    hard errors, never truncation. A failing call records no pair. Returns
+    the created channel pairs.
     """
     left = unfold(lhs)
     right = unfold(rhs)
@@ -139,7 +122,5 @@ def connect(lhs, rhs, broadcast: bool = False) -> list[tuple[PortChannel, PortCh
             raise CompositionError(
                 f"width mismatch: {len(left)} source channels vs {len(right)} target channels")
         pairs = list(zip(left, right))
-    builder = left[0].port.owner.builder
-    for s, d in pairs:
-        builder._connect_channels(s, d)
+    left[0].port.owner.builder._connect_channels(pairs)
     return pairs

@@ -278,6 +278,28 @@ def test_csv_naming_a_directory_exit_2(tmp_path):
     assert "--csv" in result.output
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--csv", "missing/out.csv"),
+    ("--csv", "file/out.csv"),
+    ("--trace", "file/sub"),
+    ("--trace", "file/sub/deeper"),
+], ids=["csv-missing-dir", "csv-under-a-file", "trace-under-a-file", "trace-deep-under-a-file"])
+def test_output_path_that_cannot_be_written_exit_2_before_any_run(tmp_path, monkeypatch,
+                                                                  flag, path):
+    monkeypatch.setattr("detreact.cli.run_benchmark", _no_run)
+    (tmp_path / "file").write_text("")
+    result = invoke("-b", "PingPong", flag, str(tmp_path / path))
+    assert result.exit_code == 2
+    errors = [ln for ln in result.output.splitlines() if "error" in ln]
+    assert errors == [result.output.splitlines()[-1]]  # after the usage, one error line
+    assert errors[0].startswith(f"detreact: error: argument {flag}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("module", ["detreact.cli", "detreact.trace"])
 def test_closed_stdout_exits_1_quietly(tmp_path, module, unbuffered):

@@ -68,6 +68,69 @@ def test_unfold_concatenates_refs_in_order():
     assert labels == ["r.c[0]", "r.c[1]", "r.a"]
 
 
+def _plain_ports(widths):
+    """One output named ``p`` on each of reactors ``r0``, ``r1``, ... (no bank)."""
+    b = Builder()
+    return b, [b.reactor(f"r{i}").output("p", width=w) for i, w in enumerate(widths)]
+
+
+def test_bank_port_is_a_list_of_ports():
+    _, nodes = _bank_with_multiport(n=3, width=2)
+    ports = nodes.port("p")
+    assert type(ports) is list
+    assert ports == [m.ports[0] for m in nodes.members]
+
+
+def test_unfold_interleaved_ports_outside_a_bank():
+    _, ports = _plain_ports([2, 2])
+    labels = [ch.label() for ch in unfold(Interleaved(ports))]
+    assert labels == ["r0.p[0]", "r1.p[0]", "r0.p[1]", "r1.p[1]"]
+    assert unfold(Interleaved(tuple(ports))) == unfold(Interleaved(ports))
+
+
+def test_unfold_interleaved_width_mismatch_names_two_ports():
+    _, ports = _plain_ports([2, 2, 3])
+    with pytest.raises(CompositionError, match=r"^cannot interleave ports of different "
+                                               r"widths: r0\.p has 2, r2\.p has 3$"):
+        unfold(Interleaved(ports))
+
+
+@pytest.mark.parametrize("ref", ["x", [["nested"]], Interleaved([]), None],
+                         ids=["a-name", "a-nested-list", "interleaved-twice", "none"])
+def test_unfold_interleaved_of_anything_else_is_an_error(ref):
+    with pytest.raises(CompositionError, match="cannot interleave"):
+        unfold(Interleaved(ref))
+
+
+def test_unfold_interleaved_one_port_or_channel_is_unchanged():
+    _, (p,) = _plain_ports([3])
+    assert unfold(Interleaved(p)) == unfold(p)
+    assert unfold(Interleaved(p[1])) == [p[1]]
+
+
+def test_unfold_bank_port_rotated_with_list_operations():
+    b = Builder()
+    ps = bank(b, "n", 3, lambda r, bank_index: r.output("out")).port("out")
+    labels = [ch.label() for ch in unfold(ps[1:] + ps[:1])]
+    assert labels == ["n[1].out", "n[2].out", "n[0].out"]
+
+
+def test_unfold_nested_lists_concatenate_depth_first():
+    _, (a, c, d) = _plain_ports([1, 2, 1])
+    labels = [ch.label() for ch in unfold([a, [c, (d,)], [], c[0]])]
+    assert labels == ["r0.p", "r1.p[0]", "r1.p[1]", "r2.p", "r1.p[0]"]
+
+
+def test_unfold_empty_list_is_no_channels_and_connect_rejects_it():
+    b, (out,) = _plain_ports([1])
+    assert unfold([]) == unfold(Interleaved([])) == []
+    with pytest.raises(CompositionError, match="connect: empty side"):
+        connect(out, Interleaved([]))
+    with pytest.raises(CompositionError, match="connect: empty side"):
+        connect([[], ()], out)
+    assert not b._connections
+
+
 def test_connect_width_mismatch_is_an_error():
     b = Builder()
     src = b.reactor("src")
@@ -122,6 +185,21 @@ def _wired_builder():
     return b, src.output("out"), dst.input("in")
 
 
+def _second_writer(out, inp):
+    # one call whose second pair drives dst.a, already driven by src.a
+    src, dst = out.owner, inp.owner
+    connect([out, src.output("o2")], [inp, dst.ports[0]])
+
+
+def _same_target_twice(out, inp):
+    wide = out.owner.output("wide", width=2)
+    connect(wide, [inp, inp])
+
+
+def _foreign_second_target(out, inp):
+    connect([out, out], [inp, Builder().reactor("other").input("in")])
+
+
 @pytest.mark.parametrize("wire,message", [
     (lambda out, inp: connect(out, Builder().reactor("other").input("in")),
      "connection endpoints belong to a different topology"),
@@ -133,8 +211,12 @@ def _wired_builder():
     (lambda out, inp: connect(out, [inp, "x"]), "cannot unfold 'x'"),
     (lambda out, inp: connect("out", inp), "cannot unfold 'out'"),
     (lambda out, inp: connect(out.owner.timer("t"), inp), "cannot unfold <Timer src.t>"),
+    (_second_writer, r"multiple writers: input dst\.a already"),
+    (_same_target_twice, r"multiple writers: input dst\.in already"),
+    (_foreign_second_target, "connection endpoints belong to a different topology"),
 ], ids=["foreign-target", "foreign-source", "empty-left", "empty-right",
-        "not-a-port", "not-a-port-in-list", "a-name", "a-timer"])
+        "not-a-port", "not-a-port-in-list", "a-name", "a-timer",
+        "second-pair-already-driven", "same-target-twice", "second-target-foreign"])
 def test_connect_errors_leave_the_connections_unchanged(wire, message):
     b, out, inp = _wired_builder()
     before = list(b._connections)
@@ -292,7 +374,6 @@ def test_bank_members_know_their_index():
         r.reaction(t, body=lambda ctx, i=bank_index: seen.append(i))
 
     nodes = bank(b, "n", 4, member)
-    assert [m.bank_index for m in nodes.members] == [0, 1, 2, 3]
-    assert nodes.members[2].name == "n[2]"
+    assert [m.name for m in nodes.members] == ["n[0]", "n[1]", "n[2]", "n[3]"]
     Environment(b.build(), fast=True).run()
     assert sorted(seen) == [0, 1, 2, 3]
