@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..core import STARTUP, Builder
+from ..core import STARTUP
 from ..patterns import bank, connect
 from .lcg import Lcg64
-from .registry import GROUP_CONCURRENCY, BenchmarkInstance, at_least, check, register
+from .registry import GROUP_CONCURRENCY, at_least, check, register
 
 
 def _dictionary_ops(seed: int, worker: int, ops: int, write_percent: int, keys: int):
@@ -28,11 +28,8 @@ def _dictionary_ops(seed: int, worker: int, ops: int, write_percent: int, keys: 
 
 
 @register("ConcurrentDictionary", "Concurrent Dictionary", GROUP_CONCURRENCY)
-def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
-                                 seed=1) -> BenchmarkInstance:
-    at_least("ConcurrentDictionary", workers=(workers, 1), ops=(ops, 1),
-             write_percent=(write_percent, 0), keys=(keys, 1))
-    b = Builder("ConcurrentDictionary")
+def _build_concurrent_dictionary(b, workers=8, ops=500, write_percent=10, keys=128, seed=1):
+    at_least(workers=(workers, 1), ops=(ops, 1), write_percent=(write_percent, 0), keys=(keys, 1))
 
     store = b.reactor("store")
     req_in = store.input("req", width=workers)
@@ -89,7 +86,6 @@ def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
     connect(worker_bank.port("req"), req_in)
     connect(resp_out, worker_bank.port("resp"))
     connect(worker_bank.port("done"), done_in)
-    topo = b.build()
 
     # Oracle: workers submit in lockstep rounds; the store serves each round
     # in ascending worker index.
@@ -111,7 +107,7 @@ def _build_concurrent_dictionary(workers=8, ops=500, write_percent=10, keys=128,
             check(w.state.check == expected_check[i], f"worker {i} reply checksum mismatch")
         check(sink.state.done == workers, "missing completions")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 def _barber_balks(gaps: list[int], cut_lengths: list[int], capacity: int) -> int:
@@ -132,17 +128,16 @@ def _barber_balks(gaps: list[int], cut_lengths: list[int], capacity: int) -> int
 
 
 @register("SleepingBarber", "Sleeping Barber", GROUP_CONCURRENCY)
-def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstance:
-    at_least("SleepingBarber", customers=(customers, 1), capacity=(capacity, 0))
-    b = Builder("SleepingBarber")
+def _build_sleeping_barber(b, customers=800, capacity=5, seed=1):
+    at_least(customers=(customers, 1), capacity=(capacity, 0))
     arrival_rng = Lcg64(seed * 69697)
     gaps = [1 + arrival_rng.next_below(3) for _ in range(customers)]
     cut_rng = Lcg64(seed * 69697 + 1)
     cut_lengths = [1 + cut_rng.next_below(4) for _ in range(customers)]
     expected_balked = _barber_balks(gaps, cut_lengths, capacity)
     if not expected_balked:
-        raise ValueError(f"benchmark SleepingBarber: customers={customers}, capacity={capacity} "
-                         f"and seed={seed} turn no customer away, so nothing contends")
+        raise ValueError(f"customers={customers}, capacity={capacity} and seed={seed} "
+                         "turn no customer away, so nothing contends")
 
     gen = b.reactor("generator")
     cust_out = gen.output("customer")
@@ -218,7 +213,6 @@ def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstan
     connect(cust_out, cust_in)
     connect(chair_out, chair_in)
     connect(done_out, done_in)
-    topo = b.build()
 
     def validate(report):
         served = room.state.dispatched
@@ -229,13 +223,12 @@ def _build_sleeping_barber(customers=800, capacity=5, seed=1) -> BenchmarkInstan
         check(not room.state.queue, "waiting room not drained")
         check(balked == expected_balked, f"balked {balked}, the replay balks {expected_balked}")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("CigaretteSmokers", "Cigarette Smokers", GROUP_CONCURRENCY)
-def _build_cigarette_smokers(rounds=1500, seed=1) -> BenchmarkInstance:
-    at_least("CigaretteSmokers", rounds=(rounds, 1))  # startup offers the first
-    b = Builder("CigaretteSmokers")
+def _build_cigarette_smokers(b, rounds=1500, seed=1):
+    at_least(rounds=(rounds, 1))  # startup offers the first
     rng = Lcg64(seed * 31337)
     picks = [rng.next_below(3) for _ in range(rounds)]
     durations = [1 + rng.next_below(3) for _ in range(rounds)]
@@ -277,7 +270,6 @@ def _build_cigarette_smokers(rounds=1500, seed=1) -> BenchmarkInstance:
     smokers = bank(b, "smoker", 3, smoker)
     connect(offer_out, smokers.port("offer"))
     connect(smokers.port("done"), done_in)
-    topo = b.build()
 
     expected = [picks.count(i) for i in range(3)]
 
@@ -286,13 +278,12 @@ def _build_cigarette_smokers(rounds=1500, seed=1) -> BenchmarkInstance:
         check(counts == expected, f"smoke counts {counts} != oracle {expected}")
         check(arbiter.state.round == rounds, "arbiter did not exhaust its rounds")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("DiningPhilosophers", "Dining Philosophers", GROUP_CONCURRENCY)
-def _build_dining_philosophers(philosophers=20, eat_rounds=50) -> BenchmarkInstance:
-    at_least("DiningPhilosophers", philosophers=(philosophers, 2), eat_rounds=(eat_rounds, 0))
-    b = Builder("DiningPhilosophers")
+def _build_dining_philosophers(b, philosophers=20, eat_rounds=50):
+    at_least(philosophers=(philosophers, 2), eat_rounds=(eat_rounds, 0))
 
     arbiter = b.reactor("arbiter")
     req_in = arbiter.input("req", width=philosophers)
@@ -352,7 +343,6 @@ def _build_dining_philosophers(philosophers=20, eat_rounds=50) -> BenchmarkInsta
     phils = bank(b, "philosopher", philosophers, philosopher)
     connect(phils.port("req"), req_in)
     connect(grant_out, phils.port("grant"))
-    topo = b.build()
 
     def validate(report):
         for i, p in enumerate(phils.members):
@@ -362,15 +352,12 @@ def _build_dining_philosophers(philosophers=20, eat_rounds=50) -> BenchmarkInsta
               f"grants {arbiter.state.granted_total} != {philosophers * eat_rounds}")
         check(arbiter.state.done == philosophers, "a philosopher starved (never reported done)")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("BankTransaction", "Bank Transaction", GROUP_CONCURRENCY)
-def _build_bank_transaction(accounts=20, rounds=150, batch=10, initial=10_000, seed=1,
-                            record=0) -> BenchmarkInstance:
-    at_least("BankTransaction", accounts=(accounts, 2), rounds=(rounds, 0), batch=(batch, 0),
-             initial=(initial, 0), record=(record, 0))
-    b = Builder("BankTransaction")
+def _build_bank_transaction(b, accounts=20, rounds=150, batch=10, initial=10_000, seed=1):
+    at_least(accounts=(accounts, 2), rounds=(rounds, 0), batch=(batch, 0), initial=(initial, 0))
     rng = Lcg64(seed * 104729)
     batches = []
     for _ in range(rounds):
@@ -410,8 +397,6 @@ def _build_bank_transaction(accounts=20, rounds=150, batch=10, initial=10_000, s
         tx_in = r.input("tx")
         bal_out = r.output("balance")
         r.state.balance = initial
-        if record:
-            r.state.history = []
 
         @r.reaction(tx_in, effects=[bal_out])
         def _apply(ctx):
@@ -426,13 +411,10 @@ def _build_bank_transaction(accounts=20, rounds=150, batch=10, initial=10_000, s
                 if dst == bank_index:
                     balance += amount
             ctx.state.balance = balance
-            if record:
-                ctx.state.history.append((ctx.tag, balance))
 
     account_bank = bank(b, "account", accounts, account)
     connect(tx_out, account_bank.port("tx"), broadcast=True)
     connect(account_bank.port("balance"), bal_in)
-    topo = b.build()
 
     expected = [initial] * accounts
     for txns in batches:
@@ -445,5 +427,5 @@ def _build_bank_transaction(accounts=20, rounds=150, batch=10, initial=10_000, s
               f"money not conserved: {teller.state.final_total} != {accounts * initial}")
         check(teller.state.final_balances == expected, "balances diverge from oracle replay")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 

@@ -2,9 +2,10 @@
 
 One measurement runs a benchmark for a number of iterations, building a
 fresh Environment every time and timing only the execution phase (topology
-construction and validation are excluded). The leading warmup iterations are
-dropped from the statistics. The validator must pass on every iteration,
-warmup included.
+construction and validation are excluded). Benchmarks always run in fast
+mode: logical time does not wait for the physical clock. The leading warmup
+iterations are dropped from the statistics. The validator must pass on
+every iteration, warmup included.
 """
 
 from __future__ import annotations
@@ -59,20 +60,18 @@ def student_t_ci99(samples) -> float:
     return t_crit * math.sqrt(var / n)
 
 
-def run_once(spec: BenchmarkSpec, params: dict, workers: int = 1, fast: bool = True,
-             trace: bool = False):
-    """Build, run and validate a single fresh instance. Returns
+def run_once(spec: BenchmarkSpec, params: dict, workers: int = 1, trace: bool = False):
+    """Build, run and validate a single fresh instance, in fast mode. Returns
     (instance, environment, report)."""
     instance = spec.build(params)
-    env = Environment(instance.topology, workers=workers, fast=fast, trace=trace)
+    env = Environment(instance.topology, workers=workers, fast=True, trace=trace)
     report = env.run()
     instance.validate(report)
     return instance, env, report
 
 
 def run_benchmark(spec: BenchmarkSpec, params: dict | None = None, workers: int = 1,
-                  iterations: int = 32, warmup: int = 2,
-                  fast: bool = True) -> MeasurementStats:
+                  iterations: int = 32, warmup: int = 2) -> MeasurementStats:
     """Measure a benchmark. ``params`` are overrides on top of the
     benchmark's defaults; unknown keys and non-integer values are rejected
     before the first iteration."""
@@ -88,7 +87,7 @@ def run_benchmark(spec: BenchmarkSpec, params: dict | None = None, workers: int 
     times_ms = []
     for i in range(iterations):
         try:
-            _, _, report = run_once(spec, resolved, workers=workers, fast=fast)
+            _, _, report = run_once(spec, resolved, workers=workers)
         except BenchmarkValidationError as exc:
             raise BenchmarkValidationError(
                 f"{spec.name} (workers={workers}, iteration {i}): {exc}") from None

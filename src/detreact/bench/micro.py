@@ -9,16 +9,15 @@ check exact counts.
 
 from __future__ import annotations
 
-from ..core import STARTUP, Builder
+from ..core import STARTUP
 from ..patterns import Interleaved, bank, connect, unfold
 from .lcg import Lcg64
-from .registry import GROUP_MICRO, BenchmarkInstance, at_least, check, register
+from .registry import GROUP_MICRO, at_least, check, register
 
 
 @register("PingPong", "Ping Pong", GROUP_MICRO)
-def _build_ping_pong(messages=1000) -> BenchmarkInstance:
-    at_least("PingPong", messages=(messages, 1))  # startup sends the first
-    b = Builder("PingPong")
+def _build_ping_pong(b, messages=1000):
+    at_least(messages=(messages, 1))  # startup sends the first
     ping = b.reactor("ping")
     pong = b.reactor("pong")
     ping_out = ping.output("out")
@@ -48,7 +47,6 @@ def _build_ping_pong(messages=1000) -> BenchmarkInstance:
 
     connect(ping_out, pong_in)
     connect(pong_out, ping_in)
-    topo = b.build()
 
     def validate(report):
         check(pong.state.count == messages, f"expected {messages} pongs, got {pong.state.count}")
@@ -56,13 +54,12 @@ def _build_ping_pong(messages=1000) -> BenchmarkInstance:
         check(report.reactions == 3 * messages,
               f"expected {3 * messages} reactions, got {report.reactions}")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("ThreadRing", "Thread Ring", GROUP_MICRO)
-def _build_thread_ring(actors=100, hops=2000) -> BenchmarkInstance:
-    at_least("ThreadRing", actors=(actors, 1), hops=(hops, 0))  # the token stops at 0
-    b = Builder("ThreadRing")
+def _build_thread_ring(b, actors=100, hops=2000):
+    at_least(actors=(actors, 1), hops=(hops, 0))  # the token stops at 0
 
     def member(r, bank_index):
         out = r.output("out")
@@ -96,7 +93,6 @@ def _build_thread_ring(actors=100, hops=2000) -> BenchmarkInstance:
     outs = unfold(ring.port("out"))
     ins = unfold(ring.port("in"))
     connect(outs, ins[1:] + ins[:1])
-    topo = b.build()
 
     def validate(report):
         deliveries = hops + 1  # the token counts down hops..0, one hop each
@@ -109,13 +105,12 @@ def _build_thread_ring(actors=100, hops=2000) -> BenchmarkInstance:
         check(report.reactions == actors + 2 * hops + 1,
               f"reaction count {report.reactions} != {actors + 2 * hops + 1}")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("CountingActor", "Counting Actor", GROUP_MICRO)
-def _build_counting(count=10000) -> BenchmarkInstance:
-    at_least("CountingActor", count=(count, 0))
-    b = Builder("CountingActor")
+def _build_counting(b, count=10000):
+    at_least(count=(count, 0))
     prod = b.reactor("producer")
     counter = b.reactor("counter")
     inc_out = prod.output("inc")
@@ -154,20 +149,18 @@ def _build_counting(count=10000) -> BenchmarkInstance:
     connect(inc_out, inc_in)
     connect(req_out, req_in)
     connect(total_out, total_in)
-    topo = b.build()
 
     def validate(report):
         check(prod.state.result == count,
               f"counter reported {prod.state.result}, expected {count}")
         check(counter.state.value == count, "count mismatch")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("ForkJoin", "Fork Join (throughput)", GROUP_MICRO)
-def _build_fork_join(workers=8, rounds=1000) -> BenchmarkInstance:
-    at_least("ForkJoin", workers=(workers, 1), rounds=(rounds, 0))
-    b = Builder("ForkJoin")
+def _build_fork_join(b, workers=8, rounds=1000):
+    at_least(workers=(workers, 1), rounds=(rounds, 0))
     src = b.reactor("source")
     out = src.output("out")
     nxt = src.action("next")
@@ -195,7 +188,6 @@ def _build_fork_join(workers=8, rounds=1000) -> BenchmarkInstance:
 
     worker_bank = bank(b, "worker", workers, worker)
     connect(out, worker_bank.port("in"), broadcast=True)
-    topo = b.build()
 
     expected_acc = 0
     for r in range(rounds):
@@ -207,13 +199,12 @@ def _build_fork_join(workers=8, rounds=1000) -> BenchmarkInstance:
                   f"worker {i} saw {w.state.count} messages, expected {rounds}")
             check(w.state.acc == expected_acc, f"worker {i} checksum mismatch")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("Big", "Big", GROUP_MICRO)
-def _build_big(actors=12, pings=200, seed=1) -> BenchmarkInstance:
-    at_least("Big", actors=(actors, 1), pings=(pings, 0))
-    b = Builder("Big")
+def _build_big(b, actors=12, pings=200, seed=1):
+    at_least(actors=(actors, 1), pings=(pings, 0))
 
     def member(r, bank_index):
         ping_out = r.output("ping_out", width=actors)
@@ -261,7 +252,6 @@ def _build_big(actors=12, pings=200, seed=1) -> BenchmarkInstance:
     connect(members.port("ping_out"), Interleaved(members.port("ping_in")))
     connect(members.port("pong_out"), Interleaved(members.port("pong_in")))
     connect(members.port("done"), done_in)
-    topo = b.build()
 
     def validate(report):
         for i, m in enumerate(members.members):
@@ -269,13 +259,12 @@ def _build_big(actors=12, pings=200, seed=1) -> BenchmarkInstance:
             check(m.state.pongs == pings, f"member {i} got {m.state.pongs} pongs")
         check(sink.state.done == actors, "not all members reported done")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("Chameneos", "Chameneos", GROUP_MICRO)
-def _build_chameneos(chameneos=10, meetings=2000) -> BenchmarkInstance:
-    at_least("Chameneos", chameneos=(chameneos, 2), meetings=(meetings, 0))  # 2 to pair
-    b = Builder("Chameneos")
+def _build_chameneos(b, chameneos=10, meetings=2000):
+    at_least(chameneos=(chameneos, 2), meetings=(meetings, 0))  # 2 to pair
     mall = b.reactor("mall")
     req_in = mall.input("req", width=chameneos)
     reply_out = mall.output("reply", width=chameneos)
@@ -331,7 +320,6 @@ def _build_chameneos(chameneos=10, meetings=2000) -> BenchmarkInstance:
     members = bank(b, "chameneo", chameneos, member)
     connect(members.port("out"), req_in)
     connect(reply_out, members.port("in"))
-    topo = b.build()
 
     def validate(report):
         check(mall.state.granted == meetings,
@@ -340,5 +328,5 @@ def _build_chameneos(chameneos=10, meetings=2000) -> BenchmarkInstance:
         check(total == 2 * meetings, f"member meetings sum {total} != {2 * meetings}")
         check(all(m.state.stopped for m in members.members), "member still running")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 

@@ -18,15 +18,13 @@ import math
 from ..core import STARTUP, Builder
 from ..patterns import bank, connect, unfold
 from .lcg import Lcg64
-from .registry import GROUP_PARALLELISM, BenchmarkInstance, at_least, check, register
+from .registry import GROUP_PARALLELISM, at_least, check, register
 
 
 @register("ProducerConsumer", "Producer-Consumer", GROUP_PARALLELISM)
-def _build_producer_consumer(producers=4, consumers=4, items=300, buffer=10,
-                             seed=1) -> BenchmarkInstance:
-    at_least("ProducerConsumer", producers=(producers, 1), consumers=(consumers, 1),
+def _build_producer_consumer(b, producers=4, consumers=4, items=300, buffer=10, seed=1):
+    at_least(producers=(producers, 1), consumers=(consumers, 1),
              items=(items, 0), buffer=(buffer, producers))  # one slot per producer
-    b = Builder("ProducerConsumer")
 
     values = [[Lcg64(seed * 131 + i).next_below(1 << 20) for _ in range(items)]
               for i in range(producers)]
@@ -131,7 +129,6 @@ def _build_producer_consumer(producers=4, consumers=4, items=300, buffer=10,
     connect(credit_out, producer_bank.port("credit"))
     connect(deliver_out, consumer_bank.port("deliver"))
     connect(consumer_bank.port("ack"), ack_in)
-    topo = b.build()
 
     def validate(report):
         total = sum(cc.state.count for cc in consumer_bank.members)
@@ -142,7 +139,7 @@ def _build_producer_consumer(producers=4, consumers=4, items=300, buffer=10,
         check(manager.state.eos == producers and not manager.state.queue, "buffer not drained")
         check(manager.state.slots == buffer, "slot accounting broken")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 def _fan_out_compute(b: Builder, segments: int, rounds: int, compute):
@@ -187,8 +184,8 @@ def _fan_out_compute(b: Builder, segments: int, rounds: int, compute):
 
 
 @register("Trapezoidal", "Trapezoidal Approximation", GROUP_PARALLELISM)
-def _build_trapezoid(pieces=200_000, segments=4, rounds=3) -> BenchmarkInstance:
-    at_least("Trapezoidal", pieces=(pieces, 1), segments=(segments, 1), rounds=(rounds, 1))
+def _build_trapezoid(b, pieces=200_000, segments=4, rounds=3):
+    at_least(pieces=(pieces, 1), segments=(segments, 1), rounds=(rounds, 1))
     import numpy as np
 
     lo, hi = 0.0, 1.0
@@ -207,9 +204,7 @@ def _build_trapezoid(pieces=200_000, segments=4, rounds=3) -> BenchmarkInstance:
         y = 4.0 / (1.0 + x * x)
         return float((np.sum(y) - 0.5 * (y[0] + y[-1])) * h)
 
-    b = Builder("Trapezoidal")
     disp = _fan_out_compute(b, segments, rounds, compute)
-    topo = b.build()
 
     def validate(report):
         results = disp.state.results
@@ -218,12 +213,12 @@ def _build_trapezoid(pieces=200_000, segments=4, rounds=3) -> BenchmarkInstance:
             check(abs(v - math.pi) < 1e-6, f"integral {v!r} off by {abs(v - math.pi):.2e}")
         check(all(v == results[0] for v in results), "rounds disagree bit-for-bit")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("PiPrecision", "Pi Precision", GROUP_PARALLELISM)
-def _build_pi_precision(terms=500_000, segments=4, rounds=3) -> BenchmarkInstance:
-    at_least("PiPrecision", terms=(terms, 1), segments=(segments, 1), rounds=(rounds, 1))
+def _build_pi_precision(b, terms=500_000, segments=4, rounds=3):
+    at_least(terms=(terms, 1), segments=(segments, 1), rounds=(rounds, 1))
     import numpy as np
 
     bounds = [terms * i // segments for i in range(segments + 1)]
@@ -236,9 +231,7 @@ def _build_pi_precision(terms=500_000, segments=4, rounds=3) -> BenchmarkInstanc
         # Alternating-series slice: 4 * sum((-1)^k / (2k+1)) over this range.
         return float(np.sum(4.0 * signs[idx] / (2.0 * ks[idx] + 1.0)))
 
-    b = Builder("PiPrecision")
     disp = _fan_out_compute(b, segments, rounds, compute)
-    topo = b.build()
     tolerance = 4.0 / (2.0 * terms + 1.0)  # alternating series remainder bound
 
     def validate(report):
@@ -249,15 +242,14 @@ def _build_pi_precision(terms=500_000, segments=4, rounds=3) -> BenchmarkInstanc
                   f"estimate {v!r} outside remainder bound {tolerance:.2e}")
         check(all(v == results[0] for v in results), "rounds disagree bit-for-bit")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("RadixSort", "Radix Sort", GROUP_PARALLELISM)
-def _build_radix_sort(size=10_000, bits=16, rounds=4, seed=1) -> BenchmarkInstance:
-    at_least("RadixSort", size=(size, 0), bits=(bits, 1), rounds=(rounds, 1))
+def _build_radix_sort(b, size=10_000, bits=16, rounds=4, seed=1):
+    at_least(size=(size, 0), bits=(bits, 1), rounds=(rounds, 1))
     import numpy as np
 
-    b = Builder("RadixSort")
     rng = Lcg64(seed * 8675309)
     inputs = [np.array([rng.next_below(1 << bits) for _ in range(size)], dtype=np.int64)
               for _ in range(rounds)]
@@ -300,7 +292,6 @@ def _build_radix_sort(size=10_000, bits=16, rounds=4, seed=1) -> BenchmarkInstan
     # stage the sink, in one offset connection statement.
     connect(unfold([data_out, stages.port("out")]),
             unfold([stages.port("in"), sorted_in]))
-    topo = b.build()
 
     def validate(report):
         outs = sink.state.outputs
@@ -309,16 +300,13 @@ def _build_radix_sort(size=10_000, bits=16, rounds=4, seed=1) -> BenchmarkInstan
             check(bool(np.all(out[1:] >= out[:-1])), "output not nondecreasing")
             check(np.array_equal(np.sort(inp), out), "output is not a permutation of the input")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 
 
 @register("FilterBank", "Filter Bank", GROUP_PARALLELISM)
-def _build_filter_bank(branches=8, frame=4096, taps=64, rounds=10, seed=1) -> BenchmarkInstance:
-    at_least("FilterBank", branches=(branches, 1), frame=(frame, 1), taps=(taps, 1),
-             rounds=(rounds, 1))
+def _build_filter_bank(b, branches=8, frame=4096, taps=64, rounds=10, seed=1):
+    at_least(branches=(branches, 1), frame=(frame, 1), taps=(taps, 1), rounds=(rounds, 1))
     import numpy as np
-
-    b = Builder("FilterBank")
 
     coeffs = []
     for i in range(branches):
@@ -367,7 +355,6 @@ def _build_filter_bank(branches=8, frame=4096, taps=64, rounds=10, seed=1) -> Be
 
     connect(frame_out, bench_bank.port("in"), broadcast=True)
     connect(bench_bank.port("out"), parts_in)
-    topo = b.build()
 
     expected = []
     for rnd in range(rounds):
@@ -381,5 +368,5 @@ def _build_filter_bank(branches=8, frame=4096, taps=64, rounds=10, seed=1) -> Be
         check(combiner.state.totals == expected,
               "filter outputs diverge from sequential replay")
 
-    return BenchmarkInstance(topo, validate)
+    return validate
 

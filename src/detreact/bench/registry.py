@@ -1,11 +1,14 @@
 """Benchmark registry: named, parameterized topology builders with validators.
 
-A benchmark is a builder function decorated with ``@register(name, title,
-group)``. Its keyword arguments are the benchmark's parameters, and their
-defaults, in signature order, are ``BenchmarkSpec.defaults``. Every parameter
-is an integer: ``BenchmarkSpec.resolve_params`` rejects any other override,
-and each builder rejects a count below its least meaningful value
-(``at_least``).
+A benchmark is one function, ``builder(b, **params) -> validate``, decorated
+with ``@register(name, title, group)``: it declares its program on the
+``Builder`` ``b``, which the registry names after it and builds, and returns
+its validator. The keyword arguments after ``b`` are the benchmark's
+parameters, and their defaults, in signature order, are
+``BenchmarkSpec.defaults``. Every parameter is an integer: ``resolve_params``
+rejects any other override, and each builder rejects a count below its least
+meaningful value (``at_least``); the registry prefixes the ``ValueError``
+with the benchmark's name.
 
 Each benchmark builds a fresh topology per iteration and checks its own
 functional result after the run; timing without a passing validator is
@@ -19,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from ..core import ReactorTopology
+from ..core import Builder, ReactorTopology
 
 GROUP_MICRO = "micro"
 GROUP_CONCURRENCY = "concurrency"
@@ -74,15 +77,24 @@ _REGISTRY: dict[str, BenchmarkSpec] = {}
 
 
 def register(name: str, title: str, group: str):
-    """Decorator: register ``builder(**params) -> BenchmarkInstance`` as the
-    benchmark ``name``, with its keyword arguments' defaults as parameters."""
-    def decorate(builder: Callable[..., BenchmarkInstance]):
+    """Decorator: register ``builder(b, **params) -> validate`` as the
+    benchmark ``name``, with the defaults of its keyword arguments after
+    ``b`` as parameters."""
+    def decorate(builder: Callable[..., Callable]):
         if name in _REGISTRY:
             raise ValueError(f"benchmark {name!r} registered twice")
-        defaults = {p.name: p.default
-                    for p in inspect.signature(builder).parameters.values()}
-        _REGISTRY[name] = BenchmarkSpec(name, title, group, defaults,
-                                        lambda params: builder(**params))
+        _b, *params = inspect.signature(builder).parameters.values()
+        defaults = {p.name: p.default for p in params}
+
+        def build(params: dict) -> BenchmarkInstance:
+            b = Builder(name)
+            try:
+                validate = builder(b, **params)
+            except ValueError as exc:
+                raise ValueError(f"benchmark {name}: {exc}") from exc
+            return BenchmarkInstance(b.build(), validate)
+
+        _REGISTRY[name] = BenchmarkSpec(name, title, group, defaults, build)
         return builder
     return decorate
 
@@ -99,15 +111,14 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         raise UnknownBenchmarkError(name, list(_REGISTRY)) from None
 
 
-def at_least(benchmark: str, **bounds: tuple[int, int]) -> None:
+def at_least(**bounds: tuple[int, int]) -> None:
     """Reject each parameter given as ``name=(value, least)`` whose value is
     below the least its benchmark can mean, with a ``ValueError`` naming the
-    benchmark, the parameter and the value. Builders call it first, so an
-    out-of-range count fails at build, not as a wrong or endless run."""
+    parameter and the value. Builders call it first, so an out-of-range
+    count fails at build, not as a wrong or endless run."""
     for name, (value, least) in bounds.items():
         if value < least:
-            raise ValueError(f"benchmark {benchmark}: parameter {name!r} must be at least "
-                             f"{least}, got {value}")
+            raise ValueError(f"parameter {name!r} must be at least {least}, got {value}")
 
 
 def check(condition: bool, message: str) -> None:

@@ -1,11 +1,12 @@
 """Benchmark runner CLI, on the standard library's ``argparse``.
 
 Selects benchmarks, sweeps worker counts, prints a human-readable table and
-optionally writes CSV and canonical trace files. ``main(argv)`` returns the
-exit code: 0 when every validator passed (and, with ``--trace``, every
-benchmark gave one trace digest across the worker sweep), 1 otherwise. A run
-whose validator or reaction fails prints a ``FAIL`` row, and the sweep goes
-on. Usage errors exit 2 through argparse before any run starts, among them
+optionally writes CSV and canonical trace files. Benchmarks always run in
+fast mode, at ``--workers`` (default 1). ``main(argv)`` returns the exit
+code: 0 when every validator passed (and, with ``--trace``, every benchmark
+gave one trace digest across the worker sweep), 1 otherwise. A run whose
+validator or reaction fails prints a ``FAIL`` row, and the sweep goes on.
+Usage errors exit 2 through argparse before any run starts, among them
 malformed numbers (``--param`` values are integers), a ``--csv`` file whose
 directory does not exist and a ``--trace`` directory under a file; so does,
 on one stderr line, a parameter that a builder rejects as out of its range.
@@ -21,7 +22,6 @@ is stable for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,8 +29,6 @@ from .bench import (BenchmarkValidationError, UnknownBenchmarkError,
                     get_benchmark, list_benchmarks, run_benchmark, run_once)
 from .errors import ExecutionError
 from .trace import Trace, _guard_stdout, diff, trace_digest
-
-WORKERS_ENV_VAR = "DETREACT_WORKERS"
 
 
 def _parse_workers(text: str) -> list[int]:
@@ -61,9 +59,9 @@ def _print_listing():
         print(f"{spec.name:24s} {spec.group:12s} {spec.title:28s} {defaults}")
 
 
-def _trace_one(spec, params, workers: int, fast: bool, trace_dir: Path) -> Trace:
+def _trace_one(spec, params, workers: int, trace_dir: Path) -> Trace:
     """Extra untimed run with tracing on; writes the canonical text."""
-    _, env, _ = run_once(spec, params, workers=workers, fast=fast, trace=True)
+    _, env, _ = run_once(spec, params, workers=workers, trace=True)
     path = trace_dir / f"{spec.name}_w{workers}.trace"
     path.write_text(env.trace.to_text(), encoding="utf-8")
     return env.trace
@@ -87,14 +85,12 @@ def _main(argv: list[str] | None) -> int:
     add = parser.add_argument
     add("-b", "--benchmark", dest="benchmarks", action="append", default=[], metavar="NAME",
         help="Benchmark name, repeatable; 'all' selects every benchmark.")
-    add("--workers", type=_parse_workers, metavar="N[,N...]",
-        help=f"Worker count or comma-separated sweep (default: ${WORKERS_ENV_VAR} or 1).")
+    add("--workers", type=_parse_workers, default=[1], metavar="N[,N...]",
+        help="Worker count or comma-separated sweep (default: 1).")
     add("--iterations", type=int, default=32, metavar="N",
         help="Iterations per measurement (default: 32).")
     add("--warmup", type=int, default=2, metavar="N",
         help="Leading iterations excluded from statistics (default: 2).")
-    add("--fast", action=argparse.BooleanOptionalAction, default=True,
-        help="Advance logical time without waiting for the physical clock (default: fast).")
     add("--param", dest="params", type=_parse_param, action="append", default=[], metavar="K=V",
         help="Integer benchmark parameter override, repeatable.")
     add("--csv", type=Path, metavar="FILE",
@@ -118,11 +114,6 @@ def _main(argv: list[str] | None) -> int:
     if not args.benchmarks:
         parser.print_help()
         return 2
-    if args.workers is None:  # the environment's default is read only when it is used
-        try:
-            args.workers = _parse_workers(os.environ.get(WORKERS_ENV_VAR, "1"))
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"${WORKERS_ENV_VAR}: {exc}")
     iterations, warmup = args.iterations, args.warmup
     if iterations < 1:
         parser.error(f"argument --iterations: must be >= 1, got {iterations}")
@@ -158,7 +149,7 @@ def _main(argv: list[str] | None) -> int:
         for workers in args.workers:
             try:
                 stats = run_benchmark(spec, params, workers=workers,
-                                      iterations=iterations, warmup=warmup, fast=args.fast)
+                                      iterations=iterations, warmup=warmup)
             except (BenchmarkValidationError, ExecutionError) as exc:
                 _fail(failures, spec, workers, exc)
                 continue
@@ -170,7 +161,7 @@ def _main(argv: list[str] | None) -> int:
             summary_rows.append(f"{spec.name},{workers},{stats.mean_ms:.6f},{stats.ci99_ms:.6f}")
             if args.trace is not None:
                 try:
-                    trace = _trace_one(spec, params, workers, args.fast, args.trace)
+                    trace = _trace_one(spec, params, workers, args.trace)
                 except (BenchmarkValidationError, ExecutionError) as exc:
                     _fail(failures, spec, workers, exc)
                     continue

@@ -36,6 +36,9 @@ class Bank:
         self.name = name
         self.members = members
 
+    def __repr__(self) -> str:
+        return f"<Bank {self.name} w={len(self.members)}>"
+
     def port(self, name: str) -> list[Port]:
         """The members' ports named ``name``, in bank order."""
         self.members[0].builder._check_open()  # built members hold no ports
@@ -50,6 +53,9 @@ class Interleaved:
 
     def __init__(self, ref):
         self.ref = ref
+
+    def __repr__(self) -> str:
+        return f"Interleaved({self.ref!r})"
 
 
 def bank(builder: Builder, name: str, width: int,

@@ -1,6 +1,7 @@
 """Benchmark registry, harness statistics, and per-benchmark validators."""
 
 import gc
+import inspect
 import json
 import math
 import os
@@ -11,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from detreact import trace_digest
+from detreact import Environment, trace_digest
 from detreact.bench import (BenchmarkInstance, BenchmarkSpec,
                             BenchmarkValidationError, Lcg64,
                             UnknownBenchmarkError, get_benchmark,
                             list_benchmarks, run_benchmark, run_once)
-from detreact.bench import harness
+from detreact.bench import concurrency, harness, micro, parallel, registry
 from detreact.bench.harness import student_t_quantile
 
 SMALL = {
@@ -58,6 +59,35 @@ def test_registry_contents_and_groups():
 def test_unknown_benchmark_rejected():
     with pytest.raises(UnknownBenchmarkError):
         get_benchmark("Nope")
+
+
+def test_registry_names_each_program_and_takes_its_parameters_from_its_builder():
+    builders = set()
+    for spec in list_benchmarks():
+        builder = inspect.getclosurevars(spec.build).nonlocals["builder"]
+        first, *params = inspect.signature(builder).parameters.values()
+        assert first.name == "b" and first.default is inspect.Parameter.empty
+        assert spec.defaults == {p.name: p.default for p in params}, spec.name
+        assert spec.build(small_params(spec)).topology.name == spec.name
+        builders.add(builder)
+    assert builders == {f for module in (micro, concurrency, parallel)
+                        for name, f in vars(module).items() if name.startswith("_build_")}
+
+
+def test_register_prefixes_a_builders_value_error_and_refuses_a_name_twice(monkeypatch):
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+    @registry.register("X", "X", "micro")
+    def _build_x(b, n=1):
+        raise ValueError("x")
+
+    spec = get_benchmark("X")
+    assert spec.defaults == {"n": 1}
+    with pytest.raises(ValueError) as exc:
+        spec.build(spec.resolve_params())
+    assert str(exc.value) == "benchmark X: x"
+    with pytest.raises(ValueError, match="registered twice"):
+        registry.register("X", "X", "micro")(_build_x)
 
 
 def test_unknown_parameter_rejected():
@@ -152,19 +182,24 @@ def test_validator_failure_aborts():
 
 def test_bank_transaction_conserves_money_at_every_tag():
     spec = get_benchmark("BankTransaction")
-    params = spec.resolve_params({"accounts": 5, "rounds": 10, "batch": 4,
-                                  "record": 1})
-    inst, _env, _report = run_once(spec, params, workers=4)
-    # Collect per-tag balances across all account reactors; each batch tag
-    # must leave the total invariant.
+    params = spec.resolve_params({"accounts": 5, "rounds": 10, "batch": 4})
+    inst = spec.build(params)
+    # Log each account's balance after every body call, per tag; each batch
+    # tag, and the final one, must leave the total invariant.
     per_tag = {}
-    accounts = [inst.topology.instances[i] for i in range(len(inst.topology.instances))
-                if inst.topology.instances[i].name.startswith("account[")]
+
+    def logged(body):
+        def log(ctx):
+            body(ctx)
+            per_tag.setdefault(ctx.tag, []).append(ctx.state.balance)
+        return log
+
+    accounts = [r for r in inst.topology.reactions if r.owner.name.startswith("account[")]
     assert len(accounts) == 5
-    for acct in accounts:
-        for tag, balance in acct.state.history:
-            per_tag.setdefault(tag, []).append(balance)
-    assert per_tag, "no history recorded"
+    for reaction in accounts:
+        reaction.body = logged(reaction.body)
+    inst.validate(Environment(inst.topology, workers=4, fast=True).run())
+    assert len(per_tag) == params["rounds"] + 1
     for tag, balances in per_tag.items():
         assert len(balances) == 5, f"missing account updates at {tag}"
         assert sum(balances) == 5 * params["initial"], f"not conserved at {tag}"
@@ -282,10 +317,8 @@ def test_non_integer_parameter_rejected_before_any_iteration(monkeypatch):
 
 def test_integer_parameters_accepted():
     import numpy as np
-    params = get_benchmark("BankTransaction").resolve_params(
-        {"accounts": np.int64(5), "record": 1})
+    params = get_benchmark("BankTransaction").resolve_params({"accounts": np.int64(5)})
     assert params["accounts"] == 5 and type(params["accounts"]) is int
-    assert params["record"] == 1
 
 
 # -- counts below their least meaningful value fail at build --------------------

@@ -9,7 +9,6 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 
@@ -19,11 +18,11 @@ from detreact.cli import main
 from detreact.trace import diff
 
 
-def invoke(*args, env=None):
+def invoke(*args):
     """Run ``main(args)`` with stdout and stderr captured together; a usage
     error leaves through argparse's ``SystemExit``."""
     out = io.StringIO()
-    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(out):
+    with redirect_stdout(out), redirect_stderr(out):
         try:
             code = main(list(args))
         except SystemExit as exc:
@@ -211,13 +210,6 @@ def test_a_reaction_that_fails_only_when_traced_fails_its_row(tmp_path, monkeypa
     assert result.exit_code == 1, result.output
     assert "FAIL: reaction r.1 failed: ValueError" in result.output
     assert (tmp_path / "PingPong_w1.trace").is_file()
-
-
-def test_workers_env_var_default():
-    result = invoke("-b", "PingPong", "--iterations", "3", "--warmup", "1",
-                    "--param", "messages=10", env={"DETREACT_WORKERS": "2"})
-    assert result.exit_code == 0, result.output
-    assert re.search(r"PingPong\s+2\s", result.output)
 
 
 def test_bad_workers_value_exit_2():

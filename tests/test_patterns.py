@@ -102,6 +102,17 @@ def test_unfold_interleaved_of_anything_else_is_an_error(ref):
         unfold(Interleaved(ref))
 
 
+def test_errors_name_a_passed_interleaved_or_bank_by_value():
+    _, nodes = _bank_with_multiport(n=1, width=1)
+    with pytest.raises(CompositionError) as nested:
+        unfold(Interleaved(Interleaved(nodes.port("q"))))
+    with pytest.raises(CompositionError) as whole_bank:
+        connect(nodes.port("q"), nodes)  # meant nodes.port("p")
+    assert str(nested.value) == ("cannot interleave Interleaved([<Port b[0].q output w=1>]): "
+                                 "expected a list of ports")
+    assert str(whole_bank.value) == "cannot unfold <Bank b w=1>"
+
+
 def test_unfold_interleaved_one_port_or_channel_is_unchanged():
     _, (p,) = _plain_ports([3])
     assert unfold(Interleaved(p)) == unfold(p)
