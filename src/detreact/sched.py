@@ -10,36 +10,36 @@ reaction of a later tag starts before the whole tag is done.
 
 Every port channel, timer and action, and startup and shutdown, owns one
 slot of a dense value array and presence bytearray, the whole per-tag state
-a reaction reads or writes. The slot is the only name the run gives a
-trigger: events are keyed by slot, and a slot's fan-out is
-``topology.slot_reactions[slot]``. An output channel's slot holds no value,
-since no reaction can read an output: a set writes the input channels it
-feeds. Each reaction owns one :class:`ReactionContext`, built with the
-Environment. Its three tables are the only record of what the body may
-touch: ``_reads`` and ``_writes`` map each declared trigger and output
-channel to its slot, and ``_delays`` each declared logical action to its
-min_delay. A ``ctx`` call is one hit in one table; a miss goes to the cold
-``_miss``, which accepts an index-like integer or names the misuse. The
-context logs what the body makes present, schedules and raises, and holds
-its body and its level's bucket, so staging is one store and the tag loop
-reads no level table; the build checks that a set's readers sit above it.
+a reaction reads. The slot is the only name the run gives a trigger: events
+are keyed by slot, and a slot's fan-out is ``topology.slot_reactions[slot]``.
+An output channel's slot holds no value, since no reaction can read an
+output: a set reaches the input channels it feeds. Each reaction owns one
+:class:`ReactionContext`, built with the Environment. Its three tables are
+the only record of what the body may touch: ``_reads`` and ``_writes`` map
+each declared trigger and output channel to its slot, and ``_delays`` each
+declared logical action to its min_delay. A ``ctx`` call is one hit in one
+table; a miss goes to the cold ``_miss``, which accepts an index-like
+integer or names the misuse. The context logs what the body sets, schedules
+and raises, and holds its body and its level's bucket, so staging is one
+store and the tag loop reads no level table; the build checks that a set's
+readers sit above it.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it; each
 runs ``_worker_loop`` until ``_terminated`` is set, running the published
 level's next reaction or parking when none is left. A body writes only its
-own context and the input channels its sets feed (each has one writer per
-tag). The worker that finishes a level's last reaction becomes the
-coordinator while every other worker is parked, and it alone writes run
-state: it folds the contexts of the level that just ran, in one loop that
-records the input channels they made present, stages the reactions they
-trigger, collects their logical schedules for the tag advance, writes the
-trace line of each completed reaction (in canonical order, when traced) and
-records the failure of the first declared reaction that raised; then
-it goes on to the next level, or ends the tag and advances logical time, in
-the same loop. It runs a level itself when no other worker could share it
-(one reaction, or one worker); only a wider level is published to the ready
-queue, so a one-worker run is one call of ``_coordinate`` on the calling
-thread, with no call per tag, that touches neither the queue nor a semaphore.
+own context, and the fold applies and digests its sets: the worker that
+finishes a level's last reaction becomes the coordinator while every other
+worker is parked, and it alone writes the per-tag arrays and run state. It
+folds the contexts of the level that just ran, in one loop that writes each
+set value to the input channels it feeds, stages the reactions they trigger,
+collects the logical schedules for the tag advance, writes the trace line of
+each completed reaction (in canonical order, when traced) and records the
+failure of the first declared reaction that raised; then it goes on to the
+next level, or ends the tag and advances logical time, in the same loop. It
+runs a level itself when no other worker could share it (one reaction, or
+one worker); only a wider level is published to the ready queue, so a
+one-worker run is one call of ``_coordinate`` on the calling thread, with no
+call per tag, that touches neither the queue nor a semaphore.
 
 The event queue has two parts. An event at a microstep above 0 can only come
 from a zero-delay ``ctx.schedule`` in the tag just before it, so all of them
@@ -50,14 +50,14 @@ wait; written and consumed only by the coordinator between tags, it needs no
 heap and no lock of its own. Every other event (startup, a timer, a delayed
 schedule, a physical action) is at microstep 0 and goes to ``_event_heap``,
 with its slots and values in ``_event_map``; every event, whatever its
-trigger, is staged by the same loop. The one lock, ``_evlock``, guards what
-other threads touch (the event heap, the stop tag, the run-once flag, the end
-of the run) and the tag advance that reads it; ``_micro`` is the
-coordinator's alone, and the fold takes the lock only to record a failure.
+trigger, is staged by the same loop. The one lock, the condition ``_evlock``,
+guards what other threads touch (the event heap, the stop tag, the run-once
+flag, the end of the run) and the tag advance that reads it; ``_micro`` is
+the coordinator's alone, and the fold takes the lock only for a failure.
 
-In normal mode, a tag with time value t is not processed before the physical
-clock passes t (logical time chases physical time); fast mode skips the
-waiting and is what benchmarks use.
+In normal mode, a tag with time value t, the stop tag included, is not
+processed before the physical clock passes t (logical time chases physical
+time); fast mode skips the waiting and is what benchmarks use.
 """
 
 from __future__ import annotations
@@ -136,20 +136,20 @@ def _present_channels(present: bytearray, values: list, base: int, end: int):
 class ReactionContext:
     """One reaction's view of the runtime, built with its Environment and
     handed to every call of its body; all but ``tag``, the running tag, is
-    valid only during that call. What the body makes present, schedules or
-    raises is logged here and folded at the level barrier."""
+    valid only during that call. What the body sets, schedules or raises is
+    logged here, the body's only writes, and folded at the level barrier."""
 
-    __slots__ = ("_rt", "_reaction", "_body", "_bucket", "_value", "_present", "_targets",
+    __slots__ = ("_rt", "_reaction", "_body", "_bucket", "_value", "_present",
                  "_reads", "_writes", "_delays", "state",
-                 "_set_log", "_fx_log", "_sched_log", "_rx", "_rank", "_exc")
+                 "_set_log", "_sched_log", "_rx", "_rank", "_exc")
 
     def __init__(self, rt, reaction):
         self._rt = rt
         self._reaction = reaction
-        # objects the Environment holds: the level's bucket, and what set and get use
+        # objects the Environment holds: the level's bucket, and what get reads
         self._body = reaction.body
         self._bucket = rt._levels[rt.apg.level[reaction.rid]]
-        self._value, self._present, self._targets = rt._value, rt._present, rt.topology.conn_targets
+        self._value, self._present = rt._value, rt._present
         # What the body may touch, the only record of it: each declared trigger
         # and output channel's slot, and each declared action's min_delay.
         self._reads = _channel_slots(t for t in reaction.triggers
@@ -157,13 +157,11 @@ class ReactionContext:
         self._writes = _channel_slots(e for e in reaction.effects if isinstance(e, Port))
         self._delays = {e: e.min_delay for e in reaction.effects if isinstance(e, Action)}
         self.state = reaction.owner.state
-        # Logs, each only where a declared effect can fill it: the input
-        # channels made present, the (tag, action slot, value) schedules and,
-        # when traced, the text of each set ("label:digest").
+        # Logs, each a list only where a declared effect can fill it: the
+        # (output slot, value) sets and the (tag, action slot, value) schedules.
+        self._set_log: list[tuple] | tuple = [] if self._writes else ()
+        self._sched_log: list[tuple] | tuple = [] if self._delays else ()
         tr = rt._tr
-        self._set_log: list[int] | None = [] if self._writes else None
-        self._sched_log: list[tuple] | None = [] if self._delays else None
-        self._fx_log: list[str] | None = [] if self._writes and tr is not None else None
         # what follows the tag prefix in this reaction's trace lines
         self._rx = (tr.reaction_prefix(reaction.owner.name, reaction.index)
                     if tr is not None else None)
@@ -181,6 +179,9 @@ class ReactionContext:
         ``__index__`` type); any other miss is a misuse, raised and named."""
         label = self._reaction.label()
         if isinstance(target, PortChannel):
+            if index is not None:
+                raise ContractViolationError(
+                    f"{label}: {target.label()} is a channel, pass no index")
             target, index = target.port, target.index
         if not isinstance(target, (Port, Timer, Action)):
             raise ContractViolationError(f"{label}: {target!r} is not a port, timer or action")
@@ -202,25 +203,16 @@ class ReactionContext:
         return table[target, index]
 
     def set(self, target, value, index: int | None = None) -> None:
-        """Make the inputs a declared output channel feeds present with
-        ``value`` for the rest of the current tag; the output holds no value.
-        Within one body, the last write to a channel wins."""
+        """Log ``value`` for a declared output channel: the fold makes the
+        inputs it feeds present with it for the rest of the current tag, and
+        the output holds no value. Within one body, the last write wins."""
         # 1.0 hashes like 1: any other index takes the key None, which no table has
         key = target if index is None else (target, index) if type(index) is int else None
         try:
             slot = self._writes[key]
         except (KeyError, TypeError):  # a miss, or an unhashable target
             slot = self._miss(target, index, self._writes, "sets undeclared effect")
-        # An input has one source and an output's reactions never overlap, so
-        # each input channel has one writer per tag and nothing here races.
-        values, present, log = self._value, self._present, self._set_log
-        for dst in self._targets[slot]:
-            values[dst] = value
-            if not present[dst]:
-                present[dst] = 1
-                log.append(dst)
-        if self._fx_log is not None:
-            self._fx_log.append(self._rt._slot_part[slot] + self._rt._tr.value_digest(value))
+        self._set_log.append((slot, value))
 
     def get(self, target, index: int | None = None):
         """Value of a declared trigger at the current tag, or None if absent."""
@@ -316,11 +308,9 @@ class Environment:
         # the present slots, written only at the coordinator moment
         self._live: list[int] = []
 
-        # The one lock. It guards the event heap and map, the run-once flag,
-        # the stop tag and the tag it is derived from, the failure and the end
-        # of the run.
-        self._evlock = threading.Lock()
-        self._evcv = threading.Condition(self._evlock)
+        # The one lock, over a plain Lock (an RLock is slower). It guards the event heap
+        # and map, the run-once flag, the stop tag, the failure and the end of the run.
+        self._evlock = threading.Condition(threading.Lock())
         self._event_heap: list[Tag] = []  # microstep-0 tags only
         self._event_map: dict[Tag, dict[int, object]] = {}  # tag -> {slot: value}
         self._schedules: list[tuple] = []  # this tag's, enqueued by the tag advance
@@ -395,13 +385,13 @@ class Environment:
         if not action.physical:
             raise ContractViolationError(
                 f"{action.label()} is a logical action; schedule it from a reaction body")
-        with self._evcv:
+        with self._evlock:
             if not self.started.is_set() or self._terminated:
                 raise ShutdownError(f"cannot schedule {action.label()}: environment is not running")
             ct = self._current_tag
             g = Tag(max(self._now(), ct.time + 1 if ct is not None else 0), 0)
             self._enqueue(g, action.base, value)
-            self._evcv.notify_all()
+            self._evlock.notify_all()
         return g
 
     def request_stop(self) -> None:
@@ -409,10 +399,10 @@ class Environment:
         reactions at the next microstep, and terminate; before the run, stop
         at (0, 0). The earliest stop tag wins, ``stop_time`` included, so
         this is idempotent."""
-        with self._evcv:
+        with self._evlock:
             if self._stop_tag is None or self._successor < self._stop_tag:
                 self._stop_tag = self._successor
-                self._evcv.notify_all()
+                self._evlock.notify_all()
 
     # -- worker protocol ----------------------------------------------------
 
@@ -426,55 +416,61 @@ class Environment:
         ends. Runs and publishes nothing once a reaction has failed.
 
         The fold empties the bucket that ran, in one pass over its contexts:
-        it records the input channels each made present and stages the
-        reactions each one triggers (a reaction staged by several channels
-        of a port is one key of its level's dict, so it runs once), collects
-        its logical schedules for the tag advance, in a traced run appends
-        its line unless its body raised, and records the failure of the
-        first declared (lowest rid) reaction that raised. Bucket order
-        cannot matter to the run: a level holds at most one reaction per
-        reactor, so no two contexts schedule the same action. A traced fold
-        walks a wider bucket in rank order, and levels are folded in
-        ascending order, so a tag's lines come in canonical order.
+        it writes each set value to the input channels it feeds, stages the
+        readers of each channel it makes present (once each: a bucket is a
+        dict), collects the logical schedules for the tag advance, in a
+        traced run appends the line of each body that did not raise (a set
+        value with no digest fails its setter instead), and records the
+        failure of the first declared (lowest rid) reaction that raised.
+        Bucket order cannot matter to the run: a level holds at most one
+        reaction per reactor, so no two contexts write one input or schedule
+        one action. A traced fold walks a wider bucket in rank order, and
+        levels are folded in ascending order, so a tag's lines come in
+        canonical order.
 
         The advance enqueues the closed tag's schedules, selects the next tag
         (waiting for physical time unless in fast mode) and stages it, taking
         the lock once; the module docstring describes the event queue."""
-        slot_reactions = self.topology.slot_reactions
+        slot_reactions, conn_targets = self.topology.slot_reactions, self.topology.conn_targets
         levels, nlevels = self._levels, len(self._levels)
         ctxs, live, schedules = self._ctxs, self._live, self._schedules
         values, present = self._value, self._present
         micro, periods, heap = self._micro, self._periods, self._event_heap
-        alone = self.workers == 1
+        lock, alone = self._evlock, self.workers == 1
         if traced := self._tr is not None:
             slot_part, lines, sep = self._slot_part, self._lines, self._tr.SCHED
+            digest = self._tr.value_digest
         bucket = levels[self._current_level] if self._current_level >= 0 else None
         while True:
             if bucket:  # fold the level that ran
                 failed = None
                 for ctx in (sorted(bucket, key=_by_rank)
                             if traced and len(bucket) > 1 else bucket):
-                    log = ctx._set_log
-                    if log:
-                        for slot in log:
-                            for r in slot_reactions[slot]:
-                                c = ctxs[r]
-                                c._bucket[c] = None  # above this level: checked at build
-                        live += log
-                        log.clear()
-                    sched = ctx._sched_log
-                    if traced:
-                        fx = ctx._fx_log
-                        if ctx._exc is None:  # a body that raised leaves no line
-                            line = self._tag_prefix + ctx._rx + (",".join(fx) if fx else "") + sep
-                            if sched:  # a loop: a comprehension would cost a call per line
-                                comma = ""
-                                for g, slot, _ in sched:
-                                    line += comma + slot_part[slot] % g
-                                    comma = ","
+                    log, sched = ctx._set_log, ctx._sched_log
+                    if traced and ctx._exc is None:  # a body that raised leaves no line
+                        try:  # loops: a comprehension would cost a call per line
+                            line, comma = self._tag_prefix + ctx._rx, ""
+                            for slot, value in log:
+                                line += comma + slot_part[slot] + digest(value)
+                                comma = ","
+                            line, comma = line + sep, ""
+                            for g, slot, _ in sched:
+                                line += comma + slot_part[slot] % g
+                                comma = ","
                             lines.append(line)
-                        if fx:
-                            fx.clear()
+                        except Exception as exc:  # a value with no digest fails its setter
+                            ctx._exc = exc
+                    if log:
+                        for slot, value in log:
+                            for dst in conn_targets[slot]:
+                                values[dst] = value
+                                if not present[dst]:
+                                    present[dst] = 1
+                                    live.append(dst)
+                                    for r in slot_reactions[dst]:
+                                        c = ctxs[r]
+                                        c._bucket[c] = None  # above this level: checked at build
+                        log.clear()
                     if sched:
                         schedules += sched
                         sched.clear()
@@ -510,8 +506,9 @@ class Environment:
                 values[slot] = None
                 present[slot] = 0
             live.clear()
-            # advance: None once the run is over
-            with self._evlock:
+            # advance: None once the run is over (a with on a Condition costs two Python calls)
+            lock.acquire()
+            try:
                 for g, slot, value in schedules:
                     if g.microstep:
                         micro[slot] = value  # same action: the later call wins
@@ -527,20 +524,20 @@ class Environment:
                         g = self._successor
                         trigmap = micro
                         break
-                    g = heap[0] if heap else None
-                    if g is not None and self._stop_tag is not None and g > self._stop_tag:
-                        g = None  # beyond the stop tag: dropped
-                    if g is None:
-                        if self._stop_tag is None:
-                            self._stop_tag = self._successor
-                        g = self._stop_tag
-                        trigmap = None
-                        break
+                    g, stop = heap[0] if heap else None, self._stop_tag
+                    queued = g is not None and (stop is None or g <= stop)
+                    if not queued:  # nothing at or before the stop tag: shut down there
+                        if stop is None:
+                            self._stop_tag = stop = self._successor
+                        g = stop
                     if not self.fast:
                         now = self._now()
                         if now <= g.time:
-                            self._evcv.wait((g.time - now + 1) / 1e9)
-                            continue  # re-check: an earlier event may have arrived
+                            lock.wait((g.time - now + 1) / 1e9)
+                            continue  # re-check: an earlier event or stop may have arrived
+                    if not queued:
+                        trigmap = None
+                        break
                     heapq.heappop(heap)
                     trigmap = self._event_map.pop(g)
                     for slot in trigmap:
@@ -552,6 +549,8 @@ class Environment:
                     self._current_tag = g
                     self._successor = _new_tuple(Tag, (g.time, g.microstep + 1))
                     shutdown_now = g == self._stop_tag
+            finally:
+                lock.release()
             if g is None:
                 self._terminate()
                 return
@@ -578,11 +577,11 @@ class Environment:
         """End the run and release every other worker, which is parked or
         about to park; the caller leaves its loop without parking. ``exc``
         is a broken invariant or an interrupt."""
-        with self._evcv:
+        with self._evlock:
             if exc is not None and self._failure is None:
                 self._failure = (None, exc)
             self._terminated = True
-            self._evcv.notify_all()
+            self._evlock.notify_all()
         if self.workers > 1:  # release(0) raises
             self._sem.release(self.workers - 1)
 

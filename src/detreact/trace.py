@@ -9,11 +9,12 @@ when their trace digests match.
 
     TAG=<time_ns>.<microstep> RX=<reactor-path>.<index> FX=<port:digest,...> SCHED=<action@time_ns.microstep,...>
 
-This module is the one place that knows that format. A traced run composes
-each completed reaction's line from parts computed once: a prefix per tag
+This module is the one place that knows that format. The fold at the level
+barrier, not the body, digests each set value and composes each completed
+reaction's line from parts computed once: a prefix per tag
 (:func:`tag_prefix`) and per reaction (:func:`reaction_prefix`), and a part
-per slot (:func:`slot_parts`) for each value it sets and event it
-schedules; :data:`SCHED` separates the two lists. The lines are the trace;
+per slot (:func:`slot_parts`) for each value set and event scheduled;
+:data:`SCHED` separates the two lists. The lines are the trace;
 :attr:`Trace.records` is a parsed view of them as :class:`TraceRecord` s,
 built on access. A traced run keeps no GC-tracked object per line, and the
 digests of small exact values (ints, short strs and flat tuples of them) are

@@ -369,8 +369,9 @@ def _misuse_program(misuse):
     b = Builder()
     r = b.reactor("r")
     h = SimpleNamespace(t=r.timer("t"), a=r.action("a"), inp=r.input("inp", width=2),
-                        out=r.output("out"), solo=r.input("solo"), fx=r.output("fx"))
-    r.reaction(STARTUP, h.t, h.inp, effects=[h.a], body=lambda ctx: misuse(ctx, h))
+                        out=r.output("out"), solo=r.input("solo"), fx=r.output("fx"),
+                        wide=r.output("wide", width=2))
+    r.reaction(STARTUP, h.t, h.inp, effects=[h.a, h.wide], body=lambda ctx: misuse(ctx, h))
     # r.2 declares a width-1 trigger and effect that r.1 does not
     r.reaction(h.solo, effects=[h.fx], body=lambda ctx: None)
     return b.build()
@@ -395,11 +396,16 @@ def _misuse_program(misuse):
     (lambda ctx, h: ctx.schedule(h.inp), "r.1 schedules undeclared action <Port r.inp"),
     (lambda ctx, h: ctx.present(h.t), "r.1: <Timer r.t> is not a port"),
     (lambda ctx, h: ctx.present(h.solo), "r.1 reads undeclared trigger r.solo"),
+    # a channel names its index already: a second one is not silently dropped
+    (lambda ctx, h: ctx.set(h.wide[1], 1, 0), "r.1: r.wide[1] is a channel, pass no index"),
+    (lambda ctx, h: ctx.get(h.inp[0], 1), "r.1: r.inp[0] is a channel, pass no index"),
+    (lambda ctx, h: ctx.is_present(h.inp[0], 1), "r.1: r.inp[0] is a channel, pass no index"),
 ], ids=["set-action", "get-startup", "timer-index", "multiport-no-index",
         "port-index-range", "undeclared-trigger", "undeclared-effect", "get-unhashable",
         "set-unhashable", "undeclared-channel-effect", "other-reactions-trigger",
         "other-reactions-effect", "float-index", "str-index", "schedule-unhashable",
-        "schedule-port", "present-timer", "present-other-reactions-trigger"])
+        "schedule-port", "present-timer", "present-other-reactions-trigger",
+        "set-channel-index", "get-channel-index", "is-present-channel-index"])
 def test_one_contract_for_every_slot_kind(misuse, message):
     with pytest.raises(ExecutionError, match="r.1") as exc_info:
         run_env(_misuse_program(misuse))

@@ -17,6 +17,7 @@ from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, USEC, Builder, Environment, 
 from detreact.bench.registry import get_benchmark
 from detreact.graph import build_precedence_graph
 from programs import jittered, proxied_bank, two_user_bank
+from test_bench import small_params
 
 
 # -- end-to-end example programs -------------------------------------------
@@ -605,6 +606,53 @@ def test_earlier_physical_event_interrupts_wait():
     assert tags == sorted(tags)
 
 
+def _stop_time_program(workers, stop_time):
+    """A real-time run with nothing queued after startup; it logs the tag of
+    each reaction it runs, with the physical time."""
+    b = Builder()
+    r = b.reactor("r")
+    irq = r.physical_action("irq")
+    r.state.log = []
+    for trigger in (STARTUP, irq, SHUTDOWN):
+        r.reaction(trigger, body=lambda ctx: ctx.state.log.append(
+            (ctx.tag, ctx.elapsed_physical_ns())))
+    env = Environment(b.build(), workers=workers, fast=False, stop_time=stop_time)
+    box = {}
+    runner = threading.Thread(target=lambda: box.setdefault("report", env.run()))
+    runner.start()
+    env.started.wait(5)
+    return env, irq, r.state.log, runner, box
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_stop_tag_waits_for_physical_time(workers):
+    # Nothing is queued at or before the stop tag, which still chases
+    # physical time as a queued tag does.
+    _, _, log, runner, box = _stop_time_program(workers, 200 * MSEC)
+    runner.join(10)
+    assert not runner.is_alive()
+    assert box["report"].last_tag == Tag(200 * MSEC, 0)
+    (startup, _), (shutdown, fired_at) = log
+    assert (startup, shutdown) == (Tag(0, 0), Tag(200 * MSEC, 0))
+    assert fired_at >= shutdown.time
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_physical_event_or_stop_before_the_stop_tag_is_taken(workers):
+    # While the scheduler waits for the stop tag, a physical event is handled,
+    # not refused, and an outside stop request then ends the run early.
+    env, irq, log, runner, box = _stop_time_program(workers, 10 * SEC)
+    time.sleep(0.05)
+    tag = env.schedule_physical(irq, None)  # raises ShutdownError if the run ended
+    time.sleep(0.02)
+    env.request_stop()
+    runner.join(10)
+    assert not runner.is_alive()
+    assert tag.time >= 50 * MSEC
+    assert [g for g, _ in log] == [Tag(0, 0), tag, Tag(tag.time, 1)]
+    assert box["report"].last_tag == Tag(tag.time, 1)
+
+
 def test_stop_time_config():
     b = Builder()
     r = b.reactor("r")
@@ -950,6 +998,37 @@ def test_the_staging_check_names_the_reader_of_a_multiport_fan_in(monkeypatch):
         Environment(topology, fast=True)
 
 
+# -- what a body writes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["PingPong", "Big", "Chameneos", "ProducerConsumer"])
+def test_a_body_writes_no_shared_state(name):
+    # A body writes only its own context: the per-tag slot arrays are the
+    # same objects with the same contents after each body call as before it.
+    spec = get_benchmark(name)
+    instance = spec.build(small_params(spec))
+    box, changed = {}, []
+
+    def watched(reaction, body):
+        def wrapped(ctx):
+            env = box["env"]
+            values, present = list(env._value), bytes(env._present)
+            body(ctx)
+            if any(a is not b for a, b in zip(values, env._value)) or present != env._present:
+                changed.append(reaction.label())
+            box["calls"] += 1
+        return wrapped
+
+    for reaction in instance.topology.reactions:
+        reaction.body = watched(reaction, reaction.body)
+    box["env"] = env = Environment(instance.topology, workers=1, fast=True)
+    box["calls"] = 0
+    report = env.run()
+    instance.validate(report)
+    assert box["calls"] == report.reactions > 0
+    assert changed == []
+
+
 # -- what takes the lock -------------------------------------------------------
 
 
@@ -985,8 +1064,8 @@ def test_the_lock_is_taken_once_per_tag_advance(name, params, workers):
     spec = get_benchmark(name)
     instance = spec.build(spec.resolve_params(params))
     env = Environment(instance.topology, workers=workers, fast=True)
-    env._evlock = lock = _CountingLock()
-    env._evcv = threading.Condition(lock)
+    lock = _CountingLock()
+    env._evlock = threading.Condition(lock)
     report = env.run()
     instance.validate(report)
     # one advance per tag run, every tag at time 0 here, and the final one
@@ -1115,7 +1194,7 @@ def test_physical_scheduling_after_a_reaction_failure(workers):
 # program is real-time with a 5 ms timer fanning out to a width-2 level, and
 # is interrupted about 100 ms into a 3 s run.
 _INTERRUPTED_RUN = """
-import _thread, json, sys, threading, time
+import _thread, json, signal, sys, threading, time
 from detreact import MSEC, SEC, Builder, Environment, ExecutionError, connect
 
 b = Builder()
@@ -1129,6 +1208,8 @@ for i in range(2):
     sink.reaction(sink_in, body=lambda ctx: None)
     connect(out, sink_in)
 env = Environment(b.build(), workers=int(sys.argv[1]), stop_time=3 * SEC)
+# a background job inherits an ignored SIGINT, which interrupt_main would not raise
+signal.signal(signal.SIGINT, signal.default_int_handler)
 threading.Timer(0.1, _thread.interrupt_main).start()
 t0 = time.monotonic()
 try:

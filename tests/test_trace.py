@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from detreact import (MSEC, SEC, Builder, Environment, ExecutionError, TraceRecord,
+from detreact import (MSEC, SEC, STARTUP, Builder, Environment, ExecutionError, TraceRecord,
                       connect, trace_digest, value_digest)
 from detreact import trace as trace_module
 from detreact.bench import get_benchmark, list_benchmarks, run_once
@@ -144,6 +144,28 @@ def test_failed_level_traces_only_the_reactions_that_completed(workers):
     assert env.trace.to_text().splitlines() == [
         f"TAG=0.0 RX={name}.1 FX={name}.out:{value_digest(0)} SCHED=" for name in "abc"
     ] + [f"TAG={MSEC}.0 RX=b.1 FX=b.out:{value_digest(MSEC)} SCHED="]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_set_value_with_no_digest_fails_its_setter(workers):
+    # The fold digests each set value; one whose repr raises fails the
+    # reaction that set it, which leaves no line, and the next level never runs.
+    class Opaque:
+        def __repr__(self):
+            raise ValueError("no repr")
+
+    b = Builder()
+    a, s, sink = b.reactor("a"), b.reactor("s"), b.reactor("sink")
+    a_out, s_out, sink_in = a.output("out"), s.output("out"), sink.input("in")
+    a.reaction(STARTUP, effects=[a_out], body=lambda ctx: ctx.set(a_out, 1))
+    s.reaction(STARTUP, effects=[s_out], body=lambda ctx: ctx.set(s_out, Opaque()))
+    sink.reaction(sink_in, body=lambda ctx: setattr(ctx.state, "ran", True))
+    connect(s_out, sink_in)
+    env = Environment(b.build(), workers=workers, fast=True, trace=True)
+    with pytest.raises(ExecutionError, match=re.escape("reaction s.1 failed: ValueError('no repr')")):
+        env.run()
+    assert env.trace.to_text().splitlines() == [f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(1)} SCHED="]
+    assert not hasattr(sink.state, "ran")
 
 
 def test_text_format():
