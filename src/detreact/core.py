@@ -70,35 +70,41 @@ def checked_time_add(a: int, b: int) -> int:
     return total
 
 
-class _BuiltinTrigger:
-    __slots__ = ("name",)
-    width = 1  # one slot of each topology
+class Trigger:
+    """What a reaction can be triggered by: a port, timer or action of its
+    reactor, or the owner-less STARTUP or SHUTDOWN. It owns ``width`` slots of
+    its topology, from ``base`` on."""
 
-    def __init__(self, name: str):
+    __slots__ = ("owner", "name", "width", "base")
+
+    def __init__(self, owner, name, width=1, base=-1):
+        self.owner = owner
         self.name = name
+        self.width = width
+        self.base = base  # first slot: assigned at build(), fixed for the built-ins
+
+    def label(self) -> str:
+        return f"{self.owner.name}.{self.name}"
 
     def __repr__(self) -> str:
         return self.name
 
 
-#: Fires once when execution starts, at tag (0, 0).
-STARTUP = _BuiltinTrigger("startup")
-#: Fires once at the stop tag, after the final ordinary tag completes.
-SHUTDOWN = _BuiltinTrigger("shutdown")
+#: Fires once when execution starts, at tag (0, 0); slot 0 of every topology.
+STARTUP = Trigger(None, "startup", base=0)
+#: Fires once at the stop tag, after the final ordinary tag completes; slot 1.
+SHUTDOWN = Trigger(None, "shutdown", base=1)
 
 
-class Port:
+class Port(Trigger):
     """A declared port. Multiports have ``width > 1``; ``port[i]`` addresses
     one channel."""
 
-    __slots__ = ("owner", "name", "is_input", "width", "base")
+    __slots__ = ("is_input",)
 
     def __init__(self, owner, name, is_input, width):
-        self.owner = owner
-        self.name = name
+        super().__init__(owner, name, width)
         self.is_input = is_input
-        self.width = width
-        self.base = -1  # global channel offset, assigned at build()
 
     def __getitem__(self, index: int) -> "PortChannel":
         try:
@@ -109,9 +115,6 @@ class Port:
         if not 0 <= index < self.width:
             raise IndexError(f"{self.label()} has width {self.width}, index {index} out of range")
         return PortChannel(self, index)
-
-    def label(self) -> str:
-        return f"{self.owner.name}.{self.name}"
 
     def __repr__(self) -> str:
         return f"<Port {self.label()} {'input' if self.is_input else 'output'} w={self.width}>"
@@ -129,44 +132,32 @@ class PortChannel(NamedTuple):
         return f"{self.port.label()}[{self.index}]"
 
 
-class Timer:
+class Timer(Trigger):
     """Produces events at (offset, 0) and then every ``period`` thereafter.
     A timer without a period fires exactly once."""
 
-    __slots__ = ("owner", "name", "offset", "period", "base")
-    width = 1  # one slot
+    __slots__ = ("offset", "period")
 
     def __init__(self, owner, name, offset, period):
-        self.owner = owner
-        self.name = name
+        super().__init__(owner, name)
         self.offset = offset
         self.period = period
-        self.base = -1  # slot, assigned at build()
-
-    def label(self) -> str:
-        return f"{self.owner.name}.{self.name}"
 
     def __repr__(self) -> str:
         return f"<Timer {self.label()}>"
 
 
-class Action:
+class Action(Trigger):
     """A schedulable trigger. Logical actions are scheduled from reaction
     bodies relative to the current tag; physical actions are scheduled from
     arbitrary threads and receive a tag derived from the physical clock."""
 
-    __slots__ = ("owner", "name", "physical", "min_delay", "base")
-    width = 1  # one slot
+    __slots__ = ("physical", "min_delay")
 
     def __init__(self, owner, name, physical, min_delay):
-        self.owner = owner
-        self.name = name
+        super().__init__(owner, name)
         self.physical = physical
         self.min_delay = min_delay
-        self.base = -1  # slot, assigned at build()
-
-    def label(self) -> str:
-        return f"{self.owner.name}.{self.name}"
 
     def __repr__(self) -> str:
         kind = "physical" if self.physical else "logical"
@@ -279,14 +270,12 @@ class ReactorInstance:
         if not triggers:
             raise CompositionError(f"reaction in {self.name!r} declares no triggers")
         for t in triggers:
-            if isinstance(t, _BuiltinTrigger):
-                continue
             if isinstance(t, Port):
                 if not t.is_input or t.owner is not self:
                     raise CompositionError(
                         f"reaction in {self.name!r}: trigger {t.label()} is not an input of this reactor")
-            elif isinstance(t, (Timer, Action)):
-                if t.owner is not self:
+            elif isinstance(t, Trigger):
+                if t.owner is not self and t.owner is not None:  # STARTUP, SHUTDOWN: no owner
                     raise CompositionError(
                         f"reaction in {self.name!r}: trigger {t.label()} belongs to another reactor")
             else:
@@ -329,30 +318,23 @@ class ReactorTopology:
         for inst in self.instances:
             inst.ports = inst.timers = inst.actions = inst.reactions = ()
 
-        # Trigger fan-out: each port, timer and action, STARTUP and SHUTDOWN
-        # -> reaction ids.
-        fanout: dict = {t: [] for t in (*self.ports, *self.timers, *self.actions,
-                                        STARTUP, SHUTDOWN)}
+        # One dense slot space, the only name a run gives a trigger: slots 0 and
+        # 1 for startup and shutdown, then every port channel and one slot for
+        # each timer and each action. A per-slot table has one entry per slot:
+        # the fan-out to reaction ids, shared by a port's channels, and the input
+        # channels an output channel feeds, whose own slot holds no value.
+        fanout: dict = {t: [] for t in (STARTUP, SHUTDOWN, *self.ports, *self.timers, *self.actions)}
         for r in self.reactions:
             for t in r.triggers:
                 fanout[t].append(r.rid)
-
-        # One dense slot space, the only name a run gives a trigger: every
-        # port channel, then one slot for each timer and each action, then
-        # the startup and the shutdown slot. An output channel's slot holds no
-        # value: it indexes conn_targets and the trace's slot parts. Every
-        # channel of a port shares the port's fan-out tuple.
         slot_reactions: list[tuple[int, ...]] = []
         for t, rids in fanout.items():
-            if not isinstance(t, _BuiltinTrigger):  # shared by every topology
-                t.base = len(slot_reactions)
+            t.base = len(slot_reactions)  # the built-ins' own: 0 and 1
             slot_reactions += [tuple(rids)] * t.width
         self.slot_reactions = tuple(slot_reactions)
         self.slot_count = len(slot_reactions)
-        self.startup_slot, self.shutdown_slot = self.slot_count - 2, self.slot_count - 1
-        self.channel_count = sum(p.width for p in self.ports)
 
-        conn_targets: list[list[int]] = [[] for _ in range(self.channel_count)]
+        conn_targets: list[list[int]] = [[] for _ in range(self.slot_count)]
         for src, dst in connections:
             conn_targets[src.port.base + src.index].append(dst.port.base + dst.index)
         self.conn_targets = tuple(tuple(t) for t in conn_targets)
@@ -363,7 +345,7 @@ class ReactorTopology:
             "reactors": len(self.instances),
             "reactions": len(self.reactions),
             "connections": len(self.connections),
-            "channels": self.channel_count,
+            "channels": sum(p.width for p in self.ports),
         }
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Port
 from .errors import CausalityCycleError
 
 
@@ -51,9 +50,7 @@ def _derive_edges(topology):
     n = len(topology.reactions)
     succ = [set() for _ in range(n)]
     for r in topology.reactions:
-        for eff in r.effects:
-            if not isinstance(eff, Port):
-                continue  # actions do not add edges
+        for eff in r.effects:  # an action's slot feeds no input: it adds no edge
             for slot in range(eff.base, eff.base + eff.width):
                 for dst in topology.conn_targets[slot]:
                     succ[r.rid].update(topology.slot_reactions[dst])

@@ -8,21 +8,21 @@ reactions of one level may execute on any worker in parallel; no reaction of
 level k starts before every triggered reaction below k has completed, and no
 reaction of a later tag starts before the whole tag is done.
 
-Every port channel, timer and action, and startup and shutdown, owns one
-slot of a dense value array and presence bytearray, the whole per-tag state
-a reaction reads. The slot is the only name the run gives a trigger: events
-are keyed by slot, and a slot's fan-out is ``topology.slot_reactions[slot]``.
-An output channel's slot holds no value, since no reaction can read an
-output: a set reaches the input channels it feeds. Each reaction owns one
-:class:`ReactionContext`, built with the Environment. Its three tables are
-the only record of what the body may touch: ``_reads`` and ``_writes`` map
-each declared trigger and output channel to its slot, and ``_delays`` each
-declared logical action to its min_delay. A ``ctx`` call is one hit in one
-table; a miss goes to the cold ``_miss``, which accepts an index-like
-integer or names the misuse. The context logs what the body sets, schedules
-and raises, and holds its body and its level's bucket, so staging is one
-store and the tag loop reads no level table; the build checks that a set's
-readers sit above it.
+Every trigger owns slots of a dense value array and presence bytearray, the
+whole per-tag state a reaction reads, from its ``base`` on: startup and
+shutdown slots 0 and 1, a port one per channel. The slot is the only name
+the run gives a trigger: events are keyed by slot, and a slot's fan-out is
+``topology.slot_reactions[slot]``. An output channel's slot holds no value,
+since no reaction can read an output: a set reaches the input channels it
+feeds. Each reaction owns one :class:`ReactionContext`, built with the
+Environment. Its three tables are the only record of what the body may
+touch: ``_reads`` and ``_writes`` map each declared trigger and output
+channel to its slot, and ``_delays`` each declared logical action to its
+min_delay. A ``ctx`` call is one hit in one table; a miss goes to the cold
+``_miss``, which accepts an index-like integer or names the misuse. The
+context logs what the body sets, schedules and raises, and holds its body
+and its level's bucket, so staging is one store and the tag loop reads no
+level table; the build checks that a set's readers sit above it.
 
 The calling thread is worker 0 and ``workers - 1`` threads join it; each
 runs ``_worker_loop`` until ``_terminated`` is set, running the published
@@ -69,8 +69,8 @@ import threading
 import time
 from typing import NamedTuple
 
-from .core import (Action, Port, PortChannel, ReactorTopology, Tag, Timer, as_time,
-                   checked_time_add)
+from .core import (SHUTDOWN, STARTUP, Action, Port, PortChannel, ReactorTopology, Tag,
+                   Trigger, as_time, checked_time_add)
 from .errors import ContractViolationError, ExecutionError, ShutdownError
 from .graph import build_precedence_graph, max_level_width
 
@@ -152,8 +152,7 @@ class ReactionContext:
         self._value, self._present = rt._value, rt._present
         # What the body may touch, the only record of it: each declared trigger
         # and output channel's slot, and each declared action's min_delay.
-        self._reads = _channel_slots(t for t in reaction.triggers
-                                     if isinstance(t, (Port, Timer, Action)))
+        self._reads = _channel_slots(t for t in reaction.triggers if t.owner is not None)
         self._writes = _channel_slots(e for e in reaction.effects if isinstance(e, Port))
         self._delays = {e: e.min_delay for e in reaction.effects if isinstance(e, Action)}
         self.state = reaction.owner.state
@@ -183,7 +182,7 @@ class ReactionContext:
                 raise ContractViolationError(
                     f"{label}: {target.label()} is a channel, pass no index")
             target, index = target.port, target.index
-        if not isinstance(target, (Port, Timer, Action)):
+        if not isinstance(target, Trigger) or target.owner is None:  # STARTUP, SHUTDOWN
             raise ContractViolationError(f"{label}: {target!r} is not a port, timer or action")
         if (target, 0) not in table:
             if table is self._writes and target in self._delays:
@@ -316,6 +315,7 @@ class Environment:
         self._schedules: list[tuple] = []  # this tag's, enqueued by the tag advance
         self._micro: dict[int, object] = {}  # the next microstep's events, coordinator only
         self._periods = {t.base: t.period for t in topology.timers if t.period is not None}
+        self._physical = frozenset(a for a in topology.actions if a.physical)
 
         # one bucket per level: its staged contexts, each once, in staging order
         self._levels: list[dict] = [{} for _ in range(self.apg.num_levels)]
@@ -382,9 +382,11 @@ class Environment:
         The event's tag derives from the physical clock but is always
         strictly after the tag currently being processed.
         """
-        if not action.physical:
+        if action not in self._physical:  # a logical or another program's action, or none
             raise ContractViolationError(
-                f"{action.label()} is a logical action; schedule it from a reaction body")
+                f"{action.label()} is a logical action; schedule it from a reaction body"
+                if action in self.topology.actions else
+                f"{action!r} is not a physical action of {self.topology.name}")
         with self._evlock:
             if not self.started.is_set() or self._terminated:
                 raise ShutdownError(f"cannot schedule {action.label()}: environment is not running")
@@ -568,7 +570,7 @@ class Environment:
                         c._bucket[c] = None
                 trigmap.clear()  # consumed
             if shutdown_now:  # not an event: nothing reads the shutdown slot
-                for r in slot_reactions[self.topology.shutdown_slot]:
+                for r in slot_reactions[SHUTDOWN.base]:
                     c = ctxs[r]
                     c._bucket[c] = None
             bucket = None  # the new tag's buckets are staged, none has run
@@ -624,8 +626,8 @@ class Environment:
             if self.started.is_set():
                 raise RuntimeError("an Environment runs exactly once; build a fresh one")
             self._epoch = time.monotonic_ns()
-            if topo.slot_reactions[topo.startup_slot]:
-                self._enqueue(Tag(0, 0), topo.startup_slot, None)
+            if topo.slot_reactions[STARTUP.base]:
+                self._enqueue(Tag(0, 0), STARTUP.base, None)
             for timer in topo.timers:
                 if topo.slot_reactions[timer.base]:
                     self._enqueue(Tag(timer.offset, 0), timer.base, None)

@@ -50,7 +50,8 @@ _blake2b = hashlib.blake2b
 
 def _encode_value(v, out: bytearray) -> None:
     # Canonical, type-tagged byte encoding. repr() of Python floats is the
-    # shortest round-trip form, identical on all IEEE-754 platforms.
+    # shortest round-trip form, identical on all IEEE-754 platforms. A set's
+    # items are sorted by encoding: its order follows the string hash seed.
     if v is None:
         out += b"N;"
     elif v is True:
@@ -72,6 +73,16 @@ def _encode_value(v, out: bytearray) -> None:
         out += b"l%d:" % len(v)
         for item in v:
             _encode_value(item, out)
+    elif isinstance(v, (set, frozenset)):
+        items = [bytearray() for _ in range(len(v))]
+        for item, buf in zip(v, items):
+            _encode_value(item, buf)
+        out += b"S%d:" % len(v) + b"".join(sorted(items))
+    elif isinstance(v, dict):
+        out += b"d%d:" % len(v)
+        for key, item in v.items():
+            _encode_value(key, out)
+            _encode_value(item, out)
     # numpy is looked up, never imported: the runtime does not depend on it,
     # and a numpy value can only exist once numpy is loaded.
     elif (np := sys.modules.get("numpy")) is not None and isinstance(v, np.bool_):
@@ -85,6 +96,9 @@ def _encode_value(v, out: bytearray) -> None:
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         out += _array_header(arr)
         out += le.tobytes()
+    elif (t := type(v)).__repr__ is object.__repr__:  # an address, different each run
+        raise TypeError(f"no canonical encoding for a {t.__module__}.{t.__qualname__}: "
+                        "its repr holds an address")
     else:
         r = repr(v).encode("utf-8")
         out += b"r%d:" % len(r) + r
@@ -354,11 +368,15 @@ def _main(argv: list[str] | None) -> int:
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
     args = parser.parse_args(argv)
-    try:
-        a = args.a.read_text(encoding="utf-8").splitlines()
-        b = args.b.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        parser.exit(2, f"error: {exc}\n")
+    texts = []
+    for path in (args.a, args.b):
+        try:
+            texts.append(path.read_text(encoding="utf-8").splitlines())
+        except OSError as exc:
+            parser.exit(2, f"error: {exc}\n")
+        except UnicodeDecodeError as exc:
+            parser.exit(2, f"error: {path} is not UTF-8 text: {exc}\n")
+    a, b = texts
     report = diff(a, b)
     if not report:
         print(f"identical: {len(a)} records")

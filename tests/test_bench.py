@@ -17,7 +17,7 @@ from detreact.bench import (BenchmarkInstance, BenchmarkSpec,
                             BenchmarkValidationError, Lcg64,
                             UnknownBenchmarkError, get_benchmark,
                             list_benchmarks, run_benchmark, run_once)
-from detreact.bench import concurrency, harness, micro, parallel, registry
+from detreact.bench import concurrency, harness, micro, opcount, parallel, registry
 from detreact.bench.harness import student_t_quantile
 
 SMALL = {
@@ -261,6 +261,27 @@ def test_default_trace_digest_is_pinned(name):
     assert len(digests) == 1, f"{name}: behavior varies with worker count"
     if name not in FLOAT_TRACED:
         assert digests == {GOLDEN_DIGESTS[name]}
+
+
+# -- golden bytecode counts -----------------------------------------------------
+
+GOLDEN_OPCODES = json.loads((Path(__file__).parent / "golden" / "opcodes.json").read_text())
+
+
+def test_golden_opcodes_cover_the_micro_programs():
+    assert list(GOLDEN_OPCODES["programs"]) == [
+        s.name for s in list_benchmarks() if s.group == "micro"]
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != GOLDEN_OPCODES["python"],
+                    reason="bytecode differs between Python versions")
+@pytest.mark.parametrize("name", list(GOLDEN_OPCODES["programs"]))
+def test_bytecode_counts_are_pinned(name):
+    # Exact, noise-free counts of the runtime's work: a change that moves one
+    # recounts with `python -m detreact.bench.opcount --golden <this file>`
+    # and says why.
+    golden = GOLDEN_OPCODES["programs"][name]
+    assert opcount.golden_entry(name, golden["params"]) == golden
 
 
 # -- a finished run is freed by reference count --------------------------------

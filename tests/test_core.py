@@ -10,7 +10,7 @@ from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, Builder, CompositionError,
                       ContractViolationError, Environment, ExecutionError,
                       ShutdownError, Tag, connect)
 from detreact.bench import get_benchmark, list_benchmarks
-from detreact.core import TIME_MAX, PortChannel
+from detreact.core import TIME_MAX, Port, PortChannel
 from detreact.trace import slot_parts
 from programs import two_user_bank
 
@@ -151,24 +151,27 @@ def test_slot_tables_match_the_declarations(name):
     else:
         spec = get_benchmark(name)
         topo = spec.build(spec.resolve_params()).topology
-    # The slot is the only name a run gives a trigger: each slot's fan-out and
-    # trace part must be those of the channel, timer or action declared there.
-    expected = {}  # slot -> (the label its trace part starts with, its trigger)
-    for p in topo.ports:
-        for i in range(p.width):
-            expected[p.base + i] = (PortChannel(p, i).label(), p)
-    for t in (*topo.timers, *topo.actions):
-        expected[t.base] = (t.label(), t)
-    expected[topo.startup_slot] = (None, STARTUP)
-    expected[topo.shutdown_slot] = (None, SHUTDOWN)
-    assert sorted(expected) == list(range(topo.slot_count))
-    assert (topo.startup_slot, topo.shutdown_slot) == (topo.slot_count - 2, topo.slot_count - 1)
-    assert len(topo.slot_reactions) == topo.slot_count
+    # The slot is the only name a run gives a trigger: startup and shutdown own
+    # slots 0 and 1, every other trigger the slots from its base on, and each
+    # slot's fan-out, connections and trace part are those of the trigger there.
+    assert (STARTUP.base, SHUTDOWN.base) == (0, 1)
+    owner = {}  # slot -> (its trigger, the label its trace part starts with)
+    for t in (STARTUP, SHUTDOWN, *topo.ports, *topo.timers, *topo.actions):
+        for i in range(t.width):
+            assert t.base + i not in owner, (name, t)
+            owner[t.base + i] = (t, None if t.owner is None else
+                                 PortChannel(t, i).label() if isinstance(t, Port) else t.label())
+    assert sorted(owner) == list(range(topo.slot_count))
     parts = slot_parts(topo)
-    assert len(parts) == topo.slot_count
-    for slot, (label, trigger) in expected.items():
+    for table in (topo.slot_reactions, topo.conn_targets, parts):
+        assert len(table) == topo.slot_count
+    feeds = {slot: [] for slot in owner}
+    for src, dst in topo.connections:
+        feeds[src.port.base + src.index].append(dst.port.base + dst.index)
+    for slot, (trigger, label) in owner.items():
         assert topo.slot_reactions[slot] == tuple(
             r.rid for r in topo.reactions if trigger in r.triggers), (name, slot)
+        assert topo.conn_targets[slot] == tuple(feeds[slot]), (name, slot)
         assert parts[slot] == "" if label is None else parts[slot].startswith(label), (name, slot)
 
 
@@ -815,6 +818,43 @@ def test_schedule_physical_after_termination_rejected():
     env.run()
     with pytest.raises(ShutdownError):
         env.schedule_physical(phys, 1)
+
+
+def test_schedule_physical_takes_only_a_physical_action_of_its_program():
+    # Another program's action names a slot of its own topology, which here may
+    # be any trigger's: only this program's physical actions are taken.
+    def program(name):
+        b = Builder(name)
+        r = b.reactor("r")
+        t, irq = r.timer("t", offset=MSEC), r.physical_action("irq")
+        act, out = r.action("act"), r.output("out")
+        r.state.log = []
+        r.reaction(STARTUP, body=lambda ctx: ctx.state.log.append(("startup", ctx.tag)))
+        r.reaction(t, body=lambda ctx: ctx.state.log.append(inject(irq, act, out)))
+        r.reaction(irq, body=lambda ctx: ctx.state.log.append(("irq", ctx.get(irq))))
+        r.reaction(act, effects=[out], body=lambda ctx: None)
+        return b.build(), r, irq
+
+    def inject(irq, act, out):
+        rejected = []
+        for arg in (foreign, out, "irq", None, act):
+            with pytest.raises(ContractViolationError) as info:
+                env.schedule_physical(arg, 1)
+            rejected.append(str(info.value))
+        env.schedule_physical(irq, 2)
+        return rejected
+
+    _, _, foreign = program("there")
+    topo, r, _ = program("here")
+    env = Environment(topo, fast=True)
+    env.run()
+    assert r.state.log == [("startup", Tag(0, 0)), [
+        "<Action r.irq physical> is not a physical action of here",
+        "<Port r.out output w=1> is not a physical action of here",
+        "'irq' is not a physical action of here",
+        "None is not a physical action of here",
+        "r.act is a logical action; schedule it from a reaction body",
+    ], ("irq", 2)]
 
 
 # -- request_stop and termination ------------------------------------------

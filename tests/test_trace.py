@@ -168,6 +168,44 @@ def test_a_set_value_with_no_digest_fails_its_setter(workers):
     assert not hasattr(sink.state, "ran")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
+    # object.__repr__ shows an address, which differs from run to run: the
+    # encoder refuses such a value, and the fold fails the reaction that set it.
+    class Plain:
+        pass
+
+    b = Builder()
+    a, s = b.reactor("a"), b.reactor("s")
+    a_out, s_out = a.output("out"), s.output("out")
+    a.reaction(STARTUP, effects=[a_out], body=lambda ctx: ctx.set(a_out, 1))
+    s.reaction(STARTUP, effects=[s_out], body=lambda ctx: ctx.set(s_out, Plain()))
+    env = Environment(b.build(), workers=workers, fast=True, trace=True)
+    with pytest.raises(ExecutionError, match=re.escape(
+            "reaction s.1 failed: TypeError('no canonical encoding for a test_trace."
+            "test_a_set_value_whose_repr_holds_an_address_fails_its_setter.<locals>.Plain: "
+            "its repr holds an address')")):
+        env.run()
+    assert env.trace.to_text().splitlines() == [f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(1)} SCHED="]
+
+
+_SETS = "[frozenset({'alpha', 'beta', 'gamma'}), {'k': {'x', 'y', 'z'}, 'n': [{2, 'q', None}]}]"
+
+
+def test_a_set_digest_does_not_depend_on_the_hash_seed():
+    # A set iterates in string-hash order, which PYTHONHASHSEED changes: its
+    # items are encoded in sorted order, so a stored digest stays valid.
+    code = f"from detreact.trace import value_digest; print([value_digest(v) for v in {_SETS}])"
+    outs = set()
+    for seed in ("0", "1", "2"):
+        done = _run_src("-c", code, PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        outs.add(done.stdout)
+    assert len(outs) == 1, outs
+    assert value_digest({"b", "a"}) == value_digest(frozenset({"a", "b"}))
+    assert value_digest({"a": 1, "b": 2}) != value_digest({"b": 2, "a": 1})  # in order
+
+
 def test_text_format():
     topo, _ = two_user_bank()
     trace, _ = traced_run(topo)
@@ -387,22 +425,28 @@ def test_diff_names_the_first_divergent_record():
                                   f"  7: {a[6]}", "- end of trace (7 lines)"]
 
 
+def _run_src(*args, **env):
+    """Run ``python *args`` in a subprocess with this checkout's ``src`` on
+    its path and ``env`` added to its environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def _diff_command(*paths):
+    return _run_src("-m", "detreact.trace", "diff", *map(str, paths))
+
+
 def test_diff_command(tmp_path):
     a, b = tmp_path / "a.trace", tmp_path / "b.trace"
     a.write_text(_counter_trace(), encoding="utf-8")
     b.write_text(_counter_trace(bad_at=5), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-    def run(*paths):
-        return subprocess.run([sys.executable, "-m", "detreact.trace", "diff", *map(str, paths)],
-                              capture_output=True, text=True, timeout=60, env=env)
-
-    same = run(a, a)
+    same = _diff_command(a, a)
     assert same.returncode == 0, same.stderr
     assert same.stdout.strip() == "identical: 8 records"
-    differ = run(a, b)
+    differ = _diff_command(a, b)
     assert differ.returncode == 1, differ.stderr
     # importing the package does not load detreact.trace before it runs as
     # __main__, so Python has nothing to warn about
@@ -410,16 +454,25 @@ def test_diff_command(tmp_path):
     lines = differ.stdout.splitlines()
     assert lines[:3] == [f"--- {a}", f"+++ {b}", "first difference at line 5"]
     assert f"- 5: {_counter_trace().splitlines()[4]}" in lines
-    assert run(a, tmp_path / "missing.trace").returncode == 2
+    assert _diff_command(a, tmp_path / "missing.trace").returncode == 2
+
+
+def test_diff_command_refuses_a_file_that_is_not_utf8(tmp_path):
+    # exit 1 means "the traces differ": a file that cannot be decoded is an
+    # error, exit 2 with one line, not a traceback
+    a, raw = tmp_path / "a.trace", tmp_path / "raw.trace"
+    a.write_text(_counter_trace(), encoding="utf-8")
+    raw.write_bytes(b"TAG=0.0 \xff\n")
+    for paths in ((a, raw), (raw, a)):
+        done = _diff_command(*paths)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"error: {raw} is not UTF-8 text: "), line
 
 
 def test_import_does_not_load_numpy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, detreact; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=env)
+    done = _run_src("-c", "import sys, detreact; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
