@@ -302,10 +302,10 @@ class ReactorInstance:
 
 class ReactorTopology:
     """A frozen composition of reactors, produced by :meth:`Builder.build`: the
-    one record of the declarations (``ports``, ``timers``, ``actions``,
-    ``reactions``); an instance keeps none, so none points back up through it."""
+    one record of the declarations (``ports``, ``timers``, ``actions``, ``reactions``)
+    and connections (``conn_targets``); an instance keeps none, so none points back up."""
 
-    def __init__(self, name, instances, connections):
+    def __init__(self, name, instances, sources):
         self.name = name
         self.instances: tuple[ReactorInstance, ...] = tuple(instances)
         self.reactions: tuple[Reaction, ...] = tuple(
@@ -335,16 +335,15 @@ class ReactorTopology:
         self.slot_count = len(slot_reactions)
 
         conn_targets: list[list[int]] = [[] for _ in range(self.slot_count)]
-        for src, dst in connections:
+        for dst, src in sources.items():
             conn_targets[src.port.base + src.index].append(dst.port.base + dst.index)
         self.conn_targets = tuple(tuple(t) for t in conn_targets)
-        self.connections = tuple(connections)
 
     def stats(self) -> dict:
         return {
             "reactors": len(self.instances),
             "reactions": len(self.reactions),
-            "connections": len(self.connections),
+            "connections": sum(map(len, self.conn_targets)),
             "channels": sum(p.width for p in self.ports),
         }
 
@@ -356,8 +355,7 @@ class Builder:
     def __init__(self, name: str = "main"):
         self.name = name
         self._instances: dict[str, ReactorInstance] = {}  # by name
-        self._connections: list[tuple[PortChannel, PortChannel]] = []
-        self._writers: set[tuple[int, int]] = set()  # (id(port), channel) pairs already driven
+        self._sources: dict[PortChannel, PortChannel] = {}  # driven input -> its source
         self._built = False
 
     def _check_open(self) -> None:
@@ -375,7 +373,7 @@ class Builder:
         """Check output-to-input channel pairs and record them all, in order,
         or none: the one place a connection enters the topology."""
         self._check_open()
-        keys = set()
+        new = {}
         for src, dst in pairs:
             if src.port.owner.builder is not self or dst.port.owner.builder is not self:
                 raise CompositionError("connection endpoints belong to a different topology")
@@ -385,17 +383,15 @@ class Builder:
             if not dst.port.is_input:
                 raise CompositionError(
                     f"connection target {dst.label()} is an output (outputs feed inputs)")
-            key = (id(dst.port), dst.index)
-            if key in self._writers or key in keys:
+            if dst in self._sources or dst in new:
                 raise CompositionError(f"multiple writers: input {dst.label()} already has a connection")
-            keys.add(key)
-        self._writers |= keys
-        self._connections.extend(pairs)
+            new[dst] = src
+        self._sources.update(new)
 
     def build(self) -> ReactorTopology:
         self._check_open()
         self._built = True
-        topology = ReactorTopology(self.name, self._instances.values(), self._connections)
-        self._instances, self._connections = {}, []  # handed over: instances point here
+        topology = ReactorTopology(self.name, self._instances.values(), self._sources)
+        self._instances, self._sources = {}, {}  # handed over: instances point here
         return topology
 

@@ -58,19 +58,17 @@ class Interleaved:
         return f"Interleaved({self.ref!r})"
 
 
-def bank(builder: Builder, name: str, width: int,
-         define: Callable[..., None], **params) -> Bank:
+def bank(builder: Builder, name: str, width: int, define: Callable[..., None]) -> Bank:
     """Instantiate ``width`` reactors from one definition function.
 
-    Members are named ``name[i]`` and ``define(instance, bank_index=i,
-    **params)`` builds each one, so members can differentiate their behavior
-    by index.
+    Members are named ``name[i]`` and ``define(instance, bank_index=i)``
+    builds each one, so members can differentiate their behavior by index.
     """
     width = _as_width(width, f"bank {name!r}")
     members = []
     for i in range(width):
         inst = builder.reactor(f"{name}[{i}]")
-        define(inst, bank_index=i, **params)
+        define(inst, bank_index=i)
         members.append(inst)
     return Bank(name, members)
 

@@ -40,6 +40,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import BuiltinMethodType, FunctionType, MethodType, ModuleType
 from typing import NamedTuple
 
 from .core import PortChannel, ReactorTopology, Tag
@@ -93,10 +94,14 @@ def _encode_value(v, out: bytearray) -> None:
         out += b"f" + repr(float(v)).encode() + b";"
     elif np is not None and isinstance(v, np.ndarray):
         arr = np.ascontiguousarray(v)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         out += _array_header(arr)
-        out += le.tobytes()
-    elif (t := type(v)).__repr__ is object.__repr__:  # an address, different each run
+        if arr.dtype.hasobject:  # its buffer holds item pointers
+            _encode_value(arr.ravel().tolist(), out)
+        else:
+            out += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+    # a repr that holds an address differs from run to run (print's holds none)
+    elif ((t := type(v)).__repr__ is object.__repr__ or t is FunctionType or t is MethodType
+          or t is BuiltinMethodType and not isinstance(v.__self__, ModuleType)):
         raise TypeError(f"no canonical encoding for a {t.__module__}.{t.__qualname__}: "
                         "its repr holds an address")
     else:

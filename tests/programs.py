@@ -13,9 +13,40 @@ import time
 from detreact import SEC, STARTUP, Builder, Interleaved, bank, connect, unfold
 
 
+def channel_pairs(topology) -> list:
+    """The ``(source, target)`` channel pairs of the slot table that a run
+    reads, ``conn_targets``, named through the ports' bases: by source slot,
+    then in connect order."""
+    channel = {p.base + i: p[i] for p in topology.ports for i in range(p.width)}
+    return [(channel[slot], channel[target])
+            for slot, targets in enumerate(topology.conn_targets) for target in targets]
+
+
 def edges_text(topology) -> str:
-    """Canonical one-line-per-connection rendering, in creation order."""
-    return "".join(f"{s.label()} -> {d.label()}\n" for s, d in topology.connections)
+    """Canonical one-line-per-connection rendering of :func:`channel_pairs`."""
+    return "".join(f"{s.label()} -> {d.label()}\n" for s, d in channel_pairs(topology))
+
+
+def record_wiring(monkeypatch) -> dict:
+    """Patch :class:`Builder` so that the returned dict maps each topology
+    built afterwards to the channel pairs that ``connect`` handed its builder,
+    in call order: a record of the wiring kept apart from ``conn_targets``.
+    A call that fails records nothing."""
+    pairs_of = {}
+    connect_channels, build = Builder._connect_channels, Builder.build
+
+    def recording_connect(builder, pairs):
+        connect_channels(builder, pairs)
+        pairs_of.setdefault(builder, []).extend(pairs)
+
+    def recording_build(builder):
+        topology = build(builder)
+        pairs_of[topology] = pairs_of.pop(builder, [])
+        return topology
+
+    monkeypatch.setattr(Builder, "_connect_channels", recording_connect)
+    monkeypatch.setattr(Builder, "build", recording_build)
+    return pairs_of
 
 
 def jittered(topology, ms, seed):
@@ -213,26 +244,30 @@ def cascade_pattern(n=2):
     return b.build(), dst
 
 
-def _node(r, bank_index, port_width):
-    inp = r.input("in", width=port_width)
-    out = r.output("out", width=port_width)
-    r.state.got = []
+def _node(port_width):
+    """A bank member definition with multiports of ``port_width``."""
+    def define(r, bank_index):
+        inp = r.input("in", width=port_width)
+        out = r.output("out", width=port_width)
+        r.state.got = []
 
-    @r.reaction(STARTUP, effects=[out])
-    def _produce(ctx):
-        for j in range(port_width):
-            ctx.set(out, bank_index * 100 + j, index=j)
+        @r.reaction(STARTUP, effects=[out])
+        def _produce(ctx):
+            for j in range(port_width):
+                ctx.set(out, bank_index * 100 + j, index=j)
 
-    @r.reaction(inp)
-    def _collect(ctx):
-        ctx.state.got = list(ctx.present(inp))
+        @r.reaction(inp)
+        def _collect(ctx):
+            ctx.state.got = list(ctx.present(inp))
+
+    return define
 
 
 def bank_multiport_direct(w=3):
     """node.out -> node.in with default unfolding on both sides: each member
     loops back to itself."""
     b = Builder("bank_direct")
-    nodes = bank(b, "node", w, _node, port_width=w)
+    nodes = bank(b, "node", w, _node(w))
     connect(nodes.port("out"), nodes.port("in"))
     return b.build(), nodes
 
@@ -240,7 +275,7 @@ def bank_multiport_direct(w=3):
 def bank_multiport_interleaved(w=3):
     """Interleaving the receiving side yields the fully connected pattern."""
     b = Builder("bank_interleaved")
-    nodes = bank(b, "node", w, _node, port_width=w)
+    nodes = bank(b, "node", w, _node(w))
     connect(nodes.port("out"), Interleaved(nodes.port("in")))
     return b.build(), nodes
 

@@ -21,9 +21,9 @@ from detreact import (MSEC, SEC, Builder, Environment, ReadyQueue, Tag,
                       build_precedence_graph, trace_digest)
 from detreact.bench import get_benchmark, run_benchmark
 from programs import (bank_multiport_direct, bank_multiport_interleaved,
-                      broadcast_pattern, cascade_pattern, edges_text,
-                      fork_join_pattern, jittered, proxied_bank, sparse_multiport,
-                      two_user_bank)
+                      broadcast_pattern, cascade_pattern, channel_pairs, edges_text,
+                      fork_join_pattern, jittered, proxied_bank, record_wiring,
+                      sparse_multiport, two_user_bank)
 from test_graph import oracle_analysis, random_topology
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -112,7 +112,8 @@ def test_criterion_02_bank_example_semantics():
         assert time.monotonic() - start < 1.0
 
 
-def test_criterion_03_graph_oracle_equivalence():
+def test_criterion_03_graph_oracle_equivalence(monkeypatch):
+    wiring = record_wiring(monkeypatch)
     with criterion(3, "levels and cycle verdicts match brute force on 1000 topologies"):
         start = time.monotonic()
         rng = random.Random(0xACCE55)
@@ -120,7 +121,7 @@ def test_criterion_03_graph_oracle_equivalence():
         cyclic = 0
         for _ in range(1000):
             topo = random_topology(rng)
-            acyclic, levels = oracle_analysis(topo)
+            acyclic, levels = oracle_analysis(topo, wiring.pop(topo))
             if acyclic:
                 graph = build_precedence_graph(topo)
                 assert list(graph.level) == levels
@@ -158,14 +159,14 @@ def test_criterion_05_connection_pattern_goldens():
             with open(os.path.join(GOLDEN, golden)) as fh:
                 assert edges_text(topo) == fh.read(), f"{golden} mismatch"
             topos[golden] = topo
-        fan_out = [c for c in topos["fork_join.edges"].connections
+        fan_out = [c for c in channel_pairs(topos["fork_join.edges"])
                    if c[0].port.owner.name == "src"]
         assert len(fan_out) == 3  # w edges per connection statement
-        broadcast_edges = [c for c in topos["broadcast.edges"].connections
+        broadcast_edges = [c for c in channel_pairs(topos["broadcast.edges"])
                            if c[0].port.owner.name == "src"]
         assert len(broadcast_edges) == 3  # three connections from one output
-        assert len(topos["cascade.edges"].connections) == 3  # n + 1 chain
-        inter = topos["bank_interleaved.edges"].connections
+        assert len(channel_pairs(topos["cascade.edges"])) == 3  # n + 1 chain
+        inter = channel_pairs(topos["bank_interleaved.edges"])
         assert len(inter) == 9  # w^2 fully connected
         receive_order = [d.label() for _s, d in inter]
         assert receive_order[:3] == ["node[0].in[0]", "node[1].in[0]", "node[2].in[0]"]

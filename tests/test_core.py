@@ -1,5 +1,6 @@
 """Core semantics: tags, builder validation, port/action access rules."""
 
+import gc
 import re
 import threading
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, Builder, CompositionError,
 from detreact.bench import get_benchmark, list_benchmarks
 from detreact.core import TIME_MAX, Port, PortChannel
 from detreact.trace import slot_parts
-from programs import two_user_bank
+from programs import record_wiring, two_user_bank
 
 
 def run_env(topology, **kwargs):
@@ -48,6 +49,26 @@ def test_empty_builder_is_valid():
     report = run_env(topo)
     assert report.events == 0
     assert report.reactions == 0
+
+
+def _tracked_objects_of_a_built_big(actors):
+    spec = get_benchmark("Big")
+    gc.collect()
+    before = len(gc.get_objects())
+    topology = spec.build(spec.resolve_params({"actors": actors})).topology
+    gc.collect()
+    assert topology.stats()["connections"] == 2 * actors * actors + actors
+    return len(gc.get_objects()) - before
+
+
+def test_a_built_topology_keeps_no_tracked_object_per_connection():
+    # Big wires every member to every member, so its connections grow as
+    # actors squared and all else it declares grows linearly. A connection's
+    # one record is its entry in conn_targets, a tuple of ints, which the
+    # cycle collector does not track: doubling the actors must not come near
+    # quadrupling the tracked objects a built topology holds.
+    _tracked_objects_of_a_built_big(5)  # warm up imports and caches
+    assert _tracked_objects_of_a_built_big(40) < 2.5 * _tracked_objects_of_a_built_big(20)
 
 
 def test_two_writers_per_input_rejected():
@@ -145,7 +166,8 @@ def _interleaved_slots_topology():
 
 
 @pytest.mark.parametrize("name", ["interleaved", *(spec.name for spec in list_benchmarks())])
-def test_slot_tables_match_the_declarations(name):
+def test_slot_tables_match_the_declarations(name, monkeypatch):
+    wiring = record_wiring(monkeypatch)
     if name == "interleaved":
         topo = _interleaved_slots_topology()
     else:
@@ -166,7 +188,7 @@ def test_slot_tables_match_the_declarations(name):
     for table in (topo.slot_reactions, topo.conn_targets, parts):
         assert len(table) == topo.slot_count
     feeds = {slot: [] for slot in owner}
-    for src, dst in topo.connections:
+    for src, dst in wiring[topo]:
         feeds[src.port.base + src.index].append(dst.port.base + dst.index)
     for slot, (trigger, label) in owner.items():
         assert topo.slot_reactions[slot] == tuple(

@@ -6,23 +6,30 @@ import pytest
 
 from detreact import (STARTUP, Builder, CausalityCycleError, Environment,
                       build_precedence_graph, connect, max_level_width, to_dot)
-from programs import fork_join_pattern, proxied_bank
+from programs import fork_join_pattern, proxied_bank, record_wiring
 
 
 # -- independent oracle -----------------------------------------------------
-# Edges are re-derived straight from the declarations (reaction effect ports
-# crossed with connections and trigger ports, plus adjacent lexical pairs of
-# each reactor, grouped by owner and ordered by index), then levels come from
-# a memoized depth-first longest path and the cycle verdict from three-color
-# DFS. No code is shared with the graph module, which works on flattened
-# channel tables instead.
+# Edges are re-derived straight from the declarations (each reaction's effect
+# ports joined to every reaction's trigger ports through the channel pairs that
+# connect handed the builder, plus adjacent lexical pairs of each reactor,
+# grouped by owner and ordered by index), then levels come from a memoized
+# depth-first longest path and the cycle verdict from three-color DFS. No code
+# or table is shared with the graph module, which works on the topology's
+# slot tables instead.
 
 
-def oracle_edges(topology):
+@pytest.fixture
+def wiring(monkeypatch):
+    """Each topology built in the test -> the channel pairs of its wiring."""
+    return record_wiring(monkeypatch)
+
+
+def oracle_edges(topology, pairs):
     edges = set()
     for u in topology.reactions:
         out_ports = {e for e in u.effects if hasattr(e, "base")}
-        for src, dst in topology.connections:
+        for src, dst in pairs:
             if src.port in out_ports:
                 for v in topology.reactions:
                     if dst.port in v.triggers:
@@ -37,12 +44,12 @@ def oracle_edges(topology):
     return edges
 
 
-def oracle_analysis(topology):
+def oracle_analysis(topology, pairs):
     """Returns (is_acyclic, levels or None)."""
     n = len(topology.reactions)
     succ = {u: set() for u in range(n)}
     pred = {u: set() for u in range(n)}
-    for u, v in oracle_edges(topology):
+    for u, v in oracle_edges(topology, pairs):
         succ[u].add(v)
         pred[v].add(u)
 
@@ -76,12 +83,12 @@ def oracle_analysis(topology):
 # -- frozen example ---------------------------------------------------------
 
 
-def test_proxied_bank_levels():
+def test_proxied_bank_levels(wiring):
     topo, _ = proxied_bank()
     graph = build_precedence_graph(topo)
     levels = {r.label(): graph.level[r.rid] for r in topo.reactions}
     # Frozen from the longest-path oracle over this topology's edge set.
-    acyclic, oracle = oracle_analysis(topo)
+    acyclic, oracle = oracle_analysis(topo, wiring[topo])
     assert acyclic
     assert list(graph.level) == oracle
     assert levels == {
@@ -132,9 +139,9 @@ def _two_reactor_loop():
     return b.build()
 
 
-def test_cycle_diagnostic():
+def test_cycle_diagnostic(wiring):
     topo = _two_reactor_loop()
-    acyclic, _ = oracle_analysis(topo)
+    acyclic, _ = oracle_analysis(topo, wiring[topo])
     assert not acyclic
     with pytest.raises(CausalityCycleError) as exc_info:
         build_precedence_graph(topo)
@@ -144,12 +151,12 @@ def test_cycle_diagnostic():
     labels = {r.label() for r in cycle}
     assert labels == {"a.1", "b.1"}
     # Consecutive entries are edges.
-    edges = oracle_edges(topo)
+    edges = oracle_edges(topo, wiring[topo])
     for u, v in zip(cycle, cycle[1:]):
         assert (u.rid, v.rid) in edges
 
 
-def test_a_reaction_wired_to_its_own_trigger_is_a_cycle():
+def test_a_reaction_wired_to_its_own_trigger_is_a_cycle(wiring):
     # The output of r.1 feeds the input that triggers r.1: a data edge from
     # r.1 to itself, rejected when the graph is built, before any run.
     b = Builder()
@@ -158,7 +165,7 @@ def test_a_reaction_wired_to_its_own_trigger_is_a_cycle():
     r.reaction(STARTUP, i, effects=[o], body=lambda ctx: ctx.set(o, 1))
     connect(o, i)
     topo = b.build()
-    assert oracle_analysis(topo) == (False, None)
+    assert oracle_analysis(topo, wiring[topo]) == (False, None)
     with pytest.raises(CausalityCycleError, match=r"^causality cycle: r\.1 -> r\.1$"):
         Environment(topo)
 
@@ -214,10 +221,10 @@ def test_max_level_width_chain():
     assert sorted(graph.level) == [0, 1, 2, 3]
 
 
-def test_max_level_width_fork_join():
+def test_max_level_width_fork_join(wiring):
     topo, _ = fork_join_pattern(w=5)
     graph = build_precedence_graph(topo)
-    acyclic, oracle = oracle_analysis(topo)
+    acyclic, oracle = oracle_analysis(topo, wiring[topo])
     assert acyclic and list(graph.level) == oracle
     assert max_level_width(graph) == 5  # the five workers share one level
 
@@ -274,12 +281,12 @@ def random_topology(rng: random.Random):
     return b.build()
 
 
-def test_random_topologies_match_oracle():
+def test_random_topologies_match_oracle(wiring):
     rng = random.Random(0xC0FFEE)
     cycles_seen = 0
     for _ in range(200):
         topo = random_topology(rng)
-        acyclic, levels = oracle_analysis(topo)
+        acyclic, levels = oracle_analysis(topo, wiring.pop(topo))
         if acyclic:
             graph = build_precedence_graph(topo)
             assert list(graph.level) == levels

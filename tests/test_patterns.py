@@ -8,7 +8,7 @@ import pytest
 from detreact import (Builder, CompositionError, Environment, Interleaved,
                       STARTUP, bank, connect, unfold)
 from programs import (bank_multiport_direct, bank_multiport_interleaved,
-                      broadcast_pattern, cascade_pattern, edges_text,
+                      broadcast_pattern, cascade_pattern, channel_pairs, edges_text,
                       fork_join_pattern, sparse_multiport)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,7 +139,7 @@ def test_unfold_empty_list_is_no_channels_and_connect_rejects_it():
         connect(out, Interleaved([]))
     with pytest.raises(CompositionError, match="connect: empty side"):
         connect([[], ()], out)
-    assert not b._connections
+    assert not b._sources
 
 
 def test_connect_width_mismatch_is_an_error():
@@ -161,7 +161,7 @@ def test_connect_excess_sources_rejected():
     inp = dst.input("in", width=2)
     with pytest.raises(CompositionError, match="width mismatch"):
         connect(out, inp)
-    assert not b._connections
+    assert not b._sources
 
 
 def test_broadcast_requires_multiple():
@@ -230,10 +230,11 @@ def _foreign_second_target(out, inp):
         "second-pair-already-driven", "same-target-twice", "second-target-foreign"])
 def test_connect_errors_leave_the_connections_unchanged(wire, message):
     b, out, inp = _wired_builder()
-    before = list(b._connections)
+    before = list(b._sources.items())
+    assert len(before) == 1
     with pytest.raises(CompositionError, match=message):
         wire(out, inp)
-    assert b._connections == before
+    assert list(b._sources.items()) == before
 
 
 @pytest.mark.parametrize("width,message", [
@@ -272,13 +273,13 @@ def test_golden_edge_sets(builder, golden, expected_count):
     topo, _ = builder()
     text = edges_text(topo)
     assert text == (GOLDEN / golden).read_text()
-    assert len(topo.connections) == expected_count
+    assert len(channel_pairs(topo)) == expected_count
 
 
 def test_fork_join_edges_per_statement():
     topo, _ = fork_join_pattern(w=3)
     by_stmt = {}
-    for s, d in topo.connections:
+    for s, d in channel_pairs(topo):
         by_stmt.setdefault(s.port.owner.name.split("[")[0], []).append((s, d))
     assert len(by_stmt["src"]) == 3  # w connections for the fan-out statement
     assert len(by_stmt["wrk"]) == 3  # and w for the fan-in statement
@@ -286,7 +287,7 @@ def test_fork_join_edges_per_statement():
 
 def test_broadcast_single_output_feeds_three():
     topo, _ = broadcast_pattern(w=3)
-    from_src = [d for s, d in topo.connections if s.port.owner.name == "src"]
+    from_src = [d for s, d in channel_pairs(topo) if s.port.owner.name == "src"]
     assert len(from_src) == 3
 
 

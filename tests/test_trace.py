@@ -168,25 +168,55 @@ def test_a_set_value_with_no_digest_fails_its_setter(workers):
     assert not hasattr(sink.state, "ran")
 
 
+class _Plain:
+    def method(self):
+        return 0
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
-    # object.__repr__ shows an address, which differs from run to run: the
-    # encoder refuses such a value, and the fold fails the reaction that set it.
-    class Plain:
-        pass
+    # object.__repr__ shows an address, which differs from run to run, and so
+    # does the repr of a function, a method and a built-in method bound to an
+    # object: the encoder refuses such a value, and the fold fails the
+    # reaction that set it. A built-in function of a module, print, has none.
+    for value, kind in ((_Plain(), "test_trace._Plain"), (lambda: 0, "builtins.function"),
+                        (_Plain().method, "builtins.method"),
+                        ([].append, "builtins.builtin_function_or_method")):
+        b = Builder()
+        a, s = b.reactor("a"), b.reactor("s")
+        a_out, s_out = a.output("out"), s.output("out")
+        a.reaction(STARTUP, effects=[a_out], body=lambda ctx: ctx.set(a_out, print))
+        s.reaction(STARTUP, effects=[s_out], body=lambda ctx, v=value: ctx.set(s_out, v))
+        env = Environment(b.build(), workers=workers, fast=True, trace=True)
+        with pytest.raises(ExecutionError, match=re.escape(
+                f"reaction s.1 failed: TypeError('no canonical encoding for a {kind}: "
+                "its repr holds an address')")):
+            env.run()
+        assert env.trace.to_text().splitlines() == [
+            f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(print)} SCHED="], kind
 
-    b = Builder()
-    a, s = b.reactor("a"), b.reactor("s")
-    a_out, s_out = a.output("out"), s.output("out")
-    a.reaction(STARTUP, effects=[a_out], body=lambda ctx: ctx.set(a_out, 1))
-    s.reaction(STARTUP, effects=[s_out], body=lambda ctx: ctx.set(s_out, Plain()))
-    env = Environment(b.build(), workers=workers, fast=True, trace=True)
-    with pytest.raises(ExecutionError, match=re.escape(
-            "reaction s.1 failed: TypeError('no canonical encoding for a test_trace."
-            "test_a_set_value_whose_repr_holds_an_address_fails_its_setter.<locals>.Plain: "
-            "its repr holds an address')")):
-        env.run()
-    assert env.trace.to_text().splitlines() == [f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(1)} SCHED="]
+
+def test_an_object_array_digest_is_the_same_in_every_process():
+    # An object array's buffer holds item pointers: it is encoded as its
+    # header plus its items, so its digest does not depend on the process.
+    code = ("import numpy as np; from detreact.trace import value_digest; "
+            "print(value_digest(np.array(['a', None, (1, 'b')], dtype=object)), "
+            "value_digest(np.array([[2.5], [{'x'}]], dtype=object)), value_digest(print))")
+    outs = set()
+    for _ in range(2):
+        done = _run_src("-c", code)
+        assert done.returncode == 0, done.stderr
+        outs.add(done.stdout)
+    assert len(outs) == 1, outs
+    import numpy as np
+    assert value_digest(np.array(["a", 1], dtype=object)) == _reference_digest(
+        np.array(["a", 1], dtype=object))
+    assert value_digest(np.array(["a", 1], dtype=object)) != value_digest(
+        np.array([1, "a"], dtype=object))
+    # numeric arrays keep the digests they had when they were encoded by their bytes
+    assert [value_digest(v) for v in (
+        np.arange(6, dtype=">i8"), np.asfortranarray(np.arange(6, dtype="<f8").reshape(2, 3)),
+        np.array([True, False]))] == ["c584d0480293dc0d", "975411c8a6d1c8c8", "bb7750eeeb0055ea"]
 
 
 _SETS = "[frozenset({'alpha', 'beta', 'gamma'}), {'k': {'x', 'y', 'z'}, 'n': [{2, 'q', None}]}]"
