@@ -648,10 +648,7 @@ class Environment:
         duration = time.perf_counter_ns() - t0
 
         if self._tr is not None:
-            self.trace = self._tr.Trace(
-                header={"program": topo.name, "workers": self.workers},
-                lines=tuple(self._lines),
-                levels={ctx._rx: self.apg.level[ctx._reaction.rid] for ctx in self._ctxs})
+            self.trace = self._tr.Trace(tuple(self._lines))
         # A context points back at its Environment; with the contexts dropped,
         # a finished run is freed by reference count.
         del self._ctxs, self._ready

@@ -9,18 +9,19 @@ when their trace digests match.
 
     TAG=<time_ns>.<microstep> RX=<reactor-path>.<index> FX=<port:digest,...> SCHED=<action@time_ns.microstep,...>
 
-This module is the one place that knows that format. The fold at the level
-barrier, not the body, digests each set value and composes each completed
-reaction's line from parts computed once: a prefix per tag
+This module is the one place that knows that format: it owns the parts of a
+line and the parse of one. The parts are computed once: a prefix per tag
 (:func:`tag_prefix`) and per reaction (:func:`reaction_prefix`), and a part
 per slot (:func:`slot_parts`) for each value set and event scheduled;
-:data:`SCHED` separates the two lists. The lines are the trace;
-:attr:`Trace.records` is a parsed view of them as :class:`TraceRecord` s,
-built on access. A traced run keeps no GC-tracked object per line, and the
-digests of small exact values (ints, short strs and flat tuples of them) are
-memoised. On the benchmark's micro-w1 workload (2-vCPU VM, Python 3.11) a
-traced run costs about 1.5x the plain run, digest included (a span run's
-``trace.cost_factor``); a traced Chameneos alone costs about 1.75x.
+:data:`SCHED` separates the two lists. The fold at the level barrier, not
+the body, digests each set value and joins the parts into each completed
+reaction's line. A :class:`Trace` is its lines alone, so a trace file reads
+back as one; :attr:`Trace.records` parses them on access. A traced run keeps
+no GC-tracked object per line, and the digests of small exact values (ints,
+short strs and flat tuples of them) are memoised. On the benchmark's
+micro-w1 workload (2-vCPU VM, Python 3.11) a traced run costs about 1.5x the
+plain run, digest included (a span run's ``trace.cost_factor``); a traced
+Chameneos alone costs about 1.75x.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
@@ -39,8 +40,7 @@ import operator
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from types import BuiltinMethodType, FunctionType, MethodType, ModuleType
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import PortChannel, ReactorTopology, Tag
@@ -99,13 +99,14 @@ def _encode_value(v, out: bytearray) -> None:
             _encode_value(arr.ravel().tolist(), out)
         else:
             out += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    # a repr that holds an address differs from run to run (print's holds none)
-    elif ((t := type(v)).__repr__ is object.__repr__ or t is FunctionType or t is MethodType
-          or t is BuiltinMethodType and not isinstance(v.__self__, ModuleType)):
+    # a repr that holds an address, CPython's " at 0x" form, differs from
+    # run to run (print's holds none)
+    elif " at 0x" in (r := repr(v)):
+        t = type(v)
         raise TypeError(f"no canonical encoding for a {t.__module__}.{t.__qualname__}: "
                         "its repr holds an address")
     else:
-        r = repr(v).encode("utf-8")
+        r = r.encode("utf-8")
         out += b"r%d:" % len(r) + r
 
 
@@ -171,15 +172,16 @@ def value_digest(v) -> str:
 
 
 class TraceRecord(NamedTuple):
+    """One line of a trace, parsed: exactly what the line says."""
+
     tag: tuple  # (time_ns, microstep), a Tag
-    level: int
     reactor_path: str
     reaction_index: int
     effects: tuple  # ((port_label, digest), ...) in set order
     scheduled: tuple  # ((action_label, (time_ns, microstep)), ...) in call order
 
     def to_line(self) -> str:
-        (time_ns, microstep), _, path, index, fx, sched = self
+        (time_ns, microstep), path, index, fx, sched = self
         return "TAG=%s.%s RX=%s.%s FX=%s SCHED=%s" % (
             time_ns, microstep, path, index,
             ",".join([f"{p}:{d}" for p, d in fx]) if fx else "",
@@ -205,17 +207,20 @@ def reaction_prefix(path: str, index: int) -> str:
 
 
 def slot_parts(topology: ReactorTopology) -> list[str]:
-    """For every slot of the topology, the part of a line it writes: for a
-    port channel, the prefix of a value digest (``<label>:``); for a timer
-    or an action, the format that a scheduled tag fills
-    (``<label>@%s.%s``); ``""`` for the startup and the shutdown slot, which
-    no set or schedule indexes. Each part is placed at its trigger's slot."""
+    """For every slot of the topology, the part of a line it writes, placed
+    at that slot: for an output channel, the prefix of a value digest
+    (``<label>:``); for a logical action, the format that a scheduled tag
+    fills (``<label>@%s.%s``). A set names only an output channel and a
+    reaction schedules only a logical action, so every other slot (startup,
+    shutdown, an input channel, a timer, a physical action) holds ``""``."""
     parts = [""] * topology.slot_count
     for p in topology.ports:
-        for i in range(p.width):
-            parts[p.base + i] = PortChannel(p, i).label() + ":"
-    for t in (*topology.timers, *topology.actions):
-        parts[t.base] = t.label().replace("%", "%%") + "@%s.%s"
+        if not p.is_input:
+            for i in range(p.width):
+                parts[p.base + i] = PortChannel(p, i).label() + ":"
+    for a in topology.actions:
+        if not a.physical:
+            parts[a.base] = a.label().replace("%", "%%") + "@%s.%s"
     return parts
 
 
@@ -229,7 +234,7 @@ def canonical_ranks(graph: PrecedenceGraph) -> list[int]:
     return rank
 
 
-def _parse(line: str, levels: dict) -> TraceRecord:
+def _parse(line: str) -> TraceRecord:
     # Every search but the first splits at the first separator after the
     # previous field, and every field splits from the right, so names may
     # hold ".", ":", "@" and spaces.
@@ -240,7 +245,7 @@ def _parse(line: str, levels: dict) -> TraceRecord:
     path, _, index = line[i + 4:j - 4].rpartition(".")
     fx, sched = line[j:k], line[k + 7:]
     return TraceRecord(
-        Tag(int(time_ns), int(microstep)), levels[line[i:j]], path, int(index),
+        Tag(int(time_ns), int(microstep)), path, int(index),
         tuple([tuple(part.rsplit(":", 1)) for part in fx.split(",")]) if fx else (),
         tuple([_parse_event(part) for part in sched.split(",")]) if sched else ())
 
@@ -257,24 +262,21 @@ class TraceRecords(Sequence):
     nothing. The view equals any sequence of the same records, so an empty
     view equals ``()``."""
 
-    __slots__ = ("_lines", "_levels")
+    __slots__ = ("_lines",)
 
-    def __init__(self, lines: tuple, levels: dict):
+    def __init__(self, lines: tuple):
         self._lines = lines
-        self._levels = levels
 
     def __len__(self) -> int:
         return len(self._lines)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple([_parse(line, self._levels) for line in self._lines[i]])
-        return _parse(self._lines[i], self._levels)
+            return tuple(map(_parse, self._lines[i]))
+        return _parse(self._lines[i])
 
     def __iter__(self):
-        levels = self._levels
-        for line in self._lines:
-            yield _parse(line, levels)
+        return map(_parse, self._lines)
 
     def __eq__(self, other):
         if not isinstance(other, (TraceRecords, tuple, list)):
@@ -286,24 +288,21 @@ class TraceRecords(Sequence):
 
 @dataclass(frozen=True)
 class Trace:
-    """Finalized trace: its canonical lines, without line ends. The digest
-    covers the canonical text; the header (program name, parameters, worker
-    count) is carried for human consumption and deliberately excluded, so
-    runs that differ only in worker count can compare equal."""
+    """Finalized trace: its canonical lines, without line ends, and nothing
+    else. A trace file is the same text, so
+    ``Trace(tuple(path.read_text().splitlines()))`` reads one back whole.
+    The digest covers the text, which names no program and no worker count,
+    so runs that differ only in worker count compare equal."""
 
-    header: dict
     lines: tuple
-    #: the level each reaction ran in (its graph level), keyed by its reaction prefix
-    levels: dict = field(repr=False)
 
     @property
     def records(self) -> TraceRecords:
         """The lines as :class:`TraceRecord` s, each parsed when accessed.
         The view is exact whenever the canonical text is unambiguous: no
         label holds a ``,``, and no name holds `` FX=`` or `` SCHED=``. Then
-        ``record.to_line()`` gives back the line it was parsed from, and
-        ``record.level`` is the level its reaction ran in."""
-        return TraceRecords(self.lines, self.levels)
+        ``record.to_line()`` gives back the line it was parsed from."""
+        return TraceRecords(self.lines)
 
     def to_text(self) -> str:
         return "\n".join((*self.lines, ""))

@@ -22,6 +22,13 @@ def channel_pairs(topology) -> list:
             for slot, targets in enumerate(topology.conn_targets) for target in targets]
 
 
+def record_levels(env) -> list:
+    """For each record of ``env.trace``, the graph level of the reaction it
+    names: ``env.apg.level``, looked up by (reactor path, reaction index)."""
+    level = {(r.owner.name, r.index): env.apg.level[r.rid] for r in env.apg.reactions}
+    return [level[rec.reactor_path, rec.reaction_index] for rec in env.trace.records]
+
+
 def edges_text(topology) -> str:
     """Canonical one-line-per-connection rendering of :func:`channel_pairs`."""
     return "".join(f"{s.label()} -> {d.label()}\n" for s, d in channel_pairs(topology))

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -397,11 +398,11 @@ def test_every_default_is_an_int():
 NUMPY_BENCHMARKS = {"FilterBank", "PiPrecision", "RadixSort", "Trapezoidal"}
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, python: str = sys.executable) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", code, *args],
+    return subprocess.run([python, "-c", code, *args],
                           capture_output=True, text=True, timeout=60, env=env)
 
 
@@ -438,8 +439,23 @@ print(json.dumps({"list": [code, len(listing.getvalue().splitlines())],
 """
 
 
-def test_twelve_benchmarks_run_without_numpy():
-    done = _python(_WITHOUT_NUMPY, *sorted(NUMPY_BENCHMARKS))
+#: The running interpreter, then each other CPython 3.10 to 3.13 on the PATH,
+#: by name: one that does not start is skipped by the test.
+_INTERPRETERS = [pytest.param(sys.executable, id="running"), *(
+    pytest.param(f"python3.{minor}", id=f"python3.{minor}") for minor in range(10, 14)
+    if minor != sys.version_info.minor and shutil.which(f"python3.{minor}"))]
+
+
+@pytest.mark.parametrize("python", _INTERPRETERS)
+def test_twelve_benchmarks_run_without_numpy(python):
+    # The script uses the standard library only, so the golden digests can
+    # be checked under every interpreter found, packages or none.
+    if python != sys.executable:
+        probe = _python("pass", python=python)
+        if probe.returncode != 0:
+            reason = (probe.stderr.strip().splitlines() or [f"exit {probe.returncode}"])[0]
+            pytest.skip(f"{python} does not start: {reason}")
+    done = _python(_WITHOUT_NUMPY, *sorted(NUMPY_BENCHMARKS), python=python)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["list"] == [0, 17]

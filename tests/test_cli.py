@@ -12,10 +12,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from detreact import MSEC, Builder
+from detreact import MSEC, Builder, Trace, trace_digest
+from detreact import cli
 from detreact.bench import BenchmarkInstance, BenchmarkSpec, BenchmarkValidationError, registry
 from detreact.cli import main
 from detreact.trace import diff
+from test_bench import SMALL
 
 
 def invoke(*args):
@@ -107,6 +109,26 @@ def test_worker_sweep_traces_identical(tmp_path):
     assert len(contents) == 1, "trace files differ across worker counts"
     digests = re.findall(r"trace digest ([0-9a-f]{16})", result.output)
     assert len(set(digests)) == 1 and len(digests) == 4
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_a_trace_file_reads_back_as_the_run_trace(name, tmp_path, monkeypatch):
+    # A trace is its lines: the file that --trace writes, split into lines,
+    # is a Trace with the run's digest and records.
+    traces, trace_one = {}, cli._trace_one
+    monkeypatch.setattr(cli, "_trace_one", lambda spec, params, workers, trace_dir: traces.setdefault(
+        workers, trace_one(spec, params, workers, trace_dir)))
+    params = [arg for k, v in SMALL[name].items() for arg in ("--param", f"{k}={v}")]
+    result = invoke("-b", name, "--workers", "1,2", "--iterations", "2", "--warmup", "1",
+                    *params, "--trace", str(tmp_path))
+    assert result.exit_code == 0, result.output
+    assert sorted(traces) == [1, 2]
+    for workers, trace in traces.items():
+        text = (tmp_path / f"{name}_w{workers}.trace").read_text(encoding="utf-8")
+        read = Trace(tuple(text.splitlines()))
+        assert read == trace and read.to_text() == text
+        assert trace_digest(read) == trace_digest(trace)
+        assert len(read.records) > 0 and read.records == trace.records
 
 
 def test_sweep_names_the_first_divergent_record(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, Builder, CompositionError,
                       ContractViolationError, Environment, ExecutionError,
                       ShutdownError, Tag, connect)
 from detreact.bench import get_benchmark, list_benchmarks
-from detreact.core import TIME_MAX, Port, PortChannel
+from detreact.core import TIME_MAX, Action, Port, PortChannel
 from detreact.trace import slot_parts
 from programs import record_wiring, two_user_bank
 
@@ -176,13 +176,16 @@ def test_slot_tables_match_the_declarations(name, monkeypatch):
     # The slot is the only name a run gives a trigger: startup and shutdown own
     # slots 0 and 1, every other trigger the slots from its base on, and each
     # slot's fan-out, connections and trace part are those of the trigger there.
+    # A line names only an output channel or a logical action: every other
+    # slot's trace part is empty.
     assert (STARTUP.base, SHUTDOWN.base) == (0, 1)
     owner = {}  # slot -> (its trigger, the label its trace part starts with)
     for t in (STARTUP, SHUTDOWN, *topo.ports, *topo.timers, *topo.actions):
         for i in range(t.width):
             assert t.base + i not in owner, (name, t)
-            owner[t.base + i] = (t, None if t.owner is None else
-                                 PortChannel(t, i).label() if isinstance(t, Port) else t.label())
+            owner[t.base + i] = (t, PortChannel(t, i).label()
+                                 if isinstance(t, Port) and not t.is_input else
+                                 t.label() if isinstance(t, Action) and not t.physical else None)
     assert sorted(owner) == list(range(topo.slot_count))
     parts = slot_parts(topo)
     for table in (topo.slot_reactions, topo.conn_targets, parts):
@@ -195,6 +198,21 @@ def test_slot_tables_match_the_declarations(name, monkeypatch):
             r.rid for r in topo.reactions if trigger in r.triggers), (name, slot)
         assert topo.conn_targets[slot] == tuple(feeds[slot]), (name, slot)
         assert parts[slot] == "" if label is None else parts[slot].startswith(label), (name, slot)
+
+
+def test_only_an_output_channel_or_a_logical_action_has_a_trace_part():
+    # A set logs only an output channel and a schedule only a logical action:
+    # no line names any other slot, so its part is empty.
+    topo = _interleaved_slots_topology()
+    parts = slot_parts(topo)
+    slot = {t.name: t.base for t in (*topo.ports, *topo.timers, *topo.actions)}
+    assert parts[slot["out"]:slot["out"] + 3] == ["a.out[0]:", "a.out[1]:", "a.out[2]:"]
+    assert parts[slot["act1"]] == "c.act1@%s.%s"
+    empty = [STARTUP.base, SHUTDOWN.base, *range(slot["inp"], slot["inp"] + 3),
+             slot["t1"], slot["t2"], slot["act2"]]
+    assert [parts[s] for s in empty] == [""] * 8
+    assert sorted(empty + [*range(slot["out"], slot["out"] + 3), slot["act1"]]) == list(
+        range(topo.slot_count))
 
 
 def test_frozen_after_build():

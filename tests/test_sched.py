@@ -16,7 +16,7 @@ from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, USEC, Builder, Environment, 
                       ReadyQueue, ShutdownError, Tag, connect, trace_digest)
 from detreact.bench.registry import get_benchmark
 from detreact.graph import build_precedence_graph
-from programs import jittered, proxied_bank, two_user_bank
+from programs import jittered, proxied_bank, record_levels, two_user_bank
 from test_bench import small_params
 
 
@@ -451,7 +451,7 @@ def test_two_workers_publish_only_levels_wider_than_one(name, params):
         instance.validate(env.run())
         digests[workers] = trace_digest(env.trace)
     # Every executed level is a (tag, level) pair of the trace.
-    executed = Counter((rec.tag, rec.level) for rec in env.trace.records)
+    executed = Counter(zip([rec.tag for rec in env.trace.records], record_levels(env)))
     wide = sorted(n for n in executed.values() if n > 1)
     assert wide  # the program has levels for the ready queue
     assert sorted(widths) == wide
@@ -934,12 +934,14 @@ def _moved(monkeypatch, reaction, level):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_trace_record_names_the_level_its_reaction_ran_in(workers, monkeypatch):
     # A reaction that writes nothing, moved up from level 0 to its peer's
-    # level 1, runs there; the trace orders and labels it by the graph's level.
+    # level 1, runs there: after the writer "b" of level 0 is done. The trace
+    # orders it by the graph's level: unmoved, "a" would come before "b".
+    ran = []  # the bodies, in the order they ran
     b = Builder()
-    a, c, z = b.reactor("a"), b.reactor("c"), b.reactor("z")
-    out, z_in = a.output("out"), z.input("in")
-    a.reaction(STARTUP, effects=[out], body=lambda ctx: ctx.set(out, 1))
-    idle = c.reaction(STARTUP, body=lambda ctx: None)
+    w, a, z = b.reactor("b"), b.reactor("a"), b.reactor("z")
+    out, z_in = w.output("out"), z.input("in")
+    w.reaction(STARTUP, effects=[out], body=lambda ctx: (ran.append("b"), ctx.set(out, 1)))
+    idle = a.reaction(STARTUP, body=lambda ctx: ran.append("a"))
     z.reaction(z_in, body=lambda ctx: None)
     connect(out, z_in)
     topology = b.build()
@@ -947,8 +949,9 @@ def test_a_trace_record_names_the_level_its_reaction_ran_in(workers, monkeypatch
     _moved(monkeypatch, idle, 1)
     env = Environment(topology, workers=workers, fast=True, trace=True)
     env.run()
-    assert [(rec.reactor_path, rec.level) for rec in env.trace.records] == [
-        ("a", 0), ("c", 1), ("z", 1)]
+    assert ran == ["b", "a"]
+    assert [rec.reactor_path for rec in env.trace.records] == ["b", "a", "z"]
+    assert record_levels(env) == [0, 1, 1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,12 +1,14 @@
 """Trace canonicalization, digests, and the text format."""
 
 import enum
+import functools
 import gc
 import hashlib
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from detreact import (MSEC, SEC, STARTUP, Builder, Environment, ExecutionError, 
 from detreact import trace as trace_module
 from detreact.bench import get_benchmark, list_benchmarks, run_once
 from detreact.trace import _encode_value, diff
-from programs import jittered, two_user_bank
+from programs import jittered, record_levels, two_user_bank
 from test_bench import small_params
 
 
@@ -80,7 +82,6 @@ def test_workers_do_not_affect_digest():
     for workers in (1, 2, 4, 8):
         topo, _ = two_user_bank()
         trace, _ = traced_run(topo, workers=workers)
-        assert trace.header["workers"] == workers
         digests.add(trace_digest(trace))
     assert len(digests) == 1
 
@@ -176,12 +177,19 @@ class _Plain:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
     # object.__repr__ shows an address, which differs from run to run, and so
-    # does the repr of a function, a method and a built-in method bound to an
-    # object: the encoder refuses such a value, and the fold fails the
-    # reaction that set it. A built-in function of a module, print, has none.
+    # does the repr of a function, a method, a built-in method bound to an
+    # object, a method-wrapper, a generator, a lock, a code object and a
+    # partial of a function: the encoder refuses a value whose repr holds
+    # " at 0x", and the fold fails the reaction that set it. A built-in
+    # function of a module, print, has none.
     for value, kind in ((_Plain(), "test_trace._Plain"), (lambda: 0, "builtins.function"),
                         (_Plain().method, "builtins.method"),
-                        ([].append, "builtins.builtin_function_or_method")):
+                        ([].append, "builtins.builtin_function_or_method"),
+                        ([].__add__, "builtins.method-wrapper"),
+                        ((x for x in ()), "builtins.generator"),
+                        (threading.Lock(), "_thread.lock"),
+                        ((lambda: 0).__code__, "builtins.code"),
+                        (functools.partial(lambda: 0), "functools.partial")):
         b = Builder()
         a, s = b.reactor("a"), b.reactor("s")
         a_out, s_out = a.output("out"), s.output("out")
@@ -194,6 +202,22 @@ def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
             env.run()
         assert env.trace.to_text().splitlines() == [
             f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(print)} SCHED="], kind
+
+
+def test_a_value_whose_repr_holds_no_address_has_one_digest_in_every_process():
+    # print, a partial of it and a bound method of an object whose own repr
+    # holds no address are encoded by their repr, which no process changes.
+    code = ("import functools; from detreact.trace import value_digest\n"
+            "class P:\n"
+            "    def __repr__(self): return 'P'\n"
+            "    def m(self): return 0\n"
+            "print([value_digest(v) for v in (print, functools.partial(print, 1), P().m)])")
+    outs = set()
+    for _ in range(2):
+        done = _run_src("-c", code)
+        assert done.returncode == 0, done.stderr
+        outs.add(done.stdout)
+    assert len(outs) == 1, outs
 
 
 def test_an_object_array_digest_is_the_same_in_every_process():
@@ -399,8 +423,8 @@ def test_record_shape_and_order(workers):
         env.run()
         recs = env.trace.records
         assert all(type(rec) is TraceRecord for rec in recs)
-        assert [(rec.tag, rec.level, rec.reactor_path, rec.reaction_index)
-                for rec in recs] == [
+        assert [(rec.tag, level, rec.reactor_path, rec.reaction_index)
+                for rec, level in zip(recs, record_levels(env), strict=True)] == [
             ((0, 0), 0, "a", 1), ((0, 0), 0, "b", 1), ((0, 0), 0, "c", 1),
             ((0, 0), 1, "b", 2), ((0, 0), 1, "sink", 1),
             ((0, 1), 2, "b", 3),
@@ -558,12 +582,12 @@ def test_records_view_parses_names_from_the_right(workers):
     _round_trips(trace, report)
     first, second = trace.records[:2]
     assert first == TraceRecord(
-        (0, 0), 0, "src.a:1 @b", 1,
+        (0, 0), "src.a:1 @b", 1,
         (("src.a:1 @b.out:v.1@ w[0]", value_digest(1)),
          ("src.a:1 @b.out:v.1@ w[1]", value_digest("x:1@"))),
         (("src.a:1 @b.act@2.3: %s z", (MSEC // 2, 0)),))
-    assert (second.tag, second.level, second.reactor_path, second.reaction_index) == (
-        (0, 0), 1, "sink @1.2", 1)
+    assert (second.tag, second.reactor_path, second.reaction_index) == ((0, 0), "sink @1.2", 1)
+    assert record_levels(env)[:2] == [0, 1]
 
 
 def test_records_are_parsed_on_access(monkeypatch):
