@@ -12,16 +12,16 @@ from .core import (MSEC, NSEC, SEC, SHUTDOWN, STARTUP, USEC, Action, Builder, Po
 from .errors import (CausalityCycleError, CompositionError,
                      ContractViolationError, ExecutionError, ShutdownError)
 from .graph import PrecedenceGraph, build_precedence_graph, max_level_width, to_dot
-from .patterns import Bank, Interleaved, bank, connect, unfold
+from .patterns import Bank, bank, connect, interleaved, unfold
 from .sched import Environment, ReadyQueue, TerminationReport
 
 __all__ = [
     "Action", "Bank", "Builder", "CausalityCycleError", "CompositionError",
-    "ContractViolationError", "Environment", "ExecutionError", "Interleaved",
-    "MSEC", "NSEC", "Port", "PortChannel", "PrecedenceGraph", "ReactorTopology",
+    "ContractViolationError", "Environment", "ExecutionError", "MSEC",
+    "NSEC", "Port", "PortChannel", "PrecedenceGraph", "ReactorTopology",
     "ReadyQueue", "SEC", "SHUTDOWN", "STARTUP", "ShutdownError", "Tag",
     "TerminationReport", "Timer", "Trace", "TraceRecord", "USEC", "bank",
-    "build_precedence_graph", "connect", "max_level_width",
+    "build_precedence_graph", "connect", "interleaved", "max_level_width",
     "to_dot", "trace_digest", "unfold", "value_digest",
 ]
 

@@ -10,7 +10,7 @@ check exact counts.
 from __future__ import annotations
 
 from ..core import STARTUP
-from ..patterns import Interleaved, bank, connect, unfold
+from ..patterns import bank, connect, interleaved, unfold
 from .lcg import Lcg64
 from .registry import GROUP_MICRO, at_least, check, register
 
@@ -249,8 +249,8 @@ def _build_big(b, actors=12, pings=200, seed=1):
         if ctx.state.done == actors:
             ctx.request_stop()
 
-    connect(members.port("ping_out"), Interleaved(members.port("ping_in")))
-    connect(members.port("pong_out"), Interleaved(members.port("pong_in")))
+    connect(members.port("ping_out"), interleaved(members.port("ping_in")))
+    connect(members.port("pong_out"), interleaved(members.port("pong_in")))
     connect(members.port("done"), done_in)
 
     def validate(report):

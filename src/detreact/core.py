@@ -62,6 +62,13 @@ def _as_width(value, what: str) -> int:
     return width
 
 
+def _check_name(name: str, what: str) -> None:
+    """Refuse a name that a trace line cannot carry: one holding a line break
+    (anywhere ``str.splitlines`` splits), ``,``, `` FX=`` or `` SCHED=``."""
+    if "".join(name.splitlines()) != name or any(s in name for s in (",", " FX=", " SCHED=")):
+        raise CompositionError(f"{what} {name!r} holds a separator of the trace line format")
+
+
 def checked_time_add(a: int, b: int) -> int:
     """Add two non-negative nanosecond values, rejecting 64-bit overflow."""
     total = a + b
@@ -203,6 +210,7 @@ class ReactorInstance:
         self._names: set[str] = set()
 
     def _claim_name(self, name: str) -> None:
+        _check_name(name, f"reactor {self.name!r}: element name")
         if name in self._names:
             raise CompositionError(f"duplicate element name {name!r} in reactor {self.name!r}")
         self._names.add(name)
@@ -303,7 +311,8 @@ class ReactorInstance:
 class ReactorTopology:
     """A frozen composition of reactors, produced by :meth:`Builder.build`: the
     one record of the declarations (``ports``, ``timers``, ``actions``, ``reactions``)
-    and connections (``conn_targets``); an instance keeps none, so none points back up."""
+    and slot tables (``slot_reactions``, ``conn_targets``: one entry per slot, so their
+    length is the slot count); an instance keeps none, so none points back up."""
 
     def __init__(self, name, instances, sources):
         self.name = name
@@ -322,7 +331,7 @@ class ReactorTopology:
         # 1 for startup and shutdown, then every port channel and one slot for
         # each timer and each action. A per-slot table has one entry per slot:
         # the fan-out to reaction ids, shared by a port's channels, and the input
-        # channels an output channel feeds, whose own slot holds no value.
+        # channels an output channel feeds, a shared () if none; its own slot holds no value.
         fanout: dict = {t: [] for t in (STARTUP, SHUTDOWN, *self.ports, *self.timers, *self.actions)}
         for r in self.reactions:
             for t in r.triggers:
@@ -332,12 +341,14 @@ class ReactorTopology:
             t.base = len(slot_reactions)  # the built-ins' own: 0 and 1
             slot_reactions += [tuple(rids)] * t.width
         self.slot_reactions = tuple(slot_reactions)
-        self.slot_count = len(slot_reactions)
 
-        conn_targets: list[list[int]] = [[] for _ in range(self.slot_count)]
+        feeds: dict[int, list[int]] = {}  # by source slot, in connect order
         for dst, src in sources.items():
-            conn_targets[src.port.base + src.index].append(dst.port.base + dst.index)
-        self.conn_targets = tuple(tuple(t) for t in conn_targets)
+            feeds.setdefault(src.port.base + src.index, []).append(dst.port.base + dst.index)
+        conn_targets: list = [()] * len(slot_reactions)
+        for slot, targets in feeds.items():
+            conn_targets[slot] = tuple(targets)
+        self.conn_targets = tuple(conn_targets)
 
     def stats(self) -> dict:
         return {
@@ -364,6 +375,7 @@ class Builder:
 
     def reactor(self, name: str) -> ReactorInstance:
         self._check_open()
+        _check_name(name, "reactor name")
         if name in self._instances:
             raise CompositionError(f"duplicate reactor name {name!r}")
         inst = self._instances[name] = ReactorInstance(self, name)

@@ -125,11 +125,10 @@ def max_level_width(graph: PrecedenceGraph) -> int:
 
 def to_dot(graph: PrecedenceGraph) -> str:
     """Render the graph in DOT for diagram tooling. Nodes are labeled
-    ``reactor.reactionIndex``."""
-    lines = ["digraph precedence {"]
-    for r in graph.reactions:
-        lines.append(f'  "{r.label()}" [level={graph.level[r.rid]}];')
+    ``reactor.reactionIndex``, quoted, with ``\\`` and ``"`` escaped."""
+    ids = ['"%s"' % r.label().replace("\\", "\\\\").replace('"', '\\"') for r in graph.reactions]
+    lines = ["digraph precedence {", *(f"  {q} [level={lv}];" for q, lv in zip(ids, graph.level))]
     for u, v in graph.edges():
-        lines.append(f'  "{graph.reactions[u].label()}" -> "{graph.reactions[v].label()}";')
+        lines.append(f"  {ids[u]} -> {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ connection statement is. A bank is a statically sized array of structurally
 identical reactors, each built by the same definition function and told its
 own index; plain ports need no bank. `bank.port(name)` is a plain list of
 ports, the members' ports of that name in bank order. `connect` works over
-flat lists of port channels, which `unfold` produces from four kinds of
+flat lists of port channels, which `unfold` produces from three kinds of
 reference:
 
 * a channel ``port[i]``, which is itself;
@@ -14,11 +14,11 @@ reference:
 * a list or tuple of references, concatenated in the order given, so a bank
   port lists all channels of its first member, then all of the second, and
   so on (bank-major). This is also how a cascade is wired: offset the left
-  side with the source and append the sink on the right;
-* `Interleaved(ports)`, which flips a list of same-width ports to
-  port-index-major: first every port's channel 0, then every port's
-  channel 1, ... which wires the fully connected pattern when used on one
-  side of a self-connection.
+  side with the source and append the sink on the right.
+
+`interleaved(ports)` is such a list: the channels of same-width ports
+port-index-major (every port's channel 0, then every channel 1, ...), which
+wires the fully connected pattern on one side of a self-connection.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ class Bank:
         return ports
 
 
-class Interleaved:
-    """Marks a list of same-width ports for port-index-major unfolding."""
-
-    def __init__(self, ref):
-        self.ref = ref
-
-    def __repr__(self) -> str:
-        return f"Interleaved({self.ref!r})"
-
-
 def bank(builder: Builder, name: str, width: int, define: Callable[..., None]) -> Bank:
     """Instantiate ``width`` reactors from one definition function.
 
@@ -73,31 +63,30 @@ def bank(builder: Builder, name: str, width: int, define: Callable[..., None]) -
     return Bank(name, members)
 
 
-def unfold(ref) -> list[PortChannel]:
-    """Flatten a port reference into a concrete channel list.
+def interleaved(ports) -> list[PortChannel]:
+    """The channels of a list of ports of one width, port-index-major: every
+    port's channel 0, then every channel 1, ...; one port or channel unchanged."""
+    if isinstance(ports, (Port, PortChannel)):
+        return unfold(ports)
+    if not isinstance(ports, (list, tuple)) or not all(isinstance(p, Port) for p in ports):
+        raise CompositionError(f"cannot interleave {ports!r}: expected a list of ports")
+    for p in ports:
+        if p.width != ports[0].width:
+            raise CompositionError(
+                f"cannot interleave ports of different widths: {ports[0].label()} "
+                f"has {ports[0].width}, {p.label()} has {p.width}")
+    return [PortChannel(p, c) for c in range(ports[0].width if ports else 0) for p in ports]
 
-    ``ref`` is a PortChannel, a Port, a list or tuple of references
-    (concatenated in the order given), or ``Interleaved`` over a list of
-    ports of one width (or over one port or channel, which is unchanged).
-    """
+
+def unfold(ref) -> list[PortChannel]:
+    """Flatten a reference into a concrete channel list: a PortChannel, a
+    Port, or a list or tuple of references, concatenated in the order given."""
     if isinstance(ref, PortChannel):  # a NamedTuple: tested before tuple
         return [ref]
     if isinstance(ref, Port):
         return [PortChannel(ref, i) for i in range(ref.width)]
     if isinstance(ref, (list, tuple)):
         return [ch for r in ref for ch in unfold(r)]
-    if isinstance(ref, Interleaved):
-        ports = ref.ref
-        if isinstance(ports, (Port, PortChannel)):
-            return unfold(ports)
-        if not isinstance(ports, (list, tuple)) or not all(isinstance(p, Port) for p in ports):
-            raise CompositionError(f"cannot interleave {ports!r}: expected a list of ports")
-        for p in ports:
-            if p.width != ports[0].width:
-                raise CompositionError(
-                    f"cannot interleave ports of different widths: {ports[0].label()} "
-                    f"has {ports[0].width}, {p.label()} has {p.width}")
-        return [PortChannel(p, c) for c in range(ports[0].width if ports else 0) for p in ports]
     raise CompositionError(f"cannot unfold {ref!r}")
 
 

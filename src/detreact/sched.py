@@ -302,8 +302,8 @@ class Environment:
         # Per-tag state of every slot (port channels, timers, actions, startup
         # and shutdown); a value is None wherever its presence byte is 0, as
         # at every output channel.
-        self._value: list = [None] * topology.slot_count
-        self._present = bytearray(topology.slot_count)
+        self._value: list = [None] * len(topology.slot_reactions)
+        self._present = bytearray(len(topology.slot_reactions))
         # the present slots, written only at the coordinator moment
         self._live: list[int] = []
 

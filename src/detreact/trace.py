@@ -9,19 +9,19 @@ when their trace digests match.
 
     TAG=<time_ns>.<microstep> RX=<reactor-path>.<index> FX=<port:digest,...> SCHED=<action@time_ns.microstep,...>
 
-This module is the one place that knows that format: it owns the parts of a
-line and the parse of one. The parts are computed once: a prefix per tag
-(:func:`tag_prefix`) and per reaction (:func:`reaction_prefix`), and a part
-per slot (:func:`slot_parts`) for each value set and event scheduled;
-:data:`SCHED` separates the two lists. The fold at the level barrier, not
-the body, digests each set value and joins the parts into each completed
-reaction's line. A :class:`Trace` is its lines alone, so a trace file reads
-back as one; :attr:`Trace.records` parses them on access. A traced run keeps
-no GC-tracked object per line, and the digests of small exact values (ints,
-short strs and flat tuples of them) are memoised. On the benchmark's
-micro-w1 workload (2-vCPU VM, Python 3.11) a traced run costs about 1.5x the
-plain run, digest included (a span run's ``trace.cost_factor``); a traced
-Chameneos alone costs about 1.75x.
+This module owns that format, the parts of a line and the parse of one; a
+name that holds one of its separators is refused when it is declared. The
+parts are computed once: a prefix per tag (:func:`tag_prefix`) and per
+reaction (:func:`reaction_prefix`), and a part per slot (:func:`slot_parts`)
+for each value set and event scheduled; :data:`SCHED` separates the two
+lists. The fold at the level barrier, not the body, digests each set value
+and joins the parts into each completed reaction's line. A :class:`Trace` is
+its lines alone, so a trace file reads back as one; :attr:`Trace.records`
+parses them on access. A traced run keeps no GC-tracked object per line, and
+the digests of small exact values (ints, short strs and flat tuples of them)
+are memoised. On the benchmark's micro-w1 workload (2-vCPU VM, Python 3.11)
+a traced run costs about 1.5x the plain run, digest included (a span run's
+``trace.cost_factor``); a traced Chameneos alone costs about 1.75x.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
@@ -213,7 +213,7 @@ def slot_parts(topology: ReactorTopology) -> list[str]:
     fills (``<label>@%s.%s``). A set names only an output channel and a
     reaction schedules only a logical action, so every other slot (startup,
     shutdown, an input channel, a timer, a physical action) holds ``""``."""
-    parts = [""] * topology.slot_count
+    parts = [""] * len(topology.slot_reactions)
     for p in topology.ports:
         if not p.is_input:
             for i in range(p.width):
@@ -257,10 +257,10 @@ def _parse_event(part: str) -> tuple:
 
 
 class TraceRecords(Sequence):
-    """Read-only view of a trace's lines as :class:`TraceRecord` s. A record
-    is parsed when it is accessed and is not kept; ``len()`` parses
-    nothing. The view equals any sequence of the same records, so an empty
-    view equals ``()``."""
+    """Read-only view of a trace's lines as :class:`TraceRecord` s, each
+    exactly its line, since no name holds a separator. A record is parsed
+    when it is accessed and is not kept; ``len()`` parses nothing. The view
+    equals any sequence of the same records, so an empty view equals ``()``."""
 
     __slots__ = ("_lines",)
 
@@ -298,9 +298,7 @@ class Trace:
 
     @property
     def records(self) -> TraceRecords:
-        """The lines as :class:`TraceRecord` s, each parsed when accessed.
-        The view is exact whenever the canonical text is unambiguous: no
-        label holds a ``,``, and no name holds `` FX=`` or `` SCHED=``. Then
+        """The lines as :class:`TraceRecord` s, each parsed when accessed;
         ``record.to_line()`` gives back the line it was parsed from."""
         return TraceRecords(self.lines)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from detreact import SEC, STARTUP, Builder, Interleaved, bank, connect, unfold
+from detreact import SEC, STARTUP, Builder, bank, connect, interleaved, unfold
 
 
 def channel_pairs(topology) -> list:
@@ -283,7 +283,7 @@ def bank_multiport_interleaved(w=3):
     """Interleaving the receiving side yields the fully connected pattern."""
     b = Builder("bank_interleaved")
     nodes = bank(b, "node", w, _node(w))
-    connect(nodes.port("out"), Interleaved(nodes.port("in")))
+    connect(nodes.port("out"), interleaved(nodes.port("in")))
     return b.build(), nodes
 
 

@@ -156,6 +156,16 @@ def test_warmup_must_be_smaller_than_iterations():
         run_benchmark(spec, {"messages": 5}, iterations=2, warmup=2)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"workers": 0}, "workers must be >= 1"),
+    ({"iterations": 0, "warmup": 0}, "iterations must be >= 1"),
+], ids=["zero-workers", "zero-iterations"])
+def test_run_benchmark_rejects_a_count_below_one(counts, message):
+    spec = get_benchmark("PingPong")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(spec, {"messages": 5}, **counts)
+
+
 def test_warmup_must_not_be_negative():
     spec = get_benchmark("PingPong")
     with pytest.raises(ValueError, match="warmup"):

@@ -212,12 +212,15 @@ def test_a_failing_reaction_fails_its_row_and_the_sweep_goes_on(tmp_path, monkey
 def test_a_reaction_that_fails_only_when_traced_fails_its_row(tmp_path, monkeypatch):
     builds = []
 
-    def build(params):  # the two timed runs pass; the third build is the traced run
+    def build(params):
+        # The CLI builds every selected benchmark once to check its
+        # parameters, then once per timed iteration (two here), then once for
+        # the traced run: the fourth build is the traced run.
         builds.append(1)
         b = Builder("TracedBoom")
         r = b.reactor("r")
 
-        def body(ctx, _fail=len(builds) == 3):
+        def body(ctx, _fail=len(builds) == 4):
             if _fail:
                 raise ValueError("deliberately raised")
 
@@ -230,8 +233,19 @@ def test_a_reaction_that_fails_only_when_traced_fails_its_row(tmp_path, monkeypa
     result = invoke("-b", "TracedBoom", "-b", "PingPong",
                     "--iterations", "2", "--warmup", "1", "--trace", str(tmp_path))
     assert result.exit_code == 1, result.output
+    assert len(builds) == 4
+    rows = [line.split() for line in result.output.splitlines() if line.startswith("TracedBoom")]
+    assert [row[:3] + row[7:8] for row in rows] == [["TracedBoom", "1", "1", "ok"],
+                                                    ["TracedBoom", "1", "-", "FAIL:"]], rows
     assert "FAIL: reaction r.1 failed: ValueError" in result.output
+    assert not (tmp_path / "TracedBoom_w1.trace").exists()
     assert (tmp_path / "PingPong_w1.trace").is_file()
+
+
+def test_unknown_param_exit_2_naming_it():
+    result = invoke("-b", "PingPong", "--param", "nosuch=1")
+    assert result.exit_code == 2
+    assert "benchmark PingPong: unknown parameter 'nosuch'" in result.output
 
 
 def test_bad_workers_value_exit_2():

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import pytest
 from detreact import (MSEC, SEC, SHUTDOWN, STARTUP, Builder, CompositionError,
                       ContractViolationError, Environment, ExecutionError,
                       ShutdownError, Tag, connect)
+from detreact import core
 from detreact.bench import get_benchmark, list_benchmarks
 from detreact.core import TIME_MAX, Action, Port, PortChannel
 from detreact.trace import slot_parts
@@ -71,6 +73,41 @@ def test_a_built_topology_keeps_no_tracked_object_per_connection():
     assert _tracked_objects_of_a_built_big(40) < 2.5 * _tracked_objects_of_a_built_big(20)
 
 
+def _core_bytecodes_of_build(width):
+    # The bytecodes that build() runs in core.py frames, counted as
+    # bench/opcount.py counts a run, for one reactor with one unwired output
+    # multiport of ``width`` channels.
+    b = Builder()
+    b.reactor("r").output("out", width=width)
+    count = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename != core.__file__:
+            return None
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        b.build()
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def test_build_does_no_python_work_per_slot():
+    # A slot table is filled by C-level list operations and only a wired
+    # slot gets its own entry, so 1024 times the slots run the same bytecodes.
+    assert _core_bytecodes_of_build(16) == _core_bytecodes_of_build(16_384) > 0
+
+
 def test_two_writers_per_input_rejected():
     b = Builder()
     r1 = b.reactor("r1")
@@ -106,6 +143,27 @@ def test_duplicate_names_rejected():
     r.input("p")
     with pytest.raises(CompositionError, match="duplicate element"):
         r.output("p")
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\n", "a\x1cb", "a\u2028b", "a,b",
+                                  "a FX=b", "a SCHED=b"],
+                         ids=["newline", "crlf", "trailing-newline", "file-separator",
+                              "line-separator", "comma", "fx", "sched"])
+def test_a_name_that_a_trace_line_cannot_carry_is_refused(name):
+    # A trace line writes reactor, port and action names as they are: a line
+    # break or a field separator in one would make a file that reads back
+    # as another trace.
+    b = Builder()
+    with pytest.raises(CompositionError, match=re.escape(
+            f"reactor name {name!r} holds a separator of the trace line format")):
+        b.reactor(name)
+    r = b.reactor("r")
+    for declare in (r.input, r.output, r.action, r.physical_action, r.timer):
+        with pytest.raises(CompositionError, match=re.escape(
+                f"reactor 'r': element name {name!r} holds a separator")):
+            declare(name)
+    assert not (r.ports or r.timers or r.actions)
+    assert list(b.build().instances) == [r]
 
 
 @pytest.mark.parametrize("declare,message", [
@@ -186,10 +244,10 @@ def test_slot_tables_match_the_declarations(name, monkeypatch):
             owner[t.base + i] = (t, PortChannel(t, i).label()
                                  if isinstance(t, Port) and not t.is_input else
                                  t.label() if isinstance(t, Action) and not t.physical else None)
-    assert sorted(owner) == list(range(topo.slot_count))
+    assert sorted(owner) == list(range(len(topo.slot_reactions)))
     parts = slot_parts(topo)
     for table in (topo.slot_reactions, topo.conn_targets, parts):
-        assert len(table) == topo.slot_count
+        assert len(table) == len(topo.slot_reactions)
     feeds = {slot: [] for slot in owner}
     for src, dst in wiring[topo]:
         feeds[src.port.base + src.index].append(dst.port.base + dst.index)
@@ -212,7 +270,7 @@ def test_only_an_output_channel_or_a_logical_action_has_a_trace_part():
              slot["t1"], slot["t2"], slot["act2"]]
     assert [parts[s] for s in empty] == [""] * 8
     assert sorted(empty + [*range(slot["out"], slot["out"] + 3), slot["act1"]]) == list(
-        range(topo.slot_count))
+        range(len(topo.slot_reactions)))
 
 
 def test_frozen_after_build():
@@ -235,6 +293,41 @@ def test_trigger_and_effect_ownership_validated():
         r2.reaction(inp2, effects=[out1], body=lambda ctx: None)
     with pytest.raises(CompositionError, match="no triggers"):
         r2.reaction(effects=[], body=lambda ctx: None)
+
+
+def _nothing(ctx):
+    pass
+
+
+@pytest.mark.parametrize("declare, message", [
+    (lambda r1, r2: r2.reaction(r1.timer("t"), body=_nothing),
+     "reaction in 'r2': trigger r1.t belongs to another reactor"),
+    (lambda r1, r2: r2.reaction(r1.action("a"), body=_nothing),
+     "reaction in 'r2': trigger r1.a belongs to another reactor"),
+    (lambda r1, r2: r2.reaction("in", body=_nothing), "reaction in 'r2': invalid trigger 'in'"),
+    (lambda r1, r2: r2.reaction(STARTUP, effects=[r1.action("a")], body=_nothing),
+     "reaction in 'r2': effect r1.a belongs to another reactor"),
+    (lambda r1, r2: r2.reaction(STARTUP, effects=["out"], body=_nothing),
+     "reaction in 'r2': invalid effect 'out'"),
+], ids=["foreign-timer-trigger", "foreign-action-trigger", "name-as-trigger",
+        "foreign-action-effect", "name-as-effect"])
+def test_a_trigger_or_effect_of_another_reactor_or_of_no_kind_is_refused(declare, message):
+    b = Builder()
+    r1, r2 = b.reactor("r1"), b.reactor("r2")
+    with pytest.raises(CompositionError, match="^" + re.escape(message) + "$"):
+        declare(r1, r2)
+    assert not r2.reactions
+
+
+@pytest.mark.parametrize("declare, message", [
+    (lambda r: r.timer("t", offset=-1), "timer r.t: negative offset"),
+    (lambda r: r.action("a", min_delay=-1), "action r.a: negative min_delay"),
+], ids=["offset", "min_delay"])
+def test_negative_composition_times_rejected(declare, message):
+    r = Builder().reactor("r")
+    with pytest.raises(CompositionError, match="^" + re.escape(message) + "$"):
+        declare(r)
+    assert not (r.timers or r.actions)
 
 
 def test_physical_action_cannot_be_an_effect():
@@ -443,12 +536,14 @@ def _misuse_program(misuse):
     (lambda ctx, h: ctx.set(h.wide[1], 1, 0), "r.1: r.wide[1] is a channel, pass no index"),
     (lambda ctx, h: ctx.get(h.inp[0], 1), "r.1: r.inp[0] is a channel, pass no index"),
     (lambda ctx, h: ctx.is_present(h.inp[0], 1), "r.1: r.inp[0] is a channel, pass no index"),
+    (lambda ctx, h: ctx.schedule(h.a, delay=-1), "r.1: negative delay"),
 ], ids=["set-action", "get-startup", "timer-index", "multiport-no-index",
         "port-index-range", "undeclared-trigger", "undeclared-effect", "get-unhashable",
         "set-unhashable", "undeclared-channel-effect", "other-reactions-trigger",
         "other-reactions-effect", "float-index", "str-index", "schedule-unhashable",
         "schedule-port", "present-timer", "present-other-reactions-trigger",
-        "set-channel-index", "get-channel-index", "is-present-channel-index"])
+        "set-channel-index", "get-channel-index", "is-present-channel-index",
+        "schedule-negative-delay"])
 def test_one_contract_for_every_slot_kind(misuse, message):
     with pytest.raises(ExecutionError, match="r.1") as exc_info:
         run_env(_misuse_program(misuse))
@@ -690,6 +785,17 @@ def test_fractional_stop_time_rejected():
     b.reactor("r").timer("t")
     with pytest.raises(ValueError, match="stop_time must be integer nanoseconds"):
         Environment(b.build(), stop_time=0.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+    ({"stop_time": -1}, "stop_time must be a non-negative nanosecond value"),
+], ids=["zero-workers", "negative-stop-time"])
+def test_out_of_range_environment_arguments_rejected(kwargs, message):
+    b = Builder()
+    b.reactor("r").timer("t")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Environment(b.build(), **kwargs)
 
 
 @pytest.mark.parametrize("workers", [2.0, "2"])

@@ -249,6 +249,24 @@ def test_dot_export():
     assert '"proxy.1" -> "proxy.2"' in dot  # mutual exclusion edge
 
 
+def test_dot_quotes_its_node_names():
+    # A node name is a DOT string: a quote or a backslash in a reactor's
+    # name is escaped, so the output stays one node per name.
+    b = Builder()
+    say, back = b.reactor('say "hi"'), b.reactor("back\\slash")
+    out, inp = say.output("out"), back.input("in")
+    say.reaction(STARTUP, effects=[out], body=lambda ctx: None)
+    back.reaction(inp, body=lambda ctx: None)
+    connect(out, inp)
+    assert to_dot(build_precedence_graph(b.build())).splitlines() == [
+        "digraph precedence {",
+        r'  "say \"hi\".1" [level=0];',
+        r'  "back\\slash.1" [level=1];',
+        r'  "say \"hi\".1" -> "back\\slash.1";',
+        "}",
+    ]
+
+
 # -- randomized oracle equivalence -------------------------------------------
 
 

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from detreact import (Builder, CompositionError, Environment, Interleaved,
-                      STARTUP, bank, connect, unfold)
+from detreact import (Builder, CompositionError, Environment, STARTUP, bank, connect,
+                      interleaved, unfold)
 from programs import (bank_multiport_direct, bank_multiport_interleaved,
                       broadcast_pattern, cascade_pattern, channel_pairs, edges_text,
                       fork_join_pattern, sparse_multiport)
@@ -37,17 +37,18 @@ def test_unfold_default_is_bank_major():
 
 def test_unfold_interleaved_is_port_major():
     _, nodes = _bank_with_multiport(n=3, width=2)
-    labels = [ch.label() for ch in unfold(Interleaved(nodes.port("p")))]
-    assert labels == ["b[0].p[0]", "b[1].p[0]", "b[2].p[0]",
-                      "b[0].p[1]", "b[1].p[1]", "b[2].p[1]"]
+    channels = interleaved(nodes.port("p"))
+    assert type(channels) is list and unfold(channels) == channels
+    assert [ch.label() for ch in channels] == ["b[0].p[0]", "b[1].p[0]", "b[2].p[0]",
+                                               "b[0].p[1]", "b[1].p[1]", "b[2].p[1]"]
 
 
 def test_unfold_orders_are_permutations():
     _, nodes = _bank_with_multiport(n=4, width=3)
     default = unfold(nodes.port("p"))
-    interleaved = unfold(Interleaved(nodes.port("p")))
-    assert sorted(c.label() for c in default) == sorted(c.label() for c in interleaved)
-    assert default != interleaved
+    port_major = interleaved(nodes.port("p"))
+    assert sorted(c.label() for c in default) == sorted(c.label() for c in port_major)
+    assert default != port_major
 
 
 def test_unfold_scalar_port():
@@ -81,42 +82,49 @@ def test_bank_port_is_a_list_of_ports():
     assert ports == [m.ports[0] for m in nodes.members]
 
 
+def test_bank_port_of_a_name_a_member_lacks_is_an_error():
+    _, nodes = _bank_with_multiport(n=2, width=1)
+    with pytest.raises(CompositionError, match=r"^bank 'b': member has no port 'nosuch'$"):
+        nodes.port("nosuch")
+
+
 def test_unfold_interleaved_ports_outside_a_bank():
     _, ports = _plain_ports([2, 2])
-    labels = [ch.label() for ch in unfold(Interleaved(ports))]
+    labels = [ch.label() for ch in interleaved(ports)]
     assert labels == ["r0.p[0]", "r1.p[0]", "r0.p[1]", "r1.p[1]"]
-    assert unfold(Interleaved(tuple(ports))) == unfold(Interleaved(ports))
+    assert interleaved(tuple(ports)) == interleaved(ports)
 
 
 def test_unfold_interleaved_width_mismatch_names_two_ports():
     _, ports = _plain_ports([2, 2, 3])
     with pytest.raises(CompositionError, match=r"^cannot interleave ports of different "
                                                r"widths: r0\.p has 2, r2\.p has 3$"):
-        unfold(Interleaved(ports))
+        interleaved(ports)
 
 
-@pytest.mark.parametrize("ref", ["x", [["nested"]], Interleaved([]), None],
+@pytest.mark.parametrize("ref", ["x", [["nested"]], interleaved(_plain_ports([2, 2])[1]), None],
                          ids=["a-name", "a-nested-list", "interleaved-twice", "none"])
 def test_unfold_interleaved_of_anything_else_is_an_error(ref):
+    # interleaved-twice: an interleaving is a list of channels, not of ports
     with pytest.raises(CompositionError, match="cannot interleave"):
-        unfold(Interleaved(ref))
+        interleaved(ref)
 
 
 def test_errors_name_a_passed_interleaved_or_bank_by_value():
     _, nodes = _bank_with_multiport(n=1, width=1)
     with pytest.raises(CompositionError) as nested:
-        unfold(Interleaved(Interleaved(nodes.port("q"))))
+        interleaved([nodes.port("q")])  # meant interleaved(nodes.port("q"))
     with pytest.raises(CompositionError) as whole_bank:
         connect(nodes.port("q"), nodes)  # meant nodes.port("p")
-    assert str(nested.value) == ("cannot interleave Interleaved([<Port b[0].q output w=1>]): "
+    assert str(nested.value) == ("cannot interleave [[<Port b[0].q output w=1>]]: "
                                  "expected a list of ports")
     assert str(whole_bank.value) == "cannot unfold <Bank b w=1>"
 
 
 def test_unfold_interleaved_one_port_or_channel_is_unchanged():
     _, (p,) = _plain_ports([3])
-    assert unfold(Interleaved(p)) == unfold(p)
-    assert unfold(Interleaved(p[1])) == [p[1]]
+    assert interleaved(p) == unfold(p)
+    assert interleaved(p[1]) == [p[1]]
 
 
 def test_unfold_bank_port_rotated_with_list_operations():
@@ -134,9 +142,9 @@ def test_unfold_nested_lists_concatenate_depth_first():
 
 def test_unfold_empty_list_is_no_channels_and_connect_rejects_it():
     b, (out,) = _plain_ports([1])
-    assert unfold([]) == unfold(Interleaved([])) == []
+    assert unfold([]) == interleaved([]) == []
     with pytest.raises(CompositionError, match="connect: empty side"):
-        connect(out, Interleaved([]))
+        connect(out, interleaved([]))
     with pytest.raises(CompositionError, match="connect: empty side"):
         connect([[], ()], out)
     assert not b._sources

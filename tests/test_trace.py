@@ -328,7 +328,7 @@ def _value_corpus():
     return [
         0, -1, 1, 2**63 - 1, 2**63, 2**63 + 1, -2**63 - 1, -2**63, -2**63 + 1, 2**200,
         True, False, 1, 0, 1.0, 0.0, -0.0, 2.5,
-        _Level.HIGH, 3, _Name("x"), "x", "", "Grüße, 世界",
+        _Level.HIGH, 3, _Name("x"), "x", "", "Grüße, 世界", b"", b"\x00x",
         (1, (2, "a"), [3.0, None]), [True, 1, (False, 0)], (), [],
         (1, "x"), (True, "x"), (1.0, "x"), (_Level.HIGH, "x"), (_Name("x"), 1),
         (np.int64(1), "x"), ("x",), ((1,), "x"), (1,), (True,), [1, "x"],
