@@ -63,7 +63,7 @@ def _trace_one(spec, params, workers: int, trace_dir: Path) -> Trace:
     """Extra untimed run with tracing on; writes the canonical text."""
     _, env, _ = run_once(spec, params, workers=workers, trace=True)
     path = trace_dir / f"{spec.name}_w{workers}.trace"
-    path.write_text(env.trace.to_text(), encoding="utf-8")
+    path.write_text(env.trace.text, encoding="utf-8")
     return env.trace
 
 

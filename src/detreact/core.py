@@ -62,9 +62,16 @@ def _as_width(value, what: str) -> int:
     return width
 
 
+def _check_str(name, what: str) -> None:
+    if not isinstance(name, str):
+        raise CompositionError(f"{what} {name!r} is not a str")
+
+
 def _check_name(name: str, what: str) -> None:
-    """Refuse a name that a trace line cannot carry: one holding a line break
-    (anywhere ``str.splitlines`` splits), ``,``, `` FX=`` or `` SCHED=``."""
+    """Refuse a name that is not a ``str``, or that a trace line cannot
+    carry: one holding a line break (anywhere ``str.splitlines`` splits),
+    ``,``, `` FX=`` or `` SCHED=``."""
+    _check_str(name, what)
     if "".join(name.splitlines()) != name or any(s in name for s in (",", " FX=", " SCHED=")):
         raise CompositionError(f"{what} {name!r} holds a separator of the trace line format")
 
@@ -364,6 +371,7 @@ class Builder:
     :meth:`build`. Its ports are wired with :func:`detreact.patterns.connect`."""
 
     def __init__(self, name: str = "main"):
+        _check_str(name, "builder name")
         self.name = name
         self._instances: dict[str, ReactorInstance] = {}  # by name
         self._sources: dict[PortChannel, PortChannel] = {}  # driven input -> its source

@@ -32,14 +32,15 @@ finishes a level's last reaction becomes the coordinator while every other
 worker is parked, and it alone writes the per-tag arrays and run state. It
 folds the contexts of the level that just ran, in one loop that writes each
 set value to the input channels it feeds, stages the reactions they trigger,
-collects the logical schedules for the tag advance, writes the trace line of
-each completed reaction (in canonical order, when traced) and records the
-failure of the first declared reaction that raised; then it goes on to the
-next level, or ends the tag and advances logical time, in the same loop. It
-runs a level itself when no other worker could share it (one reaction, or
-one worker); only a wider level is published to the ready queue, so a
-one-worker run is one call of ``_coordinate`` on the calling thread, with no
-call per tag, that touches neither the queue nor a semaphore.
+collects the logical schedules for the tag advance, appends the parts of the
+trace line of each completed reaction to the run's one list (in canonical
+order, when traced; the run joins the list once, into the trace's text) and
+records the failure of the first declared reaction that raised; then it goes
+on to the next level, or ends the tag and advances logical time, in the same
+loop. It runs a level itself when no other worker could share it (one
+reaction, or one worker); only a wider level is published to the ready
+queue, so a one-worker run is one call of ``_coordinate`` on the calling
+thread, with no call per tag, that touches neither the queue nor a semaphore.
 
 The event queue has two parts. An event at a microstep above 0 can only come
 from a zero-delay ``ctx.schedule`` in the tag just before it, so all of them
@@ -336,18 +337,22 @@ class Environment:
         self._reactions_run = 0
         self._epoch = 0
 
-        # Traced runs only: the trace module, which owns the line format, the
-        # run's canonical lines so far, and the parts they are composed of:
-        # the running tag's prefix and each slot's part; and each reaction's
-        # rank in the canonical order of one tag's lines.
+        # Traced runs only: the trace module, which owns the line format; the
+        # parts of the run's canonical lines so far, in one flat list that the
+        # run joins once; the running tag's line start, its successor's text
+        # once a zero-delay schedule has named it, and each slot's part; and
+        # each reaction's rank in the canonical order of one tag's lines.
         self._tr = None
-        self._lines: list[str] | None = None
+        self._parts: list[str] | None = None
         if trace:
             from . import trace as tr  # an untraced run never loads it
             self._tr = tr
-            self._lines = []
+            self._parts = []
             self._tag_prefix = ""
-            self._slot_part = tr.slot_parts(topology)
+            self._succ_text: str | None = None
+            # each slot's part as the first item of its list, and after another
+            self._slot_part = first = tr.slot_parts(topology)
+            self._later_part = ["," + part for part in first]
             self._rank = tr.canonical_ranks(self.apg)
         self._ctxs = [ReactionContext(self, r) for r in topology.reactions]  # by rid
         # The fold stages a set's readers unchecked: each sits above its writer's
@@ -421,9 +426,13 @@ class Environment:
         it writes each set value to the input channels it feeds, stages the
         readers of each channel it makes present (once each: a bucket is a
         dict), collects the logical schedules for the tag advance, in a
-        traced run appends the line of each body that did not raise (a set
-        value with no digest fails its setter instead), and records the
-        failure of the first declared (lowest rid) reaction that raised.
+        traced run appends the parts of the line of each body that did not
+        raise to the run's list (a set value with no digest fails its setter
+        instead, and the parts of its line are cut back), and records the
+        failure of the first declared (lowest rid) reaction that raised. A
+        tag's text is formatted once for its lines and for every zero-delay
+        schedule, which names the running tag's successor; a delayed
+        schedule formats the tag it names.
         Bucket order cannot matter to the run: a level holds at most one
         reaction per reactor, so no two contexts write one input or schedule
         one action. A traced fold walks a wider bucket in rank order, and
@@ -440,8 +449,12 @@ class Environment:
         micro, periods, heap = self._micro, self._periods, self._event_heap
         lock, alone = self._evlock, self.workers == 1
         if traced := self._tr is not None:
-            slot_part, lines, sep = self._slot_part, self._lines, self._tr.SCHED
-            digest = self._tr.value_digest
+            tr, parts, first, later = self._tr, self._parts, self._slot_part, self._later_part
+            add, digest, tag_text = parts.append, tr.value_digest, tr.tag_text
+            sep, sep_end = tr.SCHED, tr.SCHED + "\n"
+            # the running tag's line start; its successor, and that tag's text
+            # once a zero-delay schedule has named it
+            prefix, succ, succ_text = self._tag_prefix, self._successor, self._succ_text
         bucket = levels[self._current_level] if self._current_level >= 0 else None
         while True:
             if bucket:  # fold the level that ran
@@ -450,18 +463,35 @@ class Environment:
                             if traced and len(bucket) > 1 else bucket):
                     log, sched = ctx._set_log, ctx._sched_log
                     if traced and ctx._exc is None:  # a body that raised leaves no line
-                        try:  # loops: a comprehension would cost a call per line
-                            line, comma = self._tag_prefix + ctx._rx, ""
+                        mark = len(parts)
+                        try:  # appends only: a concatenation would allocate a str
+                            add(prefix)
+                            add(ctx._rx)
+                            part = first
                             for slot, value in log:
-                                line += comma + slot_part[slot] + digest(value)
-                                comma = ","
-                            line, comma = line + sep, ""
-                            for g, slot, _ in sched:
-                                line += comma + slot_part[slot] % g
-                                comma = ","
-                            lines.append(line)
-                        except Exception as exc:  # a value with no digest fails its setter
-                            ctx._exc = exc
+                                add(part[slot])
+                                add(digest(value))
+                                part = later
+                            if sched:
+                                add(sep)
+                                part = first
+                                for g, slot, _ in sched:
+                                    add(part[slot])
+                                    if g is succ:  # a zero-delay schedule
+                                        if succ_text is None:
+                                            succ_text = tag_text(g)
+                                        add(succ_text)
+                                    else:
+                                        add(tag_text(g))
+                                    part = later
+                                add("\n")
+                            else:
+                                add(sep_end)
+                        except BaseException as exc:  # no part of the line is kept
+                            del parts[mark:]
+                            if not isinstance(exc, Exception):
+                                raise  # an interrupt ends the run
+                            ctx._exc = exc  # a value with no digest fails its setter
                     if log:
                         for slot, value in log:
                             for dst in conn_targets[slot]:
@@ -499,6 +529,8 @@ class Environment:
                         except BaseException as exc:  # recorded by the fold
                             ctx._exc = exc
                     continue
+                if traced:  # for the worker that folds this level
+                    self._succ_text = succ_text
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(list(bucket))
                 self._sem.release(min(count, self.workers) - 1)  # the coordinator drains too
@@ -556,8 +588,10 @@ class Environment:
             if g is None:
                 self._terminate()
                 return
-            if traced:
-                self._tag_prefix = self._tr.tag_prefix(g)
+            if traced:  # a tag that a zero-delay schedule named has its text
+                text = succ_text if g is succ else None
+                self._tag_prefix = prefix = tr.TAG + (text or tag_text(g))
+                succ, succ_text = self._successor, None
             self._current_level = -1
             if trigmap:
                 self._events_processed += len(trigmap)
@@ -645,10 +679,11 @@ class Environment:
         finally:
             for t in threads:
                 t.join()
+        if self._tr is not None:  # the one join of the run's text, timed with the run
+            self.trace = self._tr.Trace("".join(self._parts))
+            self._parts = None
         duration = time.perf_counter_ns() - t0
 
-        if self._tr is not None:
-            self.trace = self._tr.Trace(tuple(self._lines))
         # A context points back at its Environment; with the contexts dropped,
         # a finished run is freed by reference count.
         del self._ctxs, self._ready

@@ -11,17 +11,20 @@ when their trace digests match.
 
 This module owns that format, the parts of a line and the parse of one; a
 name that holds one of its separators is refused when it is declared. The
-parts are computed once: a prefix per tag (:func:`tag_prefix`) and per
-reaction (:func:`reaction_prefix`), and a part per slot (:func:`slot_parts`)
-for each value set and event scheduled; :data:`SCHED` separates the two
-lists. The fold at the level barrier, not the body, digests each set value
-and joins the parts into each completed reaction's line. A :class:`Trace` is
-its lines alone, so a trace file reads back as one; :attr:`Trace.records`
-parses them on access. A traced run keeps no GC-tracked object per line, and
-the digests of small exact values (ints, short strs and flat tuples of them)
-are memoised. On the benchmark's micro-w1 workload (2-vCPU VM, Python 3.11)
-a traced run costs about 1.5x the plain run, digest included (a span run's
-``trace.cost_factor``); a traced Chameneos alone costs about 1.75x.
+parts are computed once: a tag's text (:func:`tag_text`), which follows
+:data:`TAG` at the start of a line and an action's part in a scheduled
+event, a prefix per reaction (:func:`reaction_prefix`), and a part per slot
+(:func:`slot_parts`) for each value set and event scheduled; :data:`SCHED`
+separates the two lists. The fold at the level barrier, not the body,
+digests each set value and appends each completed reaction's parts to one
+list per run, which the run joins once into the text. A :class:`Trace` is
+that text alone, so a trace file reads back as one; its lines and
+:attr:`Trace.records` are views of it. A traced run makes no object per
+line, and the digests of small exact values (ints within 32 bits, short strs
+and flat tuples of them) are memoised. On the benchmark's micro-w1 workload
+(2-vCPU VM, Python 3.11) a traced run costs about 1.45-1.5x the plain run,
+digest included (a span run's ``trace.cost_factor``); a traced Chameneos
+alone costs about 1.6x.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
@@ -136,15 +139,17 @@ _LITTLE_ENDIAN = ("<", "|", "=") if sys.byteorder == "little" else ("<", "|")
 
 def value_digest(v) -> str:
     """16-hex-digit digest of one payload: BLAKE2b-64 of its canonical
-    encoding. Small exact values are memoised: an exact ``int``, an exact
-    ``str`` of at most ``_MEMO_MAX_LEN`` characters, and a ``tuple`` of at
-    most ``_MEMO_MAX_LEN`` items that are all such ints and strs. An ndarray
-    whose buffer already is its encoding (C-contiguous, little-endian or
-    byte-order free, at least one dimension) is hashed in place, without a
-    copy."""
+    encoding. Only values that can repeat are memoised: an exact ``int``
+    within 32 bits (``-2**32 < v < 2**32``), an exact ``str`` of at
+    most ``_MEMO_MAX_LEN`` characters, and a ``tuple`` of at most
+    ``_MEMO_MAX_LEN`` items that are all such ints and strs. A larger int,
+    such as a nanosecond timestamp, or a tuple holding one is encoded each
+    time, so it does not evict the values that do repeat. An ndarray whose
+    buffer already is its encoding (C-contiguous, little-endian or byte-order
+    free, at least one dimension) is hashed in place, without a copy."""
     t = type(v)
-    if t is int:
-        return _small_digest(v)
+    if t is int:  # literal bounds: a global would cost a lookup and a negation per call
+        return _small_digest(v) if -0x1_0000_0000 < v < 0x1_0000_0000 else _encoded_digest(v)
     if v is None:
         return _NONE_DIGEST
     if t is bool:
@@ -155,7 +160,10 @@ def value_digest(v) -> str:
     elif t is tuple and len(v) <= _MEMO_MAX_LEN:
         for x in v:  # a loop: all() over a generator costs a frame per item
             tx = type(x)
-            if tx is not int and (tx is not str or len(x) > _MEMO_MAX_LEN):
+            if tx is int:
+                if not -0x1_0000_0000 < x < 0x1_0000_0000:
+                    break
+            elif tx is not str or len(x) > _MEMO_MAX_LEN:
                 break
         else:
             return _small_digest(v)
@@ -190,14 +198,17 @@ class TraceRecord(NamedTuple):
 
 # -- the parts of a line -----------------------------------------------------
 
-#: A completed reaction's line is its tag prefix, its reaction prefix, its
-#: effects joined by ",", this separator and its scheduled events joined by ",".
+#: A completed reaction's line is this start, its tag's text, its reaction
+#: prefix, its effects joined by ",", :data:`SCHED` and its scheduled events
+#: joined by ",", and a line end.
+TAG = "TAG="
 SCHED = " SCHED="
 
 
-def tag_prefix(tag) -> str:
-    """``TAG=<time_ns>.<microstep>``, how every line of one tag starts."""
-    return "TAG=%s.%s" % tag
+def tag_text(tag) -> str:
+    """``<time_ns>.<microstep>``, a tag as a line writes it: after
+    :data:`TAG`, and after an action's part for an event at that tag."""
+    return "%s.%s" % tag
 
 
 def reaction_prefix(path: str, index: int) -> str:
@@ -209,8 +220,8 @@ def reaction_prefix(path: str, index: int) -> str:
 def slot_parts(topology: ReactorTopology) -> list[str]:
     """For every slot of the topology, the part of a line it writes, placed
     at that slot: for an output channel, the prefix of a value digest
-    (``<label>:``); for a logical action, the format that a scheduled tag
-    fills (``<label>@%s.%s``). A set names only an output channel and a
+    (``<label>:``); for a logical action, the prefix of a scheduled tag's
+    text (``<label>@``). A set names only an output channel and a
     reaction schedules only a logical action, so every other slot (startup,
     shutdown, an input channel, a timer, a physical action) holds ``""``."""
     parts = [""] * len(topology.slot_reactions)
@@ -220,7 +231,7 @@ def slot_parts(topology: ReactorTopology) -> list[str]:
                 parts[p.base + i] = PortChannel(p, i).label() + ":"
     for a in topology.actions:
         if not a.physical:
-            parts[a.base] = a.label().replace("%", "%%") + "@%s.%s"
+            parts[a.base] = a.label() + "@"
     return parts
 
 
@@ -259,24 +270,32 @@ def _parse_event(part: str) -> tuple:
 class TraceRecords(Sequence):
     """Read-only view of a trace's lines as :class:`TraceRecord` s, each
     exactly its line, since no name holds a separator. A record is parsed
-    when it is accessed and is not kept; ``len()`` parses nothing. The view
-    equals any sequence of the same records, so an empty view equals ``()``."""
+    when it is accessed and is not kept; ``len()`` counts line ends and
+    parses nothing, and the text is split into lines only when a record is
+    accessed. The view equals any sequence of the same records, so an empty
+    view equals ``()``."""
 
-    __slots__ = ("_lines",)
+    __slots__ = ("_text", "_lines")
 
-    def __init__(self, lines: tuple):
-        self._lines = lines
+    def __init__(self, text: str):
+        self._text = text
+        self._lines: list[str] | None = None
+
+    def _split(self) -> list[str]:
+        if self._lines is None:
+            self._lines = self._text.splitlines()
+        return self._lines
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return self._text.count("\n")
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(_parse, self._lines[i]))
-        return _parse(self._lines[i])
+            return tuple(map(_parse, self._split()[i]))
+        return _parse(self._split()[i])
 
     def __iter__(self):
-        return map(_parse, self._lines)
+        return map(_parse, self._split())
 
     def __eq__(self, other):
         if not isinstance(other, (TraceRecords, tuple, list)):
@@ -288,29 +307,35 @@ class TraceRecords(Sequence):
 
 @dataclass(frozen=True)
 class Trace:
-    """Finalized trace: its canonical lines, without line ends, and nothing
-    else. A trace file is the same text, so
-    ``Trace(tuple(path.read_text().splitlines()))`` reads one back whole.
-    The digest covers the text, which names no program and no worker count,
-    so runs that differ only in worker count compare equal."""
+    """Finalized trace: its canonical text, every line ended by ``"\\n"``,
+    and nothing else. A trace file is the same text, so
+    ``Trace(path.read_text())`` reads one back whole. The digest covers the
+    text, which names no program and no worker count, so runs that differ
+    only in worker count compare equal."""
 
-    lines: tuple
+    text: str
+
+    def __post_init__(self):
+        if self.text and self.text[-1] != "\n":
+            raise ValueError("a trace's text ends every line, the last included, with a line end")
+
+    @property
+    def lines(self) -> tuple:
+        """The lines of the text, without their line ends."""
+        return tuple(self.text.splitlines())
 
     @property
     def records(self) -> TraceRecords:
         """The lines as :class:`TraceRecord` s, each parsed when accessed;
         ``record.to_line()`` gives back the line it was parsed from."""
-        return TraceRecords(self.lines)
-
-    def to_text(self) -> str:
-        return "\n".join((*self.lines, ""))
+        return TraceRecords(self.text)
 
     def canonical_bytes(self) -> bytes:
-        return self.to_text().encode("utf-8")
+        return self.text.encode()
 
 
 def trace_digest(trace: Trace) -> int:
-    """Stable 64-bit digest of the canonical serialization."""
+    """Stable 64-bit digest of the canonical text, UTF-8 encoded."""
     h = _blake2b(trace.canonical_bytes(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 

@@ -113,8 +113,8 @@ def test_worker_sweep_traces_identical(tmp_path):
 
 @pytest.mark.parametrize("name", list(SMALL))
 def test_a_trace_file_reads_back_as_the_run_trace(name, tmp_path, monkeypatch):
-    # A trace is its lines: the file that --trace writes, split into lines,
-    # is a Trace with the run's digest and records.
+    # A trace is its text: the file that --trace writes is a Trace with the
+    # run's digest and records.
     traces, trace_one = {}, cli._trace_one
     monkeypatch.setattr(cli, "_trace_one", lambda spec, params, workers, trace_dir: traces.setdefault(
         workers, trace_one(spec, params, workers, trace_dir)))
@@ -124,9 +124,9 @@ def test_a_trace_file_reads_back_as_the_run_trace(name, tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert sorted(traces) == [1, 2]
     for workers, trace in traces.items():
-        text = (tmp_path / f"{name}_w{workers}.trace").read_text(encoding="utf-8")
-        read = Trace(tuple(text.splitlines()))
-        assert read == trace and read.to_text() == text
+        path = tmp_path / f"{name}_w{workers}.trace"
+        read = Trace(path.read_text(encoding="utf-8"))
+        assert read == trace and path.read_bytes() == trace.canonical_bytes()
         assert trace_digest(read) == trace_digest(trace)
         assert len(read.records) > 0 and read.records == trace.records
 

@@ -146,23 +146,27 @@ def test_duplicate_names_rejected():
 
 
 @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\n", "a\x1cb", "a\u2028b", "a,b",
-                                  "a FX=b", "a SCHED=b"],
+                                  "a FX=b", "a SCHED=b", 3, None, 1.5, b"r"],
                          ids=["newline", "crlf", "trailing-newline", "file-separator",
-                              "line-separator", "comma", "fx", "sched"])
+                              "line-separator", "comma", "fx", "sched", "int", "none",
+                              "float", "bytes"])
 def test_a_name_that_a_trace_line_cannot_carry_is_refused(name):
     # A trace line writes reactor, port and action names as they are: a line
     # break or a field separator in one would make a file that reads back
-    # as another trace.
+    # as another trace, and a name that is not a str is no text at all.
+    why = "holds a separator of the trace line format" if isinstance(name, str) else "is not a str"
     b = Builder()
-    with pytest.raises(CompositionError, match=re.escape(
-            f"reactor name {name!r} holds a separator of the trace line format")):
+    with pytest.raises(CompositionError, match=re.escape(f"reactor name {name!r} {why}")):
         b.reactor(name)
     r = b.reactor("r")
     for declare in (r.input, r.output, r.action, r.physical_action, r.timer):
         with pytest.raises(CompositionError, match=re.escape(
-                f"reactor 'r': element name {name!r} holds a separator")):
+                f"reactor 'r': element name {name!r} {why}")):
             declare(name)
     assert not (r.ports or r.timers or r.actions)
+    if not isinstance(name, str):  # a builder's name is not in its trace, but it is a str
+        with pytest.raises(CompositionError, match=re.escape(f"builder name {name!r} {why}")):
+            Builder(name)
     assert list(b.build().instances) == [r]
 
 
@@ -265,7 +269,7 @@ def test_only_an_output_channel_or_a_logical_action_has_a_trace_part():
     parts = slot_parts(topo)
     slot = {t.name: t.base for t in (*topo.ports, *topo.timers, *topo.actions)}
     assert parts[slot["out"]:slot["out"] + 3] == ["a.out[0]:", "a.out[1]:", "a.out[2]:"]
-    assert parts[slot["act1"]] == "c.act1@%s.%s"
+    assert parts[slot["act1"]] == "c.act1@"
     empty = [STARTUP.base, SHUTDOWN.base, *range(slot["inp"], slot["inp"] + 3),
              slot["t1"], slot["t2"], slot["act2"]]
     assert [parts[s] for s in empty] == [""] * 8

@@ -55,7 +55,7 @@ def test_digest_is_function_of_content():
     topo2, _ = two_user_bank()
     t1, _ = traced_run(topo1)
     t2, _ = traced_run(topo2)
-    assert t1.to_text() == t2.to_text()
+    assert t1.text == t2.text
     assert trace_digest(t1) == trace_digest(t2)
 
 
@@ -142,7 +142,7 @@ def test_failed_level_traces_only_the_reactions_that_completed(workers):
     env = Environment(b.build(), workers=workers, fast=True, trace=True)
     with pytest.raises(ExecutionError):
         env.run()
-    assert env.trace.to_text().splitlines() == [
+    assert env.trace.text.splitlines() == [
         f"TAG=0.0 RX={name}.1 FX={name}.out:{value_digest(0)} SCHED=" for name in "abc"
     ] + [f"TAG={MSEC}.0 RX=b.1 FX=b.out:{value_digest(MSEC)} SCHED="]
 
@@ -165,7 +165,7 @@ def test_a_set_value_with_no_digest_fails_its_setter(workers):
     env = Environment(b.build(), workers=workers, fast=True, trace=True)
     with pytest.raises(ExecutionError, match=re.escape("reaction s.1 failed: ValueError('no repr')")):
         env.run()
-    assert env.trace.to_text().splitlines() == [f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(1)} SCHED="]
+    assert env.trace.text.splitlines() == [f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(1)} SCHED="]
     assert not hasattr(sink.state, "ran")
 
 
@@ -200,8 +200,56 @@ def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
                 f"reaction s.1 failed: TypeError('no canonical encoding for a {kind}: "
                 "its repr holds an address')")):
             env.run()
-        assert env.trace.to_text().splitlines() == [
+        assert env.trace.text.splitlines() == [
             f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(print)} SCHED="], kind
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_setter_leaves_no_part_of_its_line(workers):
+    # s sets a value with a digest, then one whose repr holds an address,
+    # then schedules: its line's parts are cut back when the second digest
+    # fails, and the lines of a and z, around it in the level, stay whole.
+    b = Builder()
+    lines = []
+    for name in "asz":
+        r = b.reactor(name)
+        ok, bad, act = r.output("ok"), r.output("bad"), r.action("act")
+
+        def body(ctx, ok=ok, bad=bad, act=act, name=name):
+            ctx.set(ok, 1)
+            if name == "s":
+                ctx.set(bad, _Plain())
+            ctx.schedule(act)
+
+        r.reaction(STARTUP, effects=[ok, bad, act], body=body)
+        r.reaction(act, body=lambda ctx: None)
+        if name != "s":
+            lines.append(f"TAG=0.0 RX={name}.1 FX={name}.ok:{value_digest(1)} SCHED={name}.act@0.1")
+    env = Environment(b.build(), workers=workers, fast=True, trace=True)
+    with pytest.raises(ExecutionError, match=re.escape(
+            "reaction s.1 failed: TypeError('no canonical encoding for a test_trace._Plain")):
+        env.run()
+    assert env.trace.text == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupt_in_a_digest_leaves_no_part_of_its_line(workers):
+    # An interrupt is no reaction failure: it ends the run as itself, and
+    # the trace it leaves holds whole lines only.
+    class Interrupting:
+        def __repr__(self):
+            raise KeyboardInterrupt
+
+    b = Builder()
+    a, s = b.reactor("a"), b.reactor("s")
+    a_out, s_ok, s_out = a.output("out"), s.output("ok"), s.output("out")
+    a.reaction(STARTUP, effects=[a_out], body=lambda ctx: ctx.set(a_out, 1))
+    s.reaction(STARTUP, effects=[s_ok, s_out],
+               body=lambda ctx: (ctx.set(s_ok, 1), ctx.set(s_out, Interrupting())))
+    env = Environment(b.build(), workers=workers, fast=True, trace=True)
+    with pytest.raises(KeyboardInterrupt):
+        env.run()
+    assert env.trace.text == f"TAG=0.0 RX=a.1 FX=a.out:{value_digest(1)} SCHED=\n"
 
 
 def test_a_value_whose_repr_holds_no_address_has_one_digest_in_every_process():
@@ -263,7 +311,7 @@ def test_a_set_digest_does_not_depend_on_the_hash_seed():
 def test_text_format():
     topo, _ = two_user_bank()
     trace, _ = traced_run(topo)
-    lines = trace.to_text().splitlines()
+    lines = trace.text.splitlines()
     pattern = re.compile(
         r"^TAG=\d+\.\d+ RX=[\w\[\]]+\.\d+ FX=(\w[\w.\[\]]*:[0-9a-f]{16}(,\w[\w.\[\]]*:[0-9a-f]{16})*)? "
         r"SCHED=([\w.\[\]]+@\d+\.\d+(,[\w.\[\]]+@\d+\.\d+)*)?$")
@@ -460,7 +508,7 @@ def _counter_trace(bad_at=None):
 
     r.reaction(t, effects=[out], body=count)
     trace, _ = traced_run(b.build())
-    return trace.to_text()
+    return trace.text
 
 
 def test_diff_names_the_first_divergent_record():
@@ -602,6 +650,24 @@ def test_records_are_parsed_on_access(monkeypatch):
     monkeypatch.setattr(trace_module, "_parse", lambda *args: calls.append(args) or parse(*args))
     assert len(records) == 4 and calls == []  # len() parses nothing
     assert records[-1].reactor_path == "account" and len(calls) == 1
+
+
+def test_the_record_count_parses_nothing(monkeypatch):
+    # len() of the records counts the text's line ends.
+    def refuse(line):
+        raise AssertionError(f"parsed {line!r}")
+
+    spec = get_benchmark("CountingActor")
+    _, env, report = run_once(spec, small_params(spec), trace=True)
+    monkeypatch.setattr(trace_module, "_parse", refuse)
+    assert len(env.trace.records) == report.reactions > 0
+
+
+def test_a_trace_text_ends_every_line():
+    # The canonical text ends its last line too, so counting line ends counts lines.
+    assert len(trace_module.Trace("TAG=0.0 RX=r.1 FX= SCHED=\n").records) == 1
+    with pytest.raises(ValueError, match="ends every line, the last included"):
+        trace_module.Trace("TAG=0.0 RX=r.1 FX= SCHED=")
 
 
 def _tracked_objects_left(count):
