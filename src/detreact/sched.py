@@ -339,9 +339,8 @@ class Environment:
 
         # Traced runs only: the trace module, which owns the line format; the
         # parts of the run's canonical lines so far, in one flat list that the
-        # run joins once; the running tag's line start, its successor's text
-        # once a zero-delay schedule has named it, and each slot's part; and
-        # each reaction's rank in the canonical order of one tag's lines.
+        # run joins once; the running tag's line start and each slot's part;
+        # and each reaction's rank in the canonical order of one tag's lines.
         self._tr = None
         self._parts: list[str] | None = None
         if trace:
@@ -349,10 +348,7 @@ class Environment:
             self._tr = tr
             self._parts = []
             self._tag_prefix = ""
-            self._succ_text: str | None = None
-            # each slot's part as the first item of its list, and after another
-            self._slot_part = first = tr.slot_parts(topology)
-            self._later_part = ["," + part for part in first]
+            self._slot_part = tr.slot_parts(topology)
             self._rank = tr.canonical_ranks(self.apg)
         self._ctxs = [ReactionContext(self, r) for r in topology.reactions]  # by rid
         # The fold stages a set's readers unchecked: each sits above its writer's
@@ -430,9 +426,9 @@ class Environment:
         raise to the run's list (a set value with no digest fails its setter
         instead, and the parts of its line are cut back), and records the
         failure of the first declared (lowest rid) reaction that raised. A
-        tag's text is formatted once for its lines and for every zero-delay
-        schedule, which names the running tag's successor; a delayed
-        schedule formats the tag it names.
+        zero-delay schedule names the running tag's successor: the first one
+        formats that tag's text and the tag advance reuses it as the next
+        line start, so within one call a tag's text is formatted once.
         Bucket order cannot matter to the run: a level holds at most one
         reaction per reactor, so no two contexts write one input or schedule
         one action. A traced fold walks a wider bucket in rank order, and
@@ -449,12 +445,10 @@ class Environment:
         micro, periods, heap = self._micro, self._periods, self._event_heap
         lock, alone = self._evlock, self.workers == 1
         if traced := self._tr is not None:
-            tr, parts, first, later = self._tr, self._parts, self._slot_part, self._later_part
+            tr, parts, slot_part, prefix = self._tr, self._parts, self._slot_part, self._tag_prefix
             add, digest, tag_text = parts.append, tr.value_digest, tr.tag_text
-            sep, sep_end = tr.SCHED, tr.SCHED + "\n"
-            # the running tag's line start; its successor, and that tag's text
-            # once a zero-delay schedule has named it
-            prefix, succ, succ_text = self._tag_prefix, self._successor, self._succ_text
+            sep, sched_start, end, no_sched = tr.SEP, tr.SCHED, tr.END, tr.NO_SCHED
+            succ, succ_text = self._successor, None  # and that tag's text, once formatted
         bucket = levels[self._current_level] if self._current_level >= 0 else None
         while True:
             if bucket:  # fold the level that ran
@@ -467,26 +461,30 @@ class Environment:
                         try:  # appends only: a concatenation would allocate a str
                             add(prefix)
                             add(ctx._rx)
-                            part = first
+                            comma = False  # a separator goes before every later item
                             for slot, value in log:
-                                add(part[slot])
+                                if comma:
+                                    add(sep)
+                                add(slot_part[slot])
                                 add(digest(value))
-                                part = later
+                                comma = True
                             if sched:
-                                add(sep)
-                                part = first
+                                add(sched_start)
+                                comma = False
                                 for g, slot, _ in sched:
-                                    add(part[slot])
+                                    if comma:
+                                        add(sep)
+                                    add(slot_part[slot])
                                     if g is succ:  # a zero-delay schedule
                                         if succ_text is None:
                                             succ_text = tag_text(g)
                                         add(succ_text)
                                     else:
                                         add(tag_text(g))
-                                    part = later
-                                add("\n")
+                                    comma = True
+                                add(end)
                             else:
-                                add(sep_end)
+                                add(no_sched)
                         except BaseException as exc:  # no part of the line is kept
                             del parts[mark:]
                             if not isinstance(exc, Exception):
@@ -529,8 +527,6 @@ class Environment:
                         except BaseException as exc:  # recorded by the fold
                             ctx._exc = exc
                     continue
-                if traced:  # for the worker that folds this level
-                    self._succ_text = succ_text
                 self._pending = itertools.count(count - 1, -1)
                 self._ready.refill(list(bucket))
                 self._sem.release(min(count, self.workers) - 1)  # the coordinator drains too

@@ -14,17 +14,19 @@ name that holds one of its separators is refused when it is declared. The
 parts are computed once: a tag's text (:func:`tag_text`), which follows
 :data:`TAG` at the start of a line and an action's part in a scheduled
 event, a prefix per reaction (:func:`reaction_prefix`), and a part per slot
-(:func:`slot_parts`) for each value set and event scheduled; :data:`SCHED`
-separates the two lists. The fold at the level barrier, not the body,
-digests each set value and appends each completed reaction's parts to one
-list per run, which the run joins once into the text. A :class:`Trace` is
-that text alone, so a trace file reads back as one; its lines and
-:attr:`Trace.records` are views of it. A traced run makes no object per
-line, and the digests of small exact values (ints within 32 bits, short strs
-and flat tuples of them) are memoised. On the benchmark's micro-w1 workload
-(2-vCPU VM, Python 3.11) a traced run costs about 1.45-1.5x the plain run,
-digest included (a span run's ``trace.cost_factor``); a traced Chameneos
-alone costs about 1.6x.
+(:func:`slot_parts`) for each value set and event scheduled; :data:`SEP`
+separates the items of a list, :data:`SCHED` the two lists, and :data:`END`
+ends a line; :meth:`TraceRecord.to_line` writes a line from the same
+constants, so the format is defined here alone. The fold at the level
+barrier, not the body, digests each set value and appends each completed
+reaction's parts to one list per run, which the run joins once into the
+text. A :class:`Trace` is that text alone, so a trace file reads back as
+one; its lines and :attr:`Trace.records` are views of it. A traced run
+makes no object per line, and the digests of small exact values (ints
+within 32 bits, short strs and flat tuples of them) are memoised. On the
+benchmark's micro-w1 workload (2-vCPU VM, Python 3.11) a traced run costs
+about 1.45-1.5x the plain run, digest included (a span run's
+``trace.cost_factor``); a traced Chameneos alone costs about 1.6x.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
 platforms and runs.
@@ -179,30 +181,17 @@ def value_digest(v) -> str:
     return _encoded_digest(v)
 
 
-class TraceRecord(NamedTuple):
-    """One line of a trace, parsed: exactly what the line says."""
-
-    tag: tuple  # (time_ns, microstep), a Tag
-    reactor_path: str
-    reaction_index: int
-    effects: tuple  # ((port_label, digest), ...) in set order
-    scheduled: tuple  # ((action_label, (time_ns, microstep)), ...) in call order
-
-    def to_line(self) -> str:
-        (time_ns, microstep), path, index, fx, sched = self
-        return "TAG=%s.%s RX=%s.%s FX=%s SCHED=%s" % (
-            time_ns, microstep, path, index,
-            ",".join([f"{p}:{d}" for p, d in fx]) if fx else "",
-            ",".join([f"{a}@{t}.{m}" for a, (t, m) in sched]) if sched else "")
-
-
 # -- the parts of a line -----------------------------------------------------
 
-#: A completed reaction's line is this start, its tag's text, its reaction
-#: prefix, its effects joined by ",", :data:`SCHED` and its scheduled events
-#: joined by ",", and a line end.
+#: A completed reaction's line is :data:`TAG`, its tag's text, its reaction
+#: prefix, its effects joined by :data:`SEP`, :data:`SCHED`, its scheduled
+#: events joined by :data:`SEP`, and :data:`END`; a line that schedules
+#: nothing ends with :data:`NO_SCHED`.
 TAG = "TAG="
+SEP = ","
 SCHED = " SCHED="
+END = "\n"
+NO_SCHED = SCHED + END
 
 
 def tag_text(tag) -> str:
@@ -212,7 +201,7 @@ def tag_text(tag) -> str:
 
 
 def reaction_prefix(path: str, index: int) -> str:
-    """`` RX=<path>.<index> FX=``, what follows the tag prefix in every line
+    """`` RX=<path>.<index> FX=``, what follows the tag's text in every line
     of one reaction; the effects come next."""
     return " RX=%s.%s FX=" % (path, index)
 
@@ -245,20 +234,38 @@ def canonical_ranks(graph: PrecedenceGraph) -> list[int]:
     return rank
 
 
+class TraceRecord(NamedTuple):
+    """One line of a trace, parsed: exactly what the line says."""
+
+    tag: tuple  # (time_ns, microstep), a Tag
+    reactor_path: str
+    reaction_index: int
+    effects: tuple  # ((port_label, digest), ...) in set order
+    scheduled: tuple  # ((action_label, (time_ns, microstep)), ...) in call order
+
+    def to_line(self) -> str:
+        """The line, without its line end, in the parts the fold writes."""
+        tag, path, index, fx, sched = self
+        return "".join((
+            TAG, tag_text(tag), reaction_prefix(path, index),
+            SEP.join([f"{p}:{d}" for p, d in fx]), SCHED,
+            SEP.join([f"{a}@{tag_text(t)}" for a, t in sched])))
+
+
 def _parse(line: str) -> TraceRecord:
     # Every search but the first splits at the first separator after the
     # previous field, and every field splits from the right, so names may
     # hold ".", ":", "@" and spaces.
     i = line.index(" RX=")
     j = line.index(" FX=", i) + 4
-    k = line.index(" SCHED=", j)
-    time_ns, _, microstep = line[4:i].partition(".")
+    k = line.index(SCHED, j)
+    time_ns, _, microstep = line[len(TAG):i].partition(".")
     path, _, index = line[i + 4:j - 4].rpartition(".")
-    fx, sched = line[j:k], line[k + 7:]
+    fx, sched = line[j:k], line[k + len(SCHED):]
     return TraceRecord(
         Tag(int(time_ns), int(microstep)), path, int(index),
-        tuple([tuple(part.rsplit(":", 1)) for part in fx.split(",")]) if fx else (),
-        tuple([_parse_event(part) for part in sched.split(",")]) if sched else ())
+        tuple([tuple(part.rsplit(":", 1)) for part in fx.split(SEP)]) if fx else (),
+        tuple([_parse_event(part) for part in sched.split(SEP)]) if sched else ())
 
 
 def _parse_event(part: str) -> tuple:
@@ -271,31 +278,25 @@ class TraceRecords(Sequence):
     """Read-only view of a trace's lines as :class:`TraceRecord` s, each
     exactly its line, since no name holds a separator. A record is parsed
     when it is accessed and is not kept; ``len()`` counts line ends and
-    parses nothing, and the text is split into lines only when a record is
-    accessed. The view equals any sequence of the same records, so an empty
-    view equals ``()``."""
+    parses nothing, and the text is split into the trace's lines only when a
+    record is accessed. The view equals any sequence of the same records, so
+    an empty view equals ``()``."""
 
-    __slots__ = ("_text", "_lines")
+    __slots__ = ("_trace",)
 
-    def __init__(self, text: str):
-        self._text = text
-        self._lines: list[str] | None = None
-
-    def _split(self) -> list[str]:
-        if self._lines is None:
-            self._lines = self._text.splitlines()
-        return self._lines
+    def __init__(self, trace: Trace):
+        self._trace = trace
 
     def __len__(self) -> int:
-        return self._text.count("\n")
+        return self._trace.text.count(END)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(_parse, self._split()[i]))
-        return _parse(self._split()[i])
+            return tuple(map(_parse, self._trace.lines[i]))
+        return _parse(self._trace.lines[i])
 
     def __iter__(self):
-        return map(_parse, self._split())
+        return map(_parse, self._trace.lines)
 
     def __eq__(self, other):
         if not isinstance(other, (TraceRecords, tuple, list)):
@@ -316,19 +317,20 @@ class Trace:
     text: str
 
     def __post_init__(self):
-        if self.text and self.text[-1] != "\n":
+        if self.text and self.text[-1] != END:
             raise ValueError("a trace's text ends every line, the last included, with a line end")
 
-    @property
+    @functools.cached_property
     def lines(self) -> tuple:
-        """The lines of the text, without their line ends."""
-        return tuple(self.text.splitlines())
+        """The lines of the text, without their line ends, split once: only
+        at :data:`END`, so there are as many as line ends."""
+        return tuple(self.text.split(END)[:-1])
 
     @property
     def records(self) -> TraceRecords:
         """The lines as :class:`TraceRecord` s, each parsed when accessed;
         ``record.to_line()`` gives back the line it was parsed from."""
-        return TraceRecords(self.text)
+        return TraceRecords(self)
 
     def canonical_bytes(self) -> bytes:
         return self.text.encode()

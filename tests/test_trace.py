@@ -670,6 +670,19 @@ def test_a_trace_text_ends_every_line():
         trace_module.Trace("TAG=0.0 RX=r.1 FX= SCHED=")
 
 
+def test_a_text_splits_into_lines_at_its_line_ends_only():
+    # str.splitlines() also splits at "\x0b", "\x0c", "\x1c"-"\x1e", "\x85",
+    # "\u2028" and "\u2029", which a text read from a file may hold: its
+    # lines, its records and its record count still agree.
+    line = "TAG=0.0 RX=r\x0cs\u2028.1 FX=p\x85:d SCHED=a\x1e@1.0"
+    trace = trace_module.Trace(f"{line}\n{line}\n")
+    assert trace.lines == (line, line) and trace.lines is trace.lines  # split once
+    assert len(trace.records) == len(list(trace.records)) == 2
+    assert trace.records[1] == TraceRecord((0, 0), "r\x0cs\u2028", 1, (("p\x85", "d"),),
+                                           (("a\x1e", (1, 0)),))
+    assert trace.records[1].to_line() == line
+
+
 def _tracked_objects_left(count):
     spec = get_benchmark("CountingActor")
     gc.collect()
