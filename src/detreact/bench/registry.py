@@ -10,6 +10,12 @@ rejects any other override, and each builder rejects a count below its least
 meaningful value (``at_least``); the registry prefixes the ``ValueError``
 with the benchmark's name.
 
+Each group's benchmarks are declared in one program module, and a program
+module loads on the first lookup that needs it: ``get_benchmark(name)``
+imports the modules in group order (micro, concurrency, parallelism) until
+``name`` is registered, and ``list_benchmarks()`` imports all of them.
+``sys.modules`` is the only record of which are loaded.
+
 Each benchmark builds a fresh topology per iteration and checks its own
 functional result after the run; timing without a passing validator is
 meaningless, so validation failures abort the measurement.
@@ -20,6 +26,7 @@ from __future__ import annotations
 import inspect
 import operator
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Mapping
 
 from ..core import Builder, ReactorTopology
@@ -27,6 +34,10 @@ from ..core import Builder, ReactorTopology
 GROUP_MICRO = "micro"
 GROUP_CONCURRENCY = "concurrency"
 GROUP_PARALLELISM = "parallelism"
+
+#: Each group and the module that declares its benchmarks, in group order.
+_PROGRAMS = {GROUP_MICRO: ".micro", GROUP_CONCURRENCY: ".concurrency",
+             GROUP_PARALLELISM: ".parallel"}
 
 
 class BenchmarkValidationError(Exception):
@@ -100,15 +111,25 @@ def register(name: str, title: str, group: str):
 
 
 def list_benchmarks() -> list[BenchmarkSpec]:
-    """All registered benchmarks, in registration (group) order."""
-    return list(_REGISTRY.values())
+    """All benchmarks, in group order and, within a group, in declaration
+    order, whichever program modules a caller imported first."""
+    for module in _PROGRAMS.values():
+        import_module(module, __package__)
+    groups = list(_PROGRAMS)
+    return sorted(_REGISTRY.values(), key=lambda spec: groups.index(spec.group))
 
 
 def get_benchmark(name: str) -> BenchmarkSpec:
+    """The benchmark ``name``, importing the program modules in group order
+    until one registers it."""
+    for module in _PROGRAMS.values():
+        if name in _REGISTRY:
+            break
+        import_module(module, __package__)
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise UnknownBenchmarkError(name, list(_REGISTRY)) from None
+        raise UnknownBenchmarkError(name, [spec.name for spec in list_benchmarks()]) from None
 
 
 def at_least(**bounds: tuple[int, int]) -> None:

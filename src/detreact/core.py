@@ -284,6 +284,8 @@ class ReactorInstance:
         self.builder._check_open()
         if not triggers:
             raise CompositionError(f"reaction in {self.name!r} declares no triggers")
+        if not callable(body):
+            raise CompositionError(f"reaction in {self.name!r}: body {body!r} is not callable")
         for t in triggers:
             if isinstance(t, Port):
                 if not t.is_input or t.owner is not self:

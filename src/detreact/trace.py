@@ -46,6 +46,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import ModuleType
 from typing import NamedTuple
 
 from .core import PortChannel, ReactorTopology, Tag
@@ -105,8 +106,9 @@ def _encode_value(v, out: bytearray) -> None:
         else:
             out += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
     # a repr that holds an address, CPython's " at 0x" form, differs from
-    # run to run (print's holds none)
-    elif " at 0x" in (r := repr(v)):
+    # run to run (print's holds none), and a module's, which holds its file
+    # path, from install to install
+    elif " at 0x" in (r := repr(v)) or isinstance(v, ModuleType):
         t = type(v)
         raise TypeError(f"no canonical encoding for a {t.__module__}.{t.__qualname__}: "
                         "its repr holds an address")

@@ -18,6 +18,10 @@ from detreact.bench import (BenchmarkInstance, BenchmarkSpec,
                             BenchmarkValidationError, Lcg64,
                             UnknownBenchmarkError, get_benchmark,
                             list_benchmarks, run_benchmark, run_once)
+# A program module loads on the first lookup that needs it. Importing all
+# three here, before any test runs, puts every benchmark in the registry
+# itself: a test that swaps registry._REGISTRY for a copy would lose the
+# benchmarks of a program module first loaded while the copy is in place.
 from detreact.bench import concurrency, harness, micro, opcount, parallel, registry
 from detreact.bench.harness import student_t_quantile
 
@@ -420,6 +424,69 @@ def test_import_bench_does_not_load_numpy():
     done = _python("import sys, detreact.bench; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# -- a cold start loads only the program modules it looks up -----------------
+
+# Runs in its own interpreter: the modules of detreact.bench loaded after
+# each step, then the message of an unknown lookup.
+_COLD_START = """
+import json, sys
+import detreact.bench as bench
+
+def loaded():
+    return [m for m in ("micro", "concurrency", "parallel", "harness")
+            if f"detreact.bench.{m}" in sys.modules]
+
+seen = [loaded()]
+for name in sys.argv[1:]:
+    bench.get_benchmark(name)
+seen.append(loaded())
+from detreact.bench import run_once
+seen.append(loaded())
+try:
+    bench.get_benchmark("Nope")
+except bench.UnknownBenchmarkError as exc:
+    seen.append(str(exc))
+print(json.dumps(seen))
+"""
+
+
+def test_a_cold_start_loads_only_the_program_modules_it_looks_up():
+    micro_w1 = ["PingPong", "ThreadRing", "CountingActor", "Big", "Chameneos", "ForkJoin"]
+    done = _python(_COLD_START, *micro_w1)
+    assert done.returncode == 0, done.stderr
+    names = ", ".join(spec.name for spec in list_benchmarks())
+    assert json.loads(done.stdout) == [[], ["micro"], ["micro", "harness"],
+                                       f"unknown benchmark 'Nope'; known: {names}"]
+
+
+# Imports the last program module first, then lists.
+_PARALLEL_FIRST = """
+import contextlib, io, json
+import detreact.bench.parallel
+from detreact.bench import list_benchmarks
+from detreact.cli import main
+
+names = [spec.name for spec in list_benchmarks()]
+listing = io.StringIO()
+with contextlib.redirect_stdout(listing):
+    main(["--list"])
+print(json.dumps({"names": names, "list": listing.getvalue()}))
+"""
+
+
+def test_the_benchmark_order_does_not_follow_the_import_order(capsys):
+    from detreact.cli import main
+
+    done = _python(_PARALLEL_FIRST)
+    assert done.returncode == 0, done.stderr
+    specs = list_benchmarks()
+    groups = [spec.group for spec in specs]
+    assert groups == sorted(groups, key=["micro", "concurrency", "parallelism"].index)
+    assert main(["--list"]) == 0
+    assert json.loads(done.stdout) == {"names": [spec.name for spec in specs],
+                                       "list": capsys.readouterr().out}
 
 
 # Runs in its own interpreter, where any import of numpy raises ImportError.

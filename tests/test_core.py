@@ -323,6 +323,17 @@ def test_a_trigger_or_effect_of_another_reactor_or_of_no_kind_is_refused(declare
     assert not r2.reactions
 
 
+def test_a_body_that_is_not_callable_is_refused_at_declaration():
+    r = Builder().reactor("r")
+    t = r.timer("t")
+    message = "reaction in 'r': body 5 is not callable"
+    with pytest.raises(CompositionError, match="^" + re.escape(message) + "$"):
+        r.reaction(t, body=5)
+    with pytest.raises(CompositionError, match="^" + re.escape(message) + "$"):
+        r.reaction(t)(5)
+    assert not r.reactions
+
+
 @pytest.mark.parametrize("declare, message", [
     (lambda r: r.timer("t", offset=-1), "timer r.t: negative offset"),
     (lambda r: r.action("a", min_delay=-1), "action r.a: negative min_delay"),

@@ -181,7 +181,9 @@ def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
     # object, a method-wrapper, a generator, a lock, a code object and a
     # partial of a function: the encoder refuses a value whose repr holds
     # " at 0x", and the fold fails the reaction that set it. A built-in
-    # function of a module, print, has none.
+    # function of a module, print, has none. A module's repr holds its file
+    # path, which differs from install to install, so a module is refused
+    # the same way, a built-in one too.
     for value, kind in ((_Plain(), "test_trace._Plain"), (lambda: 0, "builtins.function"),
                         (_Plain().method, "builtins.method"),
                         ([].append, "builtins.builtin_function_or_method"),
@@ -189,7 +191,8 @@ def test_a_set_value_whose_repr_holds_an_address_fails_its_setter(workers):
                         ((x for x in ()), "builtins.generator"),
                         (threading.Lock(), "_thread.lock"),
                         ((lambda: 0).__code__, "builtins.code"),
-                        (functools.partial(lambda: 0), "functools.partial")):
+                        (functools.partial(lambda: 0), "functools.partial"),
+                        (functools, "builtins.module"), (sys, "builtins.module")):
         b = Builder()
         a, s = b.reactor("a"), b.reactor("s")
         a_out, s_out = a.output("out"), s.output("out")
