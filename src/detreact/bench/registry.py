@@ -5,10 +5,11 @@ with ``@register(name, title, group)``: it declares its program on the
 ``Builder`` ``b``, which the registry names after it and builds, and returns
 its validator. The keyword arguments after ``b`` are the benchmark's
 parameters, and their defaults, in signature order, are
-``BenchmarkSpec.defaults``. Every parameter is an integer: ``resolve_params``
-rejects any other override, and each builder rejects a count below its least
-meaningful value (``at_least``); the registry prefixes the ``ValueError``
-with the benchmark's name.
+``BenchmarkSpec.defaults``; ``register`` refuses a builder whose parameter
+after ``b`` is not a keyword argument with a default. Every parameter is an
+integer: ``resolve_params`` rejects any other override, and each builder
+rejects a count below its least meaningful value (``at_least``); the
+registry prefixes the ``ValueError`` with the benchmark's name.
 
 Each group's benchmarks are declared in one program module, and a program
 module loads on the first lookup that needs it: ``get_benchmark(name)``
@@ -23,11 +24,9 @@ meaningless, so validation failures abort the measurement.
 
 from __future__ import annotations
 
-import inspect
 import operator
-from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..core import Builder, ReactorTopology
 
@@ -53,21 +52,19 @@ class UnknownBenchmarkError(KeyError):
         return self.message
 
 
-@dataclass
-class BenchmarkInstance:
+class BenchmarkInstance(NamedTuple):
     """One freshly built, runnable copy of a benchmark."""
 
     topology: ReactorTopology
     validate: Callable  # validate(report) -> None, raises BenchmarkValidationError
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
+class BenchmarkSpec(NamedTuple):
     name: str  # registry key, e.g. "DiningPhilosophers"
     title: str  # display name, e.g. "Dining Philosophers"
     group: str
-    defaults: Mapping[str, object] = field(default_factory=dict)
-    build: Callable[[dict], BenchmarkInstance] = None
+    defaults: Mapping[str, object]
+    build: Callable[[dict], BenchmarkInstance]
 
     def resolve_params(self, overrides: Mapping[str, object] | None = None) -> dict:
         params = dict(self.defaults)
@@ -94,8 +91,7 @@ def register(name: str, title: str, group: str):
     def decorate(builder: Callable[..., Callable]):
         if name in _REGISTRY:
             raise ValueError(f"benchmark {name!r} registered twice")
-        _b, *params = inspect.signature(builder).parameters.values()
-        defaults = {p.name: p.default for p in params}
+        defaults = _parameters(name, builder)
 
         def build(params: dict) -> BenchmarkInstance:
             b = Builder(name)
@@ -108,6 +104,34 @@ def register(name: str, title: str, group: str):
         _REGISTRY[name] = BenchmarkSpec(name, title, group, defaults, build)
         return builder
     return decorate
+
+
+#: The flags of a code object that takes ``*args`` and ``**kwargs``, as
+#: ``inspect.CO_VARARGS`` and ``inspect.CO_VARKEYWORDS``.
+_CO_VARARGS, _CO_VARKEYWORDS = 0x04, 0x08
+
+
+def _parameters(name: str, builder: Callable) -> dict:
+    """The parameters of ``builder(b, **params)`` after ``b``, in signature
+    order, each with its default. They are read from its code object, so
+    that importing the registry loads no ``inspect``. Each must be a keyword
+    argument with a default: any other, ``*args``, ``**kwargs`` and a
+    keyword-only one included, is refused with a ``ValueError`` naming the
+    benchmark and the parameter."""
+    code = builder.__code__
+    count = code.co_argcount
+    extra = (code.co_kwonlyargcount + bool(code.co_flags & _CO_VARARGS)
+             + bool(code.co_flags & _CO_VARKEYWORDS))
+    names = code.co_varnames[:count + extra]
+    defaults = builder.__defaults__ or ()
+    first_default = count - len(defaults)
+    params = {}
+    for i, param in enumerate(names[1:], 1):
+        if not max(first_default, code.co_posonlyargcount) <= i < count:
+            raise ValueError(f"benchmark {name}: parameter {param!r} is not a keyword "
+                             f"argument with a default")
+        params[param] = defaults[i - first_default]
+    return params
 
 
 def list_benchmarks() -> list[BenchmarkSpec]:

@@ -29,7 +29,11 @@ about 1.45-1.5x the plain run, digest included (a span run's
 ``trace.cost_factor``); a traced Chameneos alone costs about 1.6x.
 
 The digest is a 64-bit BLAKE2b of the canonical text, so it is stable across
-platforms and runs.
+platforms and runs. It comes from CPython's built-in ``_blake2``, the class
+that ``hashlib.blake2b`` names: hashlib never takes BLAKE2 from OpenSSL, but
+importing it loads ``_hashlib`` and maps OpenSSL's libcrypto, which nothing
+here uses: about 3.4 MB of peak resident memory and 3 ms of start-up on a
+2-vCPU VM with Python 3.11.
 
 Run as a module, it compares two trace files and names the first record
 where they differ::
@@ -40,10 +44,11 @@ where they differ::
 from __future__ import annotations
 
 import functools
-import hashlib
 import operator
 import os
 import sys
+# hashlib.blake2b is this class on CPython, but importing hashlib maps OpenSSL.
+from _blake2 import blake2b as _blake2b
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import ModuleType
@@ -51,8 +56,6 @@ from typing import NamedTuple
 
 from .core import PortChannel, ReactorTopology, Tag
 from .graph import PrecedenceGraph
-
-_blake2b = hashlib.blake2b
 
 
 def _encode_value(v, out: bytearray) -> None:

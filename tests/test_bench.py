@@ -95,6 +95,30 @@ def test_register_prefixes_a_builders_value_error_and_refuses_a_name_twice(monke
         registry.register("X", "X", "micro")(_build_x)
 
 
+def _no_default(b, n): ...
+def _star_args(b, n=1, *rest): ...
+def _star_kwargs(b, n=1, **rest): ...
+def _keyword_only(b, n=1, *, rest=2): ...
+def _positional_only(b, rest=1, /, n=2): ...
+
+
+@pytest.mark.parametrize("builder", [_no_default, _star_args, _star_kwargs,
+                                     _keyword_only, _positional_only])
+def test_register_refuses_a_parameter_that_is_not_a_keyword_argument_with_a_default(
+        builder, monkeypatch):
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    param = "n" if builder is _no_default else "rest"
+    with pytest.raises(ValueError, match=f"^benchmark X: parameter '{param}' is not a "
+                                         f"keyword argument with a default$"):
+        registry.register("X", "X", "micro")(builder)
+    assert "X" not in registry._REGISTRY
+
+
+def test_the_code_flags_the_registry_reads_are_inspects():
+    assert (registry._CO_VARARGS, registry._CO_VARKEYWORDS) == (
+        inspect.CO_VARARGS, inspect.CO_VARKEYWORDS)
+
+
 def test_unknown_parameter_rejected():
     spec = get_benchmark("PingPong")
     with pytest.raises(KeyError, match="unknown parameter"):
@@ -426,6 +450,37 @@ def test_import_bench_does_not_load_numpy():
     assert done.stdout.strip() == "False"
 
 
+# Runs in its own interpreter: which of the modules named in argv are loaded
+# after importing detreact, then detreact.bench, then after a traced run and
+# its digest.
+_UNUSED_MODULES = """
+import json, sys
+import detreact
+
+def loaded():
+    return [m for m in sys.argv[1:] if m in sys.modules]
+
+seen = [loaded()]
+import detreact.bench
+seen.append(loaded())
+spec = detreact.bench.get_benchmark("PingPong")
+env = detreact.Environment(spec.build(spec.resolve_params({})).topology, fast=True, trace=True)
+env.run()
+seen.append([f"{detreact.trace_digest(env.trace):016x}", *loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_detreact_loads_neither_openssl_nor_inspect_until_a_program_needs_them():
+    # The trace hashes with _blake2 itself: hashlib would load _hashlib and
+    # map OpenSSL. The registry reads builders' code objects: inspect and
+    # dataclasses load only with the trace module's Trace.
+    done = _python(_UNUSED_MODULES, "hashlib", "_hashlib", "inspect", "dataclasses")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        [], [], [GOLDEN_DIGESTS["PingPong"], "inspect", "dataclasses"]]
+
+
 # -- a cold start loads only the program modules it looks up -----------------
 
 # Runs in its own interpreter: the modules of detreact.bench loaded after
@@ -516,22 +571,33 @@ print(json.dumps({"list": [code, len(listing.getvalue().splitlines())],
 """
 
 
-#: The running interpreter, then each other CPython 3.10 to 3.13 on the PATH,
-#: by name: one that does not start is skipped by the test.
-_INTERPRETERS = [pytest.param(sys.executable, id="running"), *(
-    pytest.param(f"python3.{minor}", id=f"python3.{minor}") for minor in range(10, 14)
-    if minor != sys.version_info.minor and shutil.which(f"python3.{minor}"))]
+def _versions(minor: int) -> list[str]:
+    """Where to look for CPython 3.minor: its name on the PATH, then each
+    3.minor that pyenv installed, which starts even where the PATH's name is
+    a pyenv shim set to another version."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"), "versions")
+    return ([f"python3.{minor}"] if shutil.which(f"python3.{minor}") else []) + sorted(
+        str(path) for path in versions.glob(f"3.{minor}.*/bin/python3.{minor}"))
 
 
-@pytest.mark.parametrize("python", _INTERPRETERS)
-def test_twelve_benchmarks_run_without_numpy(python):
+#: The running interpreter, then each other CPython 3.10 to 3.13 found: the
+#: test runs the first of its places that starts, and skips if none does.
+_INTERPRETERS = [pytest.param([sys.executable], id="running"), *(
+    pytest.param(_versions(minor), id=f"python3.{minor}") for minor in range(10, 14)
+    if minor != sys.version_info.minor and _versions(minor))]
+
+
+@pytest.mark.parametrize("places", _INTERPRETERS)
+def test_twelve_benchmarks_run_without_numpy(places):
     # The script uses the standard library only, so the golden digests can
     # be checked under every interpreter found, packages or none.
-    if python != sys.executable:
+    for python in places:
         probe = _python("pass", python=python)
-        if probe.returncode != 0:
-            reason = (probe.stderr.strip().splitlines() or [f"exit {probe.returncode}"])[0]
-            pytest.skip(f"{python} does not start: {reason}")
+        if probe.returncode == 0:
+            break
+    else:
+        reason = (probe.stderr.strip().splitlines() or [f"exit {probe.returncode}"])[0]
+        pytest.skip(f"none of {', '.join(places)} starts; the last: {reason}")
     done = _python(_WITHOUT_NUMPY, *sorted(NUMPY_BENCHMARKS), python=python)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)

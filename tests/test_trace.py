@@ -412,6 +412,12 @@ def test_value_digest_matches_the_canonical_encoding():
     assert len({value_digest(v) for v in ((1, "x"), (True, "x"), (1.0, "x"))}) == 3
 
 
+def test_the_digest_hashes_with_hashlibs_own_blake2b():
+    # trace.py imports _blake2 directly, to keep hashlib's OpenSSL out of a
+    # run; an interpreter whose hashlib.blake2b is another class fails here.
+    assert trace_module._blake2b is hashlib.blake2b
+
+
 def test_the_memo_pins_no_large_payload():
     long = "y" * (trace_module._MEMO_MAX_LEN + 1)
     memo = trace_module._small_digest
