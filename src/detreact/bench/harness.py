@@ -11,14 +11,13 @@ every iteration, warmup included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..sched import Environment
 from .registry import BenchmarkSpec, BenchmarkValidationError
 
 
-@dataclass(frozen=True)
-class MeasurementStats:
+class MeasurementStats(NamedTuple):
     benchmark: str
     workers: int
     warmup_ms: tuple  # excluded from the statistics below

@@ -14,7 +14,7 @@ counts by function, and ``_coordinate``, the tag loop, by line.
 
 With no name it counts the six micro programs at their default sizes.
 ``--golden PATH`` recounts the programs of that file at the sizes it holds
-and rewrites it.
+and rewrites it. When the reader of stdout is gone, it exits 1 quietly.
 
 The count is exact and repeatable: the same on every run and under every
 ``PYTHONHASHSEED``, and it differs only between Python versions. Each count
@@ -146,6 +146,7 @@ def _split(name: str, mode: str, c: Count) -> list[str]:
     return out
 
 
+@trace._guard_stdout
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m detreact.bench.opcount",
                                      description="Bytecodes per reaction at workers=1.")

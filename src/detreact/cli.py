@@ -59,10 +59,9 @@ def _print_listing():
         print(f"{spec.name:24s} {spec.group:12s} {spec.title:28s} {defaults}")
 
 
-def _trace_one(spec, params, workers: int, trace_dir: Path) -> Trace:
-    """Extra untimed run with tracing on; writes the canonical text."""
+def _trace_one(spec, params, workers: int, path: Path) -> Trace:
+    """Extra untimed run with tracing on; writes the canonical text to ``path``."""
     _, env, _ = run_once(spec, params, workers=workers, trace=True)
-    path = trace_dir / f"{spec.name}_w{workers}.trace"
     path.write_text(env.trace.text, encoding="utf-8")
     return env.trace
 
@@ -75,12 +74,9 @@ def _fail(failures: list, spec, workers: int, exc: Exception) -> None:
           f"{'-':>9s} {'-':>9s} {'-':>9s}  FAIL: {exc}", flush=True)
 
 
+@_guard_stdout
 def main(argv: list[str] | None = None) -> int:
     """Run deterministic reactor benchmarks and report timing statistics."""
-    return _guard_stdout(_main, argv)
-
-
-def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(prog="detreact", description=main.__doc__)
     add = parser.add_argument
     add("-b", "--benchmark", dest="benchmarks", action="append", default=[], metavar="NAME",
@@ -160,14 +156,14 @@ def _main(argv: list[str] | None) -> int:
                 iteration_rows.append(f"{spec.name},{workers},{warmup + i},{ms:.6f}")
             summary_rows.append(f"{spec.name},{workers},{stats.mean_ms:.6f},{stats.ci99_ms:.6f}")
             if args.trace is not None:
+                path = args.trace / f"{spec.name}_w{workers}.trace"
                 try:
-                    trace = _trace_one(spec, params, workers, args.trace)
+                    trace = _trace_one(spec, params, workers, path)
                 except (BenchmarkValidationError, ExecutionError) as exc:
                     _fail(failures, spec, workers, exc)
                     continue
                 digest = trace_digest(trace)
-                print(f"{'':24s} trace digest {digest:016x} -> "
-                      f"{args.trace / f'{spec.name}_w{workers}.trace'}", flush=True)
+                print(f"{'':24s} trace digest {digest:016x} -> {path}", flush=True)
                 if first is None:
                     first = (workers, digest, trace)
                 elif digest != first[1]:

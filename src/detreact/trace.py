@@ -35,8 +35,9 @@ importing it loads ``_hashlib`` and maps OpenSSL's libcrypto, which nothing
 here uses: about 3.4 MB of peak resident memory and 3 ms of start-up on a
 2-vCPU VM with Python 3.11.
 
-Run as a module, it compares two trace files and names the first record
-where they differ::
+Run as a module, it reads two trace files, each as a :class:`Trace`, and
+names the first record where they differ; a file that cannot be read as one
+exits 2::
 
     python -m detreact.trace diff A.trace B.trace
 """
@@ -371,46 +372,47 @@ def diff(a: list[str], b: list[str]) -> list[str]:
     return out
 
 
-def _guard_stdout(run, argv: list[str] | None) -> int:
-    """Return ``run(argv)``, the exit code of a command-line entry point,
-    or 1 without a word on stderr when the reader of stdout is gone."""
-    try:
+def _guard_stdout(main):
+    """Decorate a command line's ``main(argv) -> exit code`` to return 1,
+    without a word on stderr, when the reader of stdout is gone."""
+    @functools.wraps(main)
+    def guarded(argv: list[str] | None = None) -> int:
         try:
-            return run(argv)
-        finally:  # also when --help or a usage error leaves through SystemExit
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at os.devnull, so that the interpreter's own flush at
-        # exit has nothing left to fail on.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+            try:
+                return main(argv)
+            finally:  # also when --help or a usage error leaves through SystemExit
+                sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout goes to os.devnull: the interpreter's flush at exit has nothing to fail on
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+    return guarded
 
 
+@_guard_stdout
 def main(argv: list[str] | None = None) -> int:
-    return _guard_stdout(_main, argv)
-
-
-def _main(argv: list[str] | None) -> int:
+    """Tools for canonical trace files."""
     import argparse  # command-line use only: importing detreact stays lean
     from pathlib import Path
 
-    parser = argparse.ArgumentParser(prog="python -m detreact.trace",
-                                     description="Tools for canonical trace files.")
+    parser = argparse.ArgumentParser(prog="python -m detreact.trace", description=main.__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("diff", help="name the first record where two traces differ; "
                                     "exit 0 when identical, 1 when they differ")
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
     args = parser.parse_args(argv)
-    texts = []
+    traces = []
     for path in (args.a, args.b):
         try:
-            texts.append(path.read_text(encoding="utf-8").splitlines())
+            traces.append(Trace(path.read_text(encoding="utf-8")).lines)
         except OSError as exc:
             parser.exit(2, f"error: {exc}\n")
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError too
             parser.exit(2, f"error: {path} is not UTF-8 text: {exc}\n")
-    a, b = texts
+        except ValueError as exc:
+            parser.exit(2, f"error: {path} is not a trace: {exc}\n")
+    a, b = traces
     report = diff(a, b)
     if not report:
         print(f"identical: {len(a)} records")

@@ -451,8 +451,8 @@ def test_import_bench_does_not_load_numpy():
 
 
 # Runs in its own interpreter: which of the modules named in argv are loaded
-# after importing detreact, then detreact.bench, then after a traced run and
-# its digest.
+# after importing detreact, then detreact.bench, then after an untraced
+# run_benchmark, then after a traced run and its digest.
 _UNUSED_MODULES = """
 import json, sys
 import detreact
@@ -464,6 +464,8 @@ seen = [loaded()]
 import detreact.bench
 seen.append(loaded())
 spec = detreact.bench.get_benchmark("PingPong")
+detreact.bench.run_benchmark(spec, {"messages": 5}, iterations=2, warmup=1)
+seen.append(loaded())
 env = detreact.Environment(spec.build(spec.resolve_params({})).topology, fast=True, trace=True)
 env.run()
 seen.append([f"{detreact.trace_digest(env.trace):016x}", *loaded()])
@@ -473,12 +475,13 @@ print(json.dumps(seen))
 
 def test_detreact_loads_neither_openssl_nor_inspect_until_a_program_needs_them():
     # The trace hashes with _blake2 itself: hashlib would load _hashlib and
-    # map OpenSSL. The registry reads builders' code objects: inspect and
-    # dataclasses load only with the trace module's Trace.
+    # map OpenSSL. The registry reads builders' code objects and the harness's
+    # statistics are a NamedTuple: inspect and dataclasses load only with the
+    # trace module's Trace.
     done = _python(_UNUSED_MODULES, "hashlib", "_hashlib", "inspect", "dataclasses")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
-        [], [], [GOLDEN_DIGESTS["PingPong"], "inspect", "dataclasses"]]
+        [], [], [], [GOLDEN_DIGESTS["PingPong"], "inspect", "dataclasses"]]
 
 
 # -- a cold start loads only the program modules it looks up -----------------

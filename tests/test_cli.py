@@ -329,11 +329,12 @@ def test_output_path_that_cannot_be_written_exit_2_before_any_run(tmp_path, monk
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("module", ["detreact.cli", "detreact.trace"])
+@pytest.mark.parametrize("module", ["detreact.cli", "detreact.trace", "detreact.bench.opcount"])
 def test_closed_stdout_exits_1_quietly(tmp_path, module, unbuffered):
     trace = tmp_path / "a.trace"
     trace.write_text("x\n", encoding="utf-8")
-    args = ["--list"] if module == "detreact.cli" else ["diff", str(trace), str(trace)]
+    args = {"detreact.cli": ["--list"], "detreact.trace": ["diff", str(trace), str(trace)],
+            "detreact.bench.opcount": ["PingPong"]}[module]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -582,6 +582,32 @@ def test_diff_command_refuses_a_file_that_is_not_utf8(tmp_path):
         assert line.startswith(f"error: {raw} is not UTF-8 text: "), line
 
 
+def test_diff_command_reads_each_file_as_a_trace(tmp_path):
+    # A line may hold a break that str.splitlines() knows and Trace.lines
+    # does not split at: the diff counts the records that Trace counts.
+    text = "TAG=0.0 RX=r.1 FX=p:\x0bd SCHED=\n"
+    a = tmp_path / "a.trace"
+    a.write_text(text, encoding="utf-8")
+    same = _diff_command(a, a)
+    assert same.returncode == 0, same.stderr
+    assert len(trace_module.Trace(text).records) == 1 < len(text.splitlines())
+    assert same.stdout == "identical: 1 records\n"
+
+
+def test_diff_command_refuses_a_text_that_is_not_a_trace(tmp_path):
+    # Trace refuses a text whose last line has no line end: exit 2 naming
+    # the file, as for a file that cannot be read.
+    a, cut = tmp_path / "a.trace", tmp_path / "cut.trace"
+    a.write_text(_counter_trace(), encoding="utf-8")
+    cut.write_text(_counter_trace()[:-1], encoding="utf-8")
+    for paths in ((a, cut), (cut, a)):
+        done = _diff_command(*paths)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"error: {cut} is not a trace: "), line
+
+
 def test_import_does_not_load_numpy():
     done = _run_src("-c", "import sys, detreact; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
