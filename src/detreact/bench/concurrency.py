@@ -87,21 +87,20 @@ def _build_concurrent_dictionary(b, workers=8, ops=500, write_percent=10, keys=1
     connect(resp_out, worker_bank.port("resp"))
     connect(worker_bank.port("done"), done_in)
 
-    # Oracle: workers submit in lockstep rounds; the store serves each round
-    # in ascending worker index.
-    expected_table = {}
-    expected_check = [0] * workers
-    for rnd in range(ops):
-        for i in range(workers):
-            kind, key, value = all_ops[i][rnd]
-            if kind == "w":
-                expected_table[key] = value
-                reply = value
-            else:
-                reply = expected_table.get(key, 0)
-            expected_check[i] = (expected_check[i] * 31 + reply) & 0xFFFFFFFFFFFF
-
     def validate(report):
+        # Oracle: workers submit in lockstep rounds; the store serves each
+        # round in ascending worker index.
+        expected_table = {}
+        expected_check = [0] * workers
+        for rnd in range(ops):
+            for i in range(workers):
+                kind, key, value = all_ops[i][rnd]
+                if kind == "w":
+                    expected_table[key] = value
+                    reply = value
+                else:
+                    reply = expected_table.get(key, 0)
+                expected_check[i] = (expected_check[i] * 31 + reply) & 0xFFFFFFFFFFFF
         check(store.state.table == expected_table, "dictionary contents diverge from oracle")
         for i, w in enumerate(worker_bank.members):
             check(w.state.check == expected_check[i], f"worker {i} reply checksum mismatch")

@@ -356,15 +356,15 @@ def _build_filter_bank(b, branches=8, frame=4096, taps=64, rounds=10, seed=1):
     connect(frame_out, bench_bank.port("in"), broadcast=True)
     connect(bench_bank.port("out"), parts_in)
 
-    expected = []
-    for rnd in range(rounds):
-        x = make_frame(rnd)
-        total = 0.0
-        for i in range(branches):
-            total += float(np.sum(np.convolve(x, coeffs[i], mode="valid")))
-        expected.append(total)
-
+    # The replay is the oracle, so only a run that is validated pays for it.
     def validate(report):
+        expected = []
+        for rnd in range(rounds):
+            x = make_frame(rnd)
+            total = 0.0
+            for i in range(branches):
+                total += float(np.sum(np.convolve(x, coeffs[i], mode="valid")))
+            expected.append(total)
         check(combiner.state.totals == expected,
               "filter outputs diverge from sequential replay")
 

@@ -275,6 +275,49 @@ def test_radix_sort_output_is_sorted_permutation():
         assert bool(np.all(arr[1:] >= arr[:-1]))
 
 
+def test_filter_bank_replays_its_oracle_in_validate_alone(monkeypatch):
+    import numpy as np
+    convolve = np.convolve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    spec = get_benchmark("FilterBank")
+    params = small_params(spec)
+    inst = spec.build(params)
+    assert len(calls) == 0, "the build replays the oracle"
+    report = Environment(inst.topology, workers=1, fast=True).run()
+    ran = len(calls)
+    inst.validate(report)
+    assert len(calls) - ran == params["branches"] * params["rounds"]
+
+
+def _nudge_a_total(state):
+    state.totals[1] += 1e-9
+
+
+def _bump_an_entry(state):
+    state.table[min(state.table)] += 1
+
+
+@pytest.mark.parametrize("name, owner, perturb, message", [
+    ("FilterBank", "combiner", _nudge_a_total, "filter outputs diverge from sequential replay"),
+    ("ConcurrentDictionary", "store", _bump_an_entry, "dictionary contents diverge from oracle"),
+], ids=["FilterBank", "ConcurrentDictionary"])
+def test_a_validator_rejects_a_result_that_its_oracle_does_not_replay(
+        name, owner, perturb, message):
+    spec = get_benchmark(name)
+    inst = spec.build(small_params(spec))
+    report = Environment(inst.topology, workers=1, fast=True).run()
+    inst.validate(report)
+    perturb(next(i for i in inst.topology.instances if i.name == owner).state)
+    with pytest.raises(BenchmarkValidationError, match=message):
+        inst.validate(report)
+
+
 # -- golden trace digests -----------------------------------------------------
 
 GOLDEN_DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
